@@ -43,17 +43,31 @@ def full_info_revenue(market: MarketConfig, grid: GridMeasure) -> float:
     return float(grid.masses @ rev)
 
 
-def lloyd_revenue(n: int, market: MarketConfig, grid: GridMeasure, seed: int) -> float:
-    """Revenue of the n-cell centroidal (Lloyd) partition."""
-    params, _ = lloyd_solve(n, grid, seed)
-    return hard_objective(params, grid, monopolist_payoff(market))
+def lloyd_revenue(
+    n: int, market: MarketConfig, grid: GridMeasure, seed: int, solves: dict | None = None
+) -> float:
+    """Revenue of the n-cell centroidal (Lloyd) partition.
+
+    ``solves`` memoizes the partition across markets on the same grid:
+    lloyd_solve reads only n, the seed and the grid's centers and masses.
+    """
+    import hashlib  # here, not at module level: loading it costs ~4 ms of start-up
+
+    solves = {} if solves is None else solves
+    digest = hashlib.sha256(np.ascontiguousarray(grid.centers))
+    digest.update(np.ascontiguousarray(grid.masses))
+    key = (n, seed, grid.centers.shape, digest.digest())
+    if key not in solves:
+        solves[key] = lloyd_solve(n, grid, seed)[0]
+    return hard_objective(solves[key], grid, monopolist_payoff(market))
 
 
 def best_lloyd_revenue(
-    n: int, market: MarketConfig, grid: GridMeasure, seed: int, tries: int = 5
+    n: int, market: MarketConfig, grid: GridMeasure, seed: int, tries: int = 5,
+    solves: dict | None = None,
 ) -> float:
     """Best of ``tries`` Lloyd restarts with consecutive seeds."""
-    return max(lloyd_revenue(n, market, grid, seed + k) for k in range(tries))
+    return max(lloyd_revenue(n, market, grid, seed + k, solves) for k in range(tries))
 
 
 def improvement_table(rows: list[BenchmarkRow]) -> str:

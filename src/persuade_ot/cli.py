@@ -296,9 +296,14 @@ def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, PayoffModel, Obj
         payoff = tri_modal()
     else:
         payoff = monopolist_payoff(cfg.market)
-    eps_abs = cfg.epsilon * (grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0)
+    eps_abs = cfg.epsilon * _epsilon_unit(cfg, grid)
     obj = ObjectiveConfig(eta=cfg.eta, entropic=EntropicConfig(eps_abs), payoff=payoff)
     return grid, payoff, obj
+
+
+def _epsilon_unit(cfg: ExperimentConfig, grid: GridMeasure) -> float:
+    """Absolute size of one epsilon unit: the grid spacing or 1."""
+    return grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
 
 
 def solve_scenario(
@@ -306,12 +311,15 @@ def solve_scenario(
 ) -> tuple[OptResult, float, GridMeasure, PayoffModel, ObjectiveConfig, int]:
     """Best-of-restarts optimizer run; returns the winner by hard value."""
     grid, payoff, obj = build_scenario(cfg)
+    eps_final = cfg.optimizer.epsilon_final
+    if eps_final is not None:
+        eps_final *= _epsilon_unit(cfg, grid)
     best: Optional[OptResult] = None
     best_hard = -np.inf
     best_seed = cfg.optimizer.seed
     for k in range(cfg.restarts):
         seed = cfg.optimizer.seed + k
-        opt_cfg = replace(cfg.optimizer, seed=seed)
+        opt_cfg = replace(cfg.optimizer, seed=seed, epsilon_final=eps_final)
         init = init_sites(opt_cfg.n_init, grid, seed, opt_cfg.init_strategy)
         result = optimize(init, grid, obj, opt_cfg)
         hard = hard_objective(result.params, grid, payoff)
@@ -442,7 +450,8 @@ def export_diagram(result, grid: GridMeasure, path, stem: str = "diagram") -> li
 
 
 def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
-                    obj: ObjectiveConfig, seed: int) -> dict:
+                    obj: ObjectiveConfig, seed: int, grid: GridMeasure) -> dict:
+    eps_final = cfg.optimizer.epsilon_final
     market = None
     if cfg.market is not None:
         market = {
@@ -457,6 +466,7 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
         "payoff": {"kind": cfg.payoff_kind, "market": market},
         "resolution": cfg.resolution,
         "epsilon": obj.entropic.epsilon,
+        "epsilon_final": None if eps_final is None else eps_final * _epsilon_unit(cfg, grid),
         "eta": cfg.eta,
         "seed": seed,
         "restarts": cfg.restarts,
@@ -486,7 +496,8 @@ def _param_stem(name: str, value) -> str:
 def cmd_solve(raw: dict, out_dir: Path) -> int:
     cfg = parse_config(raw)
     result, hard_value, grid, _, obj, seed = solve_scenario(cfg)
-    _write_json(out_dir / "result.json", _result_summary(result, hard_value, cfg, obj, seed))
+    summary = _result_summary(result, hard_value, cfg, obj, seed, grid)
+    _write_json(out_dir / "result.json", summary)
     export_diagram(result, grid, out_dir)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
@@ -513,6 +524,7 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
         )
     rows = []
     summaries = []
+    lloyd_solves: dict = {}
     for name, value, row_cfg in _sweep_rows(raw, cfg):
         result, r_opt, grid, payoff, obj, seed = solve_scenario(row_cfg)
         market = row_cfg.market
@@ -524,7 +536,7 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
             r_noinfo=no_info_revenue(market, grid),
             r_lloyd=best_lloyd_revenue(
                 max(result.effective_n, 1), market, grid,
-                seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries,
+                seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries, solves=lloyd_solves,
             ),
             r_fullinfo=full_info_revenue(market, grid),
             effective_n=result.effective_n,
@@ -533,7 +545,7 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
         rows.append(row)
         stem = f"diagram_{_param_stem(name, value)}"
         export_diagram(result, grid, out_dir, stem=stem)
-        summary = _result_summary(result, r_opt, row_cfg, obj, seed)
+        summary = _result_summary(result, r_opt, row_cfg, obj, seed, grid)
         summary["param"] = row.param
         summaries.append(summary)
     table_text = improvement_table(rows)
@@ -556,13 +568,14 @@ def cmd_benchmark(raw: dict, out_dir: Path) -> int:
     else:
         scenarios = [("base", float("nan"), cfg)]
     lines = ["param,r_noinfo,r_lloyd,r_fullinfo"]
+    lloyd_solves: dict = {}
     for name, value, row_cfg in scenarios:
         grid, _, _ = build_scenario(row_cfg)
         market = row_cfg.market
         r_noinfo = no_info_revenue(market, grid)
         r_lloyd = best_lloyd_revenue(
             row_cfg.lloyd_n, market, grid,
-            seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries,
+            seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries, solves=lloyd_solves,
         )
         r_fullinfo = full_info_revenue(market, grid)
         label = name if value != value else _param_stem(name, value)

@@ -1,8 +1,24 @@
 """Entropy-regularized soft partitions and the regularized semi-discrete dual.
 
 The soft membership of grid point y_alpha in cell i is the softmax over i
-of (g_i - |y_alpha - x_i|^2) / epsilon. All exponentials are computed after
-subtracting the per-point maximum logit, so small epsilon cannot overflow.
+of (g_i - |y_alpha - x_i|^2) / epsilon.
+
+On the tensor grid (alpha = iy*M + ix, y_alpha = (gx[ix], gy[iy])) the
+unnormalized weights split into one factor per axis,
+
+    chi[i, alpha] = s_i Ex[i, ix] Ey[i, iy] / Z[iy, ix],
+    Ex = exp((g_i - (x_i1 - gx)^2)/eps - a_i),  Ey = exp(-(x_i2 - gy)^2/eps - b_i),
+    s_i = exp(a_i + b_i - max_j(a_j + b_j)),    Z = Ey^T diag(s) Ex,
+
+with a_i, b_i the per-site maxima, so every factor is at most one. Any
+chi-weighted sum over the grid is then a matmul of an (M, M) array with
+(n, M) factors, and only 2 n M exponentials are taken (SeparableChi). The
+prior enters only through nu / Z. Terms that underflow to zero are below
+~1e-308; while Z.min() stays above Z_FLOOR each lost term is under 1e-58
+of its normaliser. Where Z drops below the floor (a small epsilon or a
+site far outside the grid), chi_kernel falls back to the dense log-domain
+softmax, which subtracts the per-point maximum logit before exponentiating
+(DenseChi). soft_partition always returns the dense chi.
 """
 
 from __future__ import annotations
@@ -77,6 +93,90 @@ def soft_partition(
     logits = (params.weights[:, None] - sq_dists(params.sites, grid.centers)) / cfg.epsilon
     chi = _softmax_cols(logits)
     return SoftPartition(chi=chi, logits=logits), _stats_from_chi(chi, grid, params.sites)
+
+
+# Above this floor on Z every term lost to underflow is under 1e-58 of Z.
+Z_FLOOR = 1e-250
+
+# Both kernels answer the same two questions about the weighted soft
+# memberships omega_alpha chi[i, alpha] (omega: the prior masses, or 1/batch
+# on sampled points), with u = y_alpha - x_i the offset from site i:
+#   moments(w)    -> (6, n) sums of omega w chi [1, u1, u2, u1^2, u1 u2, u2^2];
+#   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
+# A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
+# for SeparableChi, (P,) for DenseChi; average() returns that layout.
+
+
+class SeparableChi:
+    """Soft memberships on the tensor grid, kept as per-axis factors."""
+
+    def __init__(self, ex, sey, ux, uy, z, nu):
+        # x factors as columns (M, 3n): Ex, Ex u1, Ex u1^2; y factors (3, n, M): s Ey u2^q
+        self._xs = np.concatenate([ex, ex * ux, ex * ux * ux]).T.copy()
+        self._ys = np.stack([sey, sey * uy, sey * uy * uy])
+        self._z = z
+        self._r = nu.reshape(z.shape) / z
+
+    def moments(self, w: np.ndarray | None = None) -> np.ndarray:
+        weight = self._r if w is None else self._r * w
+        t = (weight @ self._xs).reshape(weight.shape[0], 3, -1)  # [iy, p, i]
+        full = np.einsum("qiy,ypi->pqi", self._ys, t)
+        return full[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]]
+
+    def average(self, coef: np.ndarray) -> np.ndarray:
+        sey, seyu = self._ys[0].T, self._ys[1].T
+        left = np.concatenate([sey * coef[0] + seyu * coef[2], sey * coef[1]], axis=1)
+        return (left @ self._xs[:, : left.shape[1]].T) / self._z
+
+
+class DenseChi:
+    """Soft memberships as an explicit (n, P) array over weighted points."""
+
+    def __init__(self, chi, ux, uy, omega):
+        self._chi, self._ux, self._uy, self._omega = chi, ux, uy, omega
+
+    def moments(self, w: np.ndarray | None = None) -> np.ndarray:
+        cw = self._chi * (self._omega if w is None else self._omega * w)
+        ux, uy = self._ux, self._uy
+        return np.stack([(cw * f).sum(axis=1) for f in (1.0, ux, uy, ux * ux, ux * uy, uy * uy)])
+
+    def average(self, coef: np.ndarray) -> np.ndarray:
+        psi = coef[0][:, None] + coef[1][:, None] * self._ux + coef[2][:, None] * self._uy
+        return np.einsum("ip,ip->p", self._chi, psi)
+
+
+def dense_chi(
+    params: DiagramParams, points: np.ndarray, omega: np.ndarray, cfg: EntropicConfig
+) -> DenseChi:
+    """Log-domain softmax over explicit points carrying weights omega."""
+    logits = (params.weights[:, None] - sq_dists(params.sites, points)) / cfg.epsilon
+    ux = points[:, 0][None, :] - params.sites[:, 0:1]
+    uy = points[:, 1][None, :] - params.sites[:, 1:2]
+    return DenseChi(_softmax_cols(logits), ux, uy, omega)
+
+
+def chi_kernel(
+    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
+) -> SeparableChi | DenseChi:
+    """Separable kernel on the grid, or the dense one where Z < Z_FLOOR."""
+    m = grid.resolution
+    gx = grid.centers[:m, 0]
+    gy = grid.centers[::m, 1]
+    eps = cfg.epsilon
+    ux = gx[None, :] - params.sites[:, 0:1]
+    uy = gy[None, :] - params.sites[:, 1:2]
+    lx = (params.weights[:, None] - ux * ux) / eps
+    ly = -(uy * uy) / eps
+    a = lx.max(axis=1)
+    b = ly.max(axis=1)
+    ex = np.exp(lx - a[:, None])
+    ey = np.exp(ly - b[:, None])
+    shift = a + b
+    sey = np.exp(shift - shift.max())[:, None] * ey
+    z = sey.T @ ex
+    if z.min() < Z_FLOOR:
+        return dense_chi(params, grid.centers, grid.masses, cfg)
+    return SeparableChi(ex, sey, ux, uy, z, grid.masses)
 
 
 def c_transform(

@@ -10,8 +10,14 @@ identity collapses the chain rule to
     dF/dx_k = (2/eps) sum_alpha nu_a (y_a - x_k) chi_ka (Psi_ka - Psibar_a)
               + explicit penalty terms,
 
-with Psi the per-cell adjoint and Psibar its chi-average per point. This
-is O(n M^2) per evaluation and never materializes the dense dchi tensors.
+with Psi the per-cell adjoint and Psibar its chi-average per point. Psi is
+affine in y up to a term common to all cells, so both sums, the masses,
+barycenters and the penalty are all weighted moments of chi up to second
+order. They are taken from one kernel (entropic.chi_kernel): on the tensor
+grid the separable factors turn each into an (M, M) @ (M, 3n) matmul, with
+the dense log-domain softmax only where the factors underflow; a Monte
+Carlo batch is the dense kernel on the sampled points with weights
+1/batch. No n x M^2 array is built on the separable path.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import EntropicConfig, SoftCellStats, _softmax_cols, _stats_from_chi
+from .entropic import DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel, phi_eval, phi_grad
-from .power_diagram import DiagramParams, hard_assign, hard_cell_stats, sq_dists
+from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class ObjectiveReport:
             per_cell=per_cell,
         )
 
+    def cell_stats(self) -> SoftCellStats:
+        """The per-cell masses and barycenters as arrays."""
+        return SoftCellStats(
+            masses=np.array([m for m, _, _ in self.per_cell]),
+            barycenters=np.array([b for _, b, _ in self.per_cell]).reshape(-1, 2),
+        )
+
 
 def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
     """sum over supported hard cells of m_i * Phi(b_i); empty cells contribute 0."""
@@ -81,38 +94,93 @@ def _separation_sq(sites: np.ndarray) -> np.ndarray:
     return sep2
 
 
-def _penalty_terms(
-    chi: np.ndarray, masses: np.ndarray, d2: np.ndarray, sites: np.ndarray, grid: GridMeasure
-) -> float:
-    quantization = float(np.einsum("ip,ip,p->", d2, chi, grid.masses))
+def _penalty(mom: np.ndarray, sites: np.ndarray) -> float:
+    # quantization sum_i sum_a nu_a chi_ia |y_a - x_i|^2 plus repulsion
+    quantization = float((mom[3] + mom[5]).sum())
     if sites.shape[0] == 1:
         return quantization
-    sep2 = _separation_sq(sites)
-    repulsion = masses[:, None] * masses[None, :] / sep2
-    total = quantization + float(repulsion.sum())
+    m = mom[0]
+    total = quantization + float((m[:, None] * m[None, :] / _separation_sq(sites)).sum())
     if not np.isfinite(total):
         raise SingularPenaltyError("sites too close: repulsion term is not finite")
     return total
 
 
+def _evaluate(
+    kernel: SeparableChi | DenseChi, sites: np.ndarray, cfg: ObjectiveConfig, grad: bool
+) -> tuple[ObjectiveReport, np.ndarray | None, np.ndarray | None]:
+    """Report, and with grad also (dF/dX, dF/dg), from one soft-membership kernel."""
+    eps = cfg.entropic.epsilon
+    eta = cfg.eta
+    mom = kernel.moments()
+    m = mom[0]
+    u1 = mom[1:3].T  # sum_a nu_a chi_ja (y_a - x_j)
+    # masses are strictly positive in exact arithmetic; guard float underflow
+    safe = np.maximum(m, np.finfo(float).tiny)
+    b = sites + u1 / safe[:, None]
+    dead = m <= 0.0
+    if np.any(dead):
+        b = np.where(dead[:, None], sites, b)
+    phis = np.atleast_1d(phi_eval(cfg.payoff, b))
+    # the report carries the penalty value even when eta = 0
+    report = ObjectiveReport.build(eta, m, b, phis, _penalty(mom, sites))
+    if not grad:
+        return report, None, None
+
+    # Payoff adjoint Psi_ja = c_j + G_j . y_a - eta (|y_a - x_j|^2 + r_j), with
+    # G = grad Phi(b) and c = Phi(b) - G . b, reproduces d(m_j Phi(b_j))/dchi_ja
+    # by the quotient rule. As c'_j + lin_j . y - eta |y|^2, the last term is
+    # common to all cells and cancels in Psi - Psibar; so does the mass-weighted
+    # mean cell's affine part, subtracted here so that the moment sums below do
+    # not cancel in floating point (a single cell then gives exactly zero, as
+    # the dense path does).
+    gphis = np.atleast_2d(phi_grad(cfg.payoff, b))
+    n = sites.shape[0]
+    r = np.zeros(n)
+    if eta > 0.0 and n > 1:
+        r = 2.0 * (m[None, :] / _separation_sq(sites)).sum(axis=1)
+    c = phis - np.einsum("jk,jk->j", gphis, b) - eta * (r + (sites * sites).sum(axis=1))
+    lin = gphis + 2.0 * eta * sites
+    w = m / m.sum()
+    c = c - w @ c
+    lin = lin - w @ lin
+    # rows: Psi_j about its site, c'_j + lin_j . x_j + lin_j . (y - x_j)
+    coef = np.vstack([c + np.einsum("jk,jk->j", lin, sites), lin.T])
+    # with D_ja = nu_a chi_ja (Psi_ja - Psibar_a): dF/dg_j = sum_a D_ja / eps and
+    # dF/dx_j = (2/eps) sum_a D_ja (y_a - x_j), from the zeroth and first moments
+    pm = kernel.moments(kernel.average(coef))
+    row_sum = coef[0] * m + np.einsum("kj,kj->j", coef[1:], mom[1:3]) - pm[0]
+    core_u = np.stack([
+        coef[0] * mom[1] + mom[3] * coef[1] + mom[4] * coef[2] - pm[1],
+        coef[0] * mom[2] + mom[4] * coef[1] + mom[5] * coef[2] - pm[2],
+    ], axis=1)
+    dg = row_sum / eps
+    dx = (2.0 / eps) * core_u
+
+    if eta > 0.0:
+        # explicit x-dependence of the penalty (chi held fixed)
+        quant_x = -2.0 * u1
+        if n > 1:
+            diff = sites[:, None, :] - sites[None, :, :]
+            coef_rep = m[:, None] * m[None, :] / _separation_sq(sites) ** 2
+            rep_x = -4.0 * (coef_rep[:, :, None] * diff).sum(axis=1)
+        else:
+            rep_x = np.zeros_like(sites)
+        dx = dx - eta * (quant_x + rep_x)
+    return report, dx, dg
+
+
 def penalty_value(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> float:
     """Quantization term + pairwise repulsion, with soft masses at cfg.epsilon."""
-    d2 = sq_dists(params.sites, grid.centers)
-    chi = _softmax_cols((params.weights[:, None] - d2) / cfg.epsilon)
-    masses = chi @ grid.masses
-    return _penalty_terms(chi, masses, d2, params.sites, grid)
+    return _penalty(chi_kernel(params, grid, cfg).moments(), params.sites)
 
 
 def soft_objective(
     params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
 ) -> ObjectiveReport:
     """Penalized soft objective F - eta*R with its per-cell decomposition."""
-    d2 = sq_dists(params.sites, grid.centers)
-    chi = _softmax_cols((params.weights[:, None] - d2) / cfg.entropic.epsilon)
-    stats = _stats_from_chi(chi, grid, params.sites)
-    phis = np.atleast_1d(phi_eval(cfg.payoff, stats.barycenters))
-    penalty = _penalty_terms(chi, stats.masses, d2, params.sites, grid)
-    return ObjectiveReport.build(cfg.eta, stats.masses, stats.barycenters, phis, penalty)
+    kernel = chi_kernel(params, grid, cfg.entropic)
+    return _evaluate(kernel, params.sites, cfg, grad=False)[0]
 
 
 def value_and_grad(
@@ -120,58 +188,11 @@ def value_and_grad(
 ) -> tuple[ObjectiveReport, np.ndarray, np.ndarray]:
     """Objective report plus (dF/dX, dF/dg) in one pass.
 
-    Shares the softmax between the value and the gradient; this is the
+    Shares the kernel between the value and the gradient; this is the
     workhorse the optimizer calls every iteration.
     """
-    sites = params.sites
-    eps = cfg.entropic.epsilon
-    eta = cfg.eta
-    nu = grid.masses
-    y = grid.centers
-
-    d2 = sq_dists(sites, y)
-    chi = _softmax_cols((params.weights[:, None] - d2) / eps)
-    stats = _stats_from_chi(chi, grid, sites)
-    m, b = stats.masses, stats.barycenters
-
-    phis = np.atleast_1d(phi_eval(cfg.payoff, b))
-    gphis = np.atleast_2d(phi_grad(cfg.payoff, b))
-
-    # payoff adjoint: Psi_ja = c_j + grad Phi(b_j) . y_a reproduces
-    # d(m_j Phi(b_j))/dchi_ja = nu_a * Psi_ja via the quotient rule
-    c = phis - np.einsum("jk,jk->j", gphis, b)
-    psi = c[:, None] + gphis @ y.T
-
-    # report carries the penalty value even when eta = 0
-    penalty = _penalty_terms(chi, m, d2, sites, grid)
-    if eta > 0.0:
-        if sites.shape[0] > 1:
-            sep2 = _separation_sq(sites)
-            r = 2.0 * (m[None, :] / sep2).sum(axis=1)
-        else:
-            r = np.zeros(1)
-        psi = psi - eta * (d2 + r[:, None])
-
-    psibar = np.einsum("jp,jp->p", chi, psi)
-    core = chi * (psi - psibar[None, :]) * nu[None, :]
-    row_sum = core.sum(axis=1)
-    dg = row_sum / eps
-    dx = (2.0 / eps) * (core @ y - row_sum[:, None] * sites)
-
-    if eta > 0.0:
-        # explicit x-dependence of the penalty (chi held fixed)
-        quant_x = 2.0 * ((chi * nu[None, :]).sum(axis=1)[:, None] * sites - chi @ (nu[:, None] * y))
-        if sites.shape[0] > 1:
-            diff = sites[:, None, :] - sites[None, :, :]
-            sep2 = _separation_sq(sites)
-            coef = m[:, None] * m[None, :] / sep2**2
-            rep_x = -4.0 * (coef[:, :, None] * diff).sum(axis=1)
-        else:
-            rep_x = np.zeros_like(sites)
-        dx = dx - eta * (quant_x + rep_x)
-
-    report = ObjectiveReport.build(eta, m, b, phis, penalty)
-    return report, dx, dg
+    kernel = chi_kernel(params, grid, cfg.entropic)
+    return _evaluate(kernel, params.sites, cfg, grad=True)
 
 
 def objective_gradient(

@@ -11,18 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import EntropicConfig, SoftCellStats, _softmax_cols, soft_partition
+from .entropic import EntropicConfig, SoftCellStats, dense_chi
 from .errors import NumericFailure
 from .grid import GridMeasure
-from .objective import ObjectiveConfig, ObjectiveReport, soft_objective, value_and_grad
-from .payoffs import phi_eval, phi_grad
-from .power_diagram import (
-    DiagramParams,
-    hard_assign,
-    hard_cell_stats,
-    min_separation,
-    sq_dists,
+from .objective import (
+    ObjectiveConfig,
+    ObjectiveReport,
+    _evaluate,
+    soft_objective,
+    value_and_grad,
 )
+from .power_diagram import DiagramParams, hard_assign, hard_cell_stats, min_separation
 
 
 @dataclass
@@ -132,54 +131,17 @@ def mc_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the objective gradient.
 
-    Draws ``batch`` i.i.d. grid points from the prior and evaluates the
-    same factored per-point integrand as the full-grid gradient, with
-    masses and barycenters estimated from the same batch (ratio estimator;
-    small finite-batch bias, vanishing as the batch grows).
+    Draws ``batch`` i.i.d. grid points from the prior and runs the
+    full-grid adjoint on them as a dense kernel with weights 1/batch, so
+    masses and barycenters are estimated from the same batch (ratio
+    estimator; small finite-batch bias, vanishing as the batch grows).
     """
     if batch < 1:
         raise ValueError("batch must be at least 1")
     rng = np.random.default_rng(sampler_seed)
     idx = rng.choice(grid.centers.shape[0], size=batch, replace=True, p=grid.masses)
-    pts = grid.centers[idx]
-    sites = params.sites
-    eps = cfg.entropic.epsilon
-    eta = cfg.eta
-
-    d2 = sq_dists(sites, pts)
-    chi = _softmax_cols((params.weights[:, None] - d2) / eps)
-    m = chi.mean(axis=1)
-    s = (chi @ pts) / batch
-    safe = np.maximum(m, np.finfo(float).tiny)
-    b = np.where((m > 0.0)[:, None], s / safe[:, None], sites)
-
-    phis = np.atleast_1d(phi_eval(cfg.payoff, b))
-    gphis = np.atleast_2d(phi_grad(cfg.payoff, b))
-    c = phis - np.einsum("jk,jk->j", gphis, b)
-    psi = c[:, None] + gphis @ pts.T
-    if eta > 0.0:
-        if sites.shape[0] > 1:
-            diff = sites[:, None, :] - sites[None, :, :]
-            sep2 = np.einsum("ijk,ijk->ij", diff, diff)
-            np.fill_diagonal(sep2, np.inf)
-            r = 2.0 * (m[None, :] / sep2).sum(axis=1)
-        else:
-            r = np.zeros(1)
-        psi = psi - eta * (d2 + r[:, None])
-
-    psibar = np.einsum("jp,jp->p", chi, psi)
-    core = chi * (psi - psibar[None, :]) / batch
-    row_sum = core.sum(axis=1)
-    dg = row_sum / eps
-    dx = (2.0 / eps) * (core @ pts - row_sum[:, None] * sites)
-    if eta > 0.0:
-        quant_x = 2.0 * (m[:, None] * sites - s)
-        if sites.shape[0] > 1:
-            coef = m[:, None] * m[None, :] / sep2**2
-            rep_x = -4.0 * (coef[:, :, None] * diff).sum(axis=1)
-        else:
-            rep_x = np.zeros_like(sites)
-        dx = dx - eta * (quant_x + rep_x)
+    kernel = dense_chi(params, grid.centers[idx], np.full(batch, 1.0 / batch), cfg.entropic)
+    _, dx, dg = _evaluate(kernel, params.sites, cfg, grad=True)
     return dx, dg
 
 
@@ -263,7 +225,7 @@ def optimize(
     )
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
-    _, stats = soft_partition(best_params, grid, final_cfg.entropic)
+    stats = report_before.cell_stats()
     pruned = prune_cells(best_params, stats, opt.prune_mass_tol, grid)
     report_after = soft_objective(pruned, grid, final_cfg)
 
@@ -275,10 +237,14 @@ def optimize(
         bound = 10.0 * removed * scale + final_cfg.eta * abs(
             report_before.penalty_term - report_after.penalty_term
         ) + 1e-8
-        assert abs(report_after.value - report_before.value) <= bound, (
-            f"pruning moved the objective by "
-            f"{abs(report_after.value - report_before.value):.3e} > bound {bound:.3e}"
-        )
+        delta = abs(report_after.value - report_before.value)
+        if not delta <= bound:
+            raise NumericFailure(
+                f"pruning moved the objective by {delta:.3e} > bound {bound:.3e}",
+                last_params=best_params,
+                last_value=report_before.value,
+                iteration=best_iteration,
+            )
 
     return OptResult(
         params=pruned,

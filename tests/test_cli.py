@@ -5,7 +5,14 @@ import pytest
 import yaml
 
 import persuade_ot.cli as cli
-from persuade_ot import ConfigError, NumericFailure
+from persuade_ot import (
+    ConfigError,
+    DiagramParams,
+    EntropicConfig,
+    NumericFailure,
+    ObjectiveConfig,
+    soft_objective,
+)
 from persuade_ot.cli import (
     main,
     parse_config,
@@ -314,3 +321,67 @@ def test_main_rejects_unknown_command(tmp_path):
     path = write_config(tmp_path, {"payoff": {"kind": "concave-bowl"}})
     with pytest.raises(SystemExit):
         main(["dance", "--config", path])
+
+
+def test_epsilon_final_uses_epsilon_units(tmp_path):
+    out = tmp_path / "run"
+    data = tiny_market_config(out)
+    data["optimizer"]["epsilon_final"] = 0.5
+    path = write_config(tmp_path, data)
+    assert run_experiment(path, command="solve") == 0
+    result = json.loads((out / "result.json").read_text())
+    # grid units: epsilon 5 -> 0.5 cells at spacing 2/32, annealing down
+    h = 2.0 / 32.0
+    assert result["epsilon"] == 5.0 * h
+    assert result["epsilon_final"] == 0.5 * h
+    grid, payoff, _ = cli.build_scenario(parse_config(data))
+    final = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.5 * h), payoff=payoff)
+    params = DiagramParams(np.array(result["sites"]), np.array(result["weights"]))
+    assert result["soft_value"] == soft_objective(params, grid, final).value
+
+
+def test_solve_bytes_identical_across_blas_threads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    data = tiny_market_config(tmp_path / "unused")
+    data["optimizer"]["max_iters"] = 30
+    path = write_config(tmp_path, data)
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "persuade_ot.cli", "solve", "--config", path,
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        blobs.append(((out / "result.json").read_bytes(), (out / "diagram.json").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
+def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
+    import persuade_ot.benchmarks as benchmarks
+
+    calls = []
+    real = benchmarks.lloyd_solve
+
+    def counted(n, grid, seed):
+        calls.append((n, seed))
+        return real(n, grid, seed)
+
+    out = tmp_path / "bench"
+    sweep = {"parameter": "payoff.market.p2", "values": [1.0, 1.25, 1.5]}
+    cfg = tiny_market_config(out, sweep=sweep)
+    path = write_config(tmp_path, cfg)
+    assert run_experiment(path, command="benchmark") == 0
+    expected = (out / "benchmark.csv").read_bytes()
+    monkeypatch.setattr(benchmarks, "lloyd_solve", counted)
+    assert run_experiment(path, command="benchmark") == 0
+    # three markets on one grid, two Lloyd tries: two solves, same table
+    assert sorted(calls) == [(4, 0), (4, 1)]
+    assert (out / "benchmark.csv").read_bytes() == expected

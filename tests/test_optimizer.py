@@ -236,3 +236,29 @@ def test_optimizer_config_validation():
         OptimizerConfig(epsilon_final=-1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(grad_mode="monte-carlo", batch_size=0)
+
+
+def test_pruning_check_raises_numeric_failure(monkeypatch):
+    # cell 1 is dead softly and hardly, so finalisation prunes it; a report
+    # for the pruned diagram that moves the value past the bound must raise
+    # (an explicit check, kept under python -O)
+    grid = unit_grid(32)
+    init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0])
+    real = optimizer_mod.soft_objective
+
+    def shifted(params, g, c):
+        report = real(params, g, c)
+        if params.n < init.n:
+            report = ObjectiveReport(
+                value=report.value + 1.0,
+                payoff_term=report.payoff_term,
+                penalty_term=report.penalty_term,
+                per_cell=report.per_cell,
+            )
+        return report
+
+    opt = OptimizerConfig(n_init=3, max_iters=1, learning_rate=1e-3, seed=0)
+    assert optimize(init, grid, bowl_cfg(eps=0.05), opt).effective_n == 2
+    monkeypatch.setattr(optimizer_mod, "soft_objective", shifted)
+    with pytest.raises(NumericFailure, match=r"pruning moved the objective by 1\.000e\+00 > bound"):
+        optimize(init, grid, bowl_cfg(eps=0.05), opt)

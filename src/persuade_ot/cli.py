@@ -53,6 +53,11 @@ PALETTE = [
 ]
 
 
+def _finite(value: int | float) -> bool:
+    # false for nan, +-inf and integers beyond the float range
+    return abs(value) <= sys.float_info.max
+
+
 class _Section:
     """Mapping reader that tracks its key path and rejects unknown keys."""
 
@@ -81,6 +86,8 @@ class _Section:
         if kind == "float":
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"expected a number, got {val!r}", full)
+            if not _finite(val):
+                raise ConfigError(f"expected a finite number, got {val!r}", full)
             return float(val)
         if kind == "str":
             if not isinstance(val, str):
@@ -131,10 +138,12 @@ def parse_config(raw: Any) -> ExperimentConfig:
             try:
                 (a1, b1), (a2, b2) = b
                 bounds = ((float(a1), float(b1)), (float(a2), float(b2)))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     "expected [[a1, b1], [a2, b2]]", "grid.bounds"
                 ) from None
+            if not all(_finite(v) for pair in bounds for v in pair):
+                raise ConfigError(f"bounds must be finite, got {b!r}", "grid.bounds")
         resolution = grid_sec.take("resolution", "int", 256)
         grid_sec.finish()
 
@@ -147,15 +156,16 @@ def parse_config(raw: Any) -> ExperimentConfig:
     market = None
     if kind == "monopolist":
         m = payoff_sec.take("market", "mapping")
+        fields = {
+            "p1": m.take("p1", "float"),
+            "p2": m.take("p2", "float"),
+            "q_min": m.take("q_min", "float"),
+            "q_max": m.take("q_max", "float"),
+            "delta": m.take("delta", "float", 0.0),
+            "demand": m.take("demand", "str", "unit"),
+        }
         try:
-            market = MarketConfig(
-                p1=m.take("p1", "float"),
-                p2=m.take("p2", "float"),
-                q_min=m.take("q_min", "float"),
-                q_max=m.take("q_max", "float"),
-                delta=m.take("delta", "float", 0.0),
-                demand=m.take("demand", "str", "unit"),
-            )
+            market = MarketConfig(**fields)
         except ValueError as exc:
             raise ConfigError(str(exc), "payoff.market") from None
         m.finish()
@@ -180,23 +190,15 @@ def parse_config(raw: Any) -> ExperimentConfig:
     restarts = opt_sec.take("restarts", "int", 1)
     if restarts < 1:
         raise ConfigError("restarts must be at least 1", "optimizer.restarts")
-    eps_final = opt_sec.take("epsilon_final", "float", None)
+    fields = {
+        "n_init": opt_sec.take("n_init", "int", 12),
+        "max_iters": opt_sec.take("max_iters", "int", 1000),
+        "learning_rate": opt_sec.take("learning_rate", "float", 1e-2),
+        "seed": opt_sec.take("seed", "int", 0),
+        "epsilon_final": opt_sec.take("epsilon_final", "float", None),
+    }
     try:
-        optimizer = OptimizerConfig(
-            n_init=opt_sec.take("n_init", "int", 12),
-            max_iters=opt_sec.take("max_iters", "int", 1000),
-            learning_rate=opt_sec.take("learning_rate", "float", 1e-2),
-            adam_beta1=opt_sec.take("adam_beta1", "float", 0.9),
-            adam_beta2=opt_sec.take("adam_beta2", "float", 0.999),
-            adam_eps=opt_sec.take("adam_eps", "float", 1e-8),
-            seed=opt_sec.take("seed", "int", 0),
-            grad_mode=opt_sec.take("grad_mode", "str", "full-grid"),
-            batch_size=opt_sec.take("batch_size", "int", 4096),
-            prune_mass_tol=opt_sec.take("prune_mass_tol", "float", 1e-4),
-            stop_grad_tol=opt_sec.take("stop_grad_tol", "float", 0.0),
-            init_strategy=opt_sec.take("init_strategy", "str", "uniform-random"),
-            epsilon_final=eps_final,
-        )
+        optimizer = OptimizerConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc), "optimizer") from None
     opt_sec.finish()
@@ -220,8 +222,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
         if not sweep_values:
             raise ConfigError("needs at least one value", "sweep.values")
         for v in sweep_values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"values must be numbers, got {v!r}", "sweep.values")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
+                raise ConfigError(f"values must be finite numbers, got {v!r}", "sweep.values")
         sweep_sec.finish()
 
     output_dir = root.take("output_dir", "str", "out")
@@ -273,8 +275,15 @@ def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
     return out
 
 
-def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, PayoffModel, ObjectiveConfig]:
-    """Grid, payoff, and objective for one scenario."""
+def build_scenario(
+    cfg: ExperimentConfig,
+) -> tuple[GridMeasure, PayoffModel, ObjectiveConfig, OptimizerConfig]:
+    """Grid, payoff, objective and optimizer settings for one scenario.
+
+    Converts objective.epsilon and optimizer.epsilon_final from
+    epsilon_units to absolute units: with "grid" one unit is the grid
+    spacing.
+    """
     if cfg.bounds is not None:
         bounds = cfg.bounds
     elif cfg.market is not None:
@@ -296,36 +305,34 @@ def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, PayoffModel, Obj
         payoff = tri_modal()
     else:
         payoff = monopolist_payoff(cfg.market)
-    eps_abs = cfg.epsilon * _epsilon_unit(cfg, grid)
-    obj = ObjectiveConfig(eta=cfg.eta, entropic=EntropicConfig(eps_abs), payoff=payoff)
-    return grid, payoff, obj
-
-
-def _epsilon_unit(cfg: ExperimentConfig, grid: GridMeasure) -> float:
-    """Absolute size of one epsilon unit: the grid spacing or 1."""
-    return grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
+    unit = grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
+    obj = ObjectiveConfig(
+        eta=cfg.eta, entropic=EntropicConfig(cfg.epsilon * unit), payoff=payoff
+    )
+    opt = cfg.optimizer
+    if opt.epsilon_final is not None:
+        opt = replace(opt, epsilon_final=opt.epsilon_final * unit)
+    return grid, payoff, obj, opt
 
 
 def solve_scenario(
     cfg: ExperimentConfig,
-) -> tuple[OptResult, float, GridMeasure, PayoffModel, ObjectiveConfig, int]:
-    """Best-of-restarts optimizer run; returns the winner by hard value."""
-    grid, payoff, obj = build_scenario(cfg)
-    eps_final = cfg.optimizer.epsilon_final
-    if eps_final is not None:
-        eps_final *= _epsilon_unit(cfg, grid)
+) -> tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]:
+    """Best-of-restarts optimizer run; returns the winner by hard value.
+
+    The winner's seed is its ``seed_used``; the returned objective and
+    optimizer settings are in absolute epsilon units.
+    """
+    grid, payoff, obj, opt = build_scenario(cfg)
     best: Optional[OptResult] = None
     best_hard = -np.inf
-    best_seed = cfg.optimizer.seed
     for k in range(cfg.restarts):
-        seed = cfg.optimizer.seed + k
-        opt_cfg = replace(cfg.optimizer, seed=seed, epsilon_final=eps_final)
-        init = init_sites(opt_cfg.n_init, grid, seed, opt_cfg.init_strategy)
-        result = optimize(init, grid, obj, opt_cfg)
+        seed = opt.seed + k
+        result = optimize(init_sites(opt.n_init, grid, seed), grid, obj, replace(opt, seed=seed))
         hard = hard_objective(result.params, grid, payoff)
         if best is None or hard > best_hard:
-            best, best_hard, best_seed = result, hard, seed
-    return best, float(best_hard), grid, payoff, obj, best_seed
+            best, best_hard = result, hard
+    return best, float(best_hard), grid, obj, opt
 
 
 def _diagram_dict(params: DiagramParams, grid: GridMeasure) -> dict:
@@ -450,8 +457,7 @@ def export_diagram(result, grid: GridMeasure, path, stem: str = "diagram") -> li
 
 
 def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
-                    obj: ObjectiveConfig, seed: int, grid: GridMeasure) -> dict:
-    eps_final = cfg.optimizer.epsilon_final
+                    obj: ObjectiveConfig, opt: OptimizerConfig) -> dict:
     market = None
     if cfg.market is not None:
         market = {
@@ -466,9 +472,9 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
         "payoff": {"kind": cfg.payoff_kind, "market": market},
         "resolution": cfg.resolution,
         "epsilon": obj.entropic.epsilon,
-        "epsilon_final": None if eps_final is None else eps_final * _epsilon_unit(cfg, grid),
+        "epsilon_final": opt.epsilon_final,
         "eta": cfg.eta,
-        "seed": seed,
+        "seed": result.seed_used,
         "restarts": cfg.restarts,
         "sites": [[float(x), float(y)] for x, y in result.params.sites],
         "weights": [float(g) for g in result.params.weights],
@@ -493,15 +499,14 @@ def _param_stem(name: str, value) -> str:
     return f"{name}={value:g}"
 
 
-def cmd_solve(raw: dict, out_dir: Path) -> int:
-    cfg = parse_config(raw)
-    result, hard_value, grid, _, obj, seed = solve_scenario(cfg)
-    summary = _result_summary(result, hard_value, cfg, obj, seed, grid)
+def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
+    result, hard_value, grid, obj, opt = solve_scenario(cfg)
+    summary = _result_summary(result, hard_value, cfg, obj, opt)
     _write_json(out_dir / "result.json", summary)
     export_diagram(result, grid, out_dir)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
-        f"hard_value={hard_value:.6f} seed={seed}"
+        f"hard_value={hard_value:.6f} seed={result.seed_used}"
     )
     print(f"wrote {out_dir / 'result.json'}")
     return 0
@@ -514,8 +519,7 @@ def _sweep_rows(raw: dict, cfg: ExperimentConfig):
         yield name, value, parse_config(row_raw)
 
 
-def cmd_table(raw: dict, out_dir: Path) -> int:
-    cfg = parse_config(raw)
+def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.sweep_parameter is None:
         raise ConfigError("table mode needs a sweep section", "sweep")
     if cfg.payoff_kind != "monopolist":
@@ -526,7 +530,7 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
     summaries = []
     lloyd_solves: dict = {}
     for name, value, row_cfg in _sweep_rows(raw, cfg):
-        result, r_opt, grid, payoff, obj, seed = solve_scenario(row_cfg)
+        result, r_opt, grid, obj, opt = solve_scenario(row_cfg)
         market = row_cfg.market
         row = BenchmarkRow(
             param_name=name,
@@ -540,12 +544,12 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
             ),
             r_fullinfo=full_info_revenue(market, grid),
             effective_n=result.effective_n,
-            seed=seed,
+            seed=result.seed_used,
         )
         rows.append(row)
         stem = f"diagram_{_param_stem(name, value)}"
         export_diagram(result, grid, out_dir, stem=stem)
-        summary = _result_summary(result, r_opt, row_cfg, obj, seed, grid)
+        summary = _result_summary(result, r_opt, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
     table_text = improvement_table(rows)
@@ -556,8 +560,7 @@ def cmd_table(raw: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_benchmark(raw: dict, out_dir: Path) -> int:
-    cfg = parse_config(raw)
+def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.payoff_kind != "monopolist":
         raise ConfigError(
             "benchmark mode is for monopolist scenarios", "payoff.kind"
@@ -570,7 +573,7 @@ def cmd_benchmark(raw: dict, out_dir: Path) -> int:
     lines = ["param,r_noinfo,r_lloyd,r_fullinfo"]
     lloyd_solves: dict = {}
     for name, value, row_cfg in scenarios:
-        grid, _, _ = build_scenario(row_cfg)
+        grid = build_scenario(row_cfg)[0]
         market = row_cfg.market
         r_noinfo = no_info_revenue(market, grid)
         r_lloyd = best_lloyd_revenue(
@@ -590,8 +593,7 @@ def cmd_benchmark(raw: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_export(raw: dict, out_dir: Path) -> int:
-    cfg = parse_config(raw)
+def cmd_export(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     result_path = out_dir / "result.json"
     if not result_path.exists():
         raise ConfigError(f"no result.json in {out_dir}; run solve first")
@@ -600,7 +602,7 @@ def cmd_export(raw: dict, out_dir: Path) -> int:
         raise ConfigError(
             "result.json holds a table run; export works on solve results"
         )
-    grid, _, _ = build_scenario(cfg)
+    grid = build_scenario(cfg)[0]
     params = DiagramParams(np.array(data["sites"]), np.array(data["weights"]))
     paths = export_diagram(params, grid, out_dir)
     print("wrote " + " ".join(paths))
@@ -659,7 +661,7 @@ def run_experiment(
         }.get(command)
         if handler is None:
             raise ConfigError(f"unknown command {command!r}")
-        return handler(raw, out)
+        return handler(raw, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Entropy-regularized soft partitions and the regularized semi-discrete dual.
+"""Entropy-regularized soft partitions and the regularized semi-discrete dual solve.
 
 The soft membership of grid point y_alpha in cell i is the softmax over i
 of (g_i - |y_alpha - x_i|^2) / epsilon.
@@ -45,10 +45,9 @@ class EntropicConfig:
 
 @dataclass(frozen=True)
 class SoftPartition:
-    """Soft memberships chi (n, M^2) plus the raw logits they came from."""
+    """Soft memberships chi (n, M^2)."""
 
     chi: np.ndarray
-    logits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,19 @@ def soft_partition(
     """
     logits = (params.weights[:, None] - sq_dists(params.sites, grid.centers)) / cfg.epsilon
     chi = _softmax_cols(logits)
-    return SoftPartition(chi=chi, logits=logits), _stats_from_chi(chi, grid, params.sites)
+    return SoftPartition(chi=chi), _stats_from_chi(chi, grid, params.sites)
 
 
 # Above this floor on Z every term lost to underflow is under 1e-58 of Z.
 Z_FLOOR = 1e-250
 
-# Both kernels answer the same two questions about the weighted soft
-# memberships omega_alpha chi[i, alpha] (omega: the prior masses, or 1/batch
-# on sampled points), with u = y_alpha - x_i the offset from site i:
-#   moments(w)    -> (6, n) sums of omega w chi [1, u1, u2, u1^2, u1 u2, u2^2];
+# Both kernels answer the same two questions about the prior-weighted soft
+# memberships nu_alpha chi[i, alpha], with u = y_alpha - x_i the offset from
+# site i:
+#   moments(w)    -> (6, n) sums of nu w chi [1, u1, u2, u1^2, u1 u2, u2^2];
 #   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
 # A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
-# for SeparableChi, (P,) for DenseChi; average() returns that layout.
+# for SeparableChi, (M^2,) for DenseChi; average() returns that layout.
 
 
 class SeparableChi:
@@ -130,13 +129,13 @@ class SeparableChi:
 
 
 class DenseChi:
-    """Soft memberships as an explicit (n, P) array over weighted points."""
+    """Soft memberships as an explicit (n, M^2) array over the grid."""
 
-    def __init__(self, chi, ux, uy, omega):
-        self._chi, self._ux, self._uy, self._omega = chi, ux, uy, omega
+    def __init__(self, chi, ux, uy, nu):
+        self._chi, self._ux, self._uy, self._nu = chi, ux, uy, nu
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
-        cw = self._chi * (self._omega if w is None else self._omega * w)
+        cw = self._chi * (self._nu if w is None else self._nu * w)
         ux, uy = self._ux, self._uy
         return np.stack([(cw * f).sum(axis=1) for f in (1.0, ux, uy, ux * ux, ux * uy, uy * uy)])
 
@@ -145,14 +144,13 @@ class DenseChi:
         return np.einsum("ip,ip->p", self._chi, psi)
 
 
-def dense_chi(
-    params: DiagramParams, points: np.ndarray, omega: np.ndarray, cfg: EntropicConfig
-) -> DenseChi:
-    """Log-domain softmax over explicit points carrying weights omega."""
+def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
+    """Log-domain softmax over every grid point."""
+    points = grid.centers
     logits = (params.weights[:, None] - sq_dists(params.sites, points)) / cfg.epsilon
     ux = points[:, 0][None, :] - params.sites[:, 0:1]
     uy = points[:, 1][None, :] - params.sites[:, 1:2]
-    return DenseChi(_softmax_cols(logits), ux, uy, omega)
+    return DenseChi(_softmax_cols(logits), ux, uy, grid.masses)
 
 
 def chi_kernel(
@@ -175,35 +173,8 @@ def chi_kernel(
     sey = np.exp(shift - shift.max())[:, None] * ey
     z = sey.T @ ex
     if z.min() < Z_FLOOR:
-        return dense_chi(params, grid.centers, grid.masses, cfg)
+        return dense_chi(params, grid, cfg)
     return SeparableChi(ex, sey, ux, uy, z, grid.masses)
-
-
-def c_transform(
-    params: DiagramParams,
-    point: np.ndarray,
-    cfg: EntropicConfig,
-    density_value: float,
-) -> float | np.ndarray:
-    """Regularized C-transform of the weights at a point.
-
-    Returns eps*log(density) - eps*log sum_j exp((g_j - |y - x_j|^2)/eps),
-    the soft analogue of min_j(|y - x_j|^2 - g_j). Accepts a single point
-    (shape (2,)) or a batch (k, 2); density_value must be positive and may
-    broadcast against the batch.
-    """
-    dens = np.asarray(density_value, dtype=float)
-    if np.any(dens <= 0.0):
-        raise ValueError("density_value must be positive")
-    pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    eps = cfg.epsilon
-    logits = (params.weights[:, None] - sq_dists(params.sites, pts)) / eps
-    top = logits.max(axis=0)
-    lse = top + np.log(np.exp(logits - top[None, :]).sum(axis=0))
-    out = eps * np.log(dens) - eps * lse
-    return float(out[0]) if single and out.ndim > 0 and out.size == 1 else out
 
 
 def _log_soft_masses(
@@ -261,50 +232,3 @@ def sinkhorn_dual_solve(
         f"sinkhorn residual {residual:.3e} after {max_iters} iterations (tol {tol:.1e})",
         residual=residual,
     )
-
-
-def dual_value(
-    params: DiagramParams,
-    target_masses: np.ndarray,
-    grid: GridMeasure,
-    cfg: EntropicConfig,
-) -> float:
-    """Regularized dual objective D^eps at the given weights.
-
-    D^eps[g] = sum_alpha nu_alpha * g^{C,eps}(y_alpha) + g . targets - eps,
-    with the grid density nu_alpha / cell_area. Its partial derivative in
-    g_i is target_i - m_i^eps, which is what sinkhorn_dual_solve drives to
-    zero; exposed mainly so that property can be tested directly.
-    """
-    targets = np.asarray(target_masses, dtype=float)
-    live = grid.masses > 0.0
-    dens = grid.masses[live] / grid.cell_area
-    gc = c_transform(params, grid.centers[live], cfg, dens)
-    return float(grid.masses[live] @ gc + params.weights @ targets - cfg.epsilon)
-
-
-def soft_partition_grads(
-    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense derivative tensors of the soft memberships.
-
-    Returns (dchi_dx, dchi_dg) with
-
-        dchi_dg[k, j, alpha]    = -(1/eps) (chi_j - delta_kj) chi_k
-        dchi_dx[k, j, alpha, :] = (2 (x_k - y_alpha)/eps) (chi_j - delta_kj) chi_k
-
-    evaluated at each grid point. These are O(n^2 M^2) tensors intended for
-    verification at small sizes; the objective gradient uses a factored
-    assembly instead and never materializes them.
-    """
-    part, _ = soft_partition(params, grid, cfg)
-    chi = part.chi
-    n, p = chi.shape
-    eps = cfg.epsilon
-    delta = np.eye(n)
-    # factor[k, j, alpha] = (chi_j - delta_kj) * chi_k
-    factor = (chi[None, :, :] - delta[:, :, None]) * chi[:, None, :]
-    dchi_dg = -factor / eps
-    diff = params.sites[:, None, :] - grid.centers[None, :, :]  # x_k - y_alpha
-    dchi_dx = (2.0 / eps) * factor[:, :, :, None] * diff[:, None, :, :]
-    return dchi_dx, dchi_dg

@@ -15,9 +15,8 @@ affine in y up to a term common to all cells, so both sums, the masses,
 barycenters and the penalty are all weighted moments of chi up to second
 order. They are taken from one kernel (entropic.chi_kernel): on the tensor
 grid the separable factors turn each into an (M, M) @ (M, 3n) matmul, with
-the dense log-domain softmax only where the factors underflow; a Monte
-Carlo batch is the dense kernel on the sampled points with weights
-1/batch. No n x M^2 array is built on the separable path.
+the dense log-domain softmax only where the factors underflow. No n x M^2
+array is built on the separable path.
 """
 
 from __future__ import annotations
@@ -170,11 +169,6 @@ def _evaluate(
     return report, dx, dg
 
 
-def penalty_value(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> float:
-    """Quantization term + pairwise repulsion, with soft masses at cfg.epsilon."""
-    return _penalty(chi_kernel(params, grid, cfg).moments(), params.sites)
-
-
 def soft_objective(
     params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
 ) -> ObjectiveReport:
@@ -193,11 +187,3 @@ def value_and_grad(
     """
     kernel = chi_kernel(params, grid, cfg.entropic)
     return _evaluate(kernel, params.sites, cfg, grad=True)
-
-
-def objective_gradient(
-    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the penalized soft objective in (X, g)."""
-    _, dx, dg = value_and_grad(params, grid, cfg)
-    return dx, dg

@@ -1,7 +1,7 @@
 """First-order ascent on diagram parameters.
 
-Adam on the concatenated vector (sites, weights), seeded initialization,
-an optional Monte Carlo gradient, and finalization pruning of dead cells.
+Adam on the concatenated vector (sites, weights) with the exact gradient,
+seeded initialization, and finalization pruning of dead cells.
 """
 
 from __future__ import annotations
@@ -11,17 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import EntropicConfig, SoftCellStats, dense_chi
+from .entropic import EntropicConfig, SoftCellStats
 from .errors import NumericFailure
 from .grid import GridMeasure
-from .objective import (
-    ObjectiveConfig,
-    ObjectiveReport,
-    _evaluate,
-    soft_objective,
-    value_and_grad,
-)
+from .objective import ObjectiveConfig, ObjectiveReport, soft_objective, value_and_grad
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats, min_separation
+
+# Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# finalization drops cells below this soft mass that own no grid point
+PRUNE_MASS_TOL = 1e-4
 
 
 @dataclass
@@ -29,30 +30,16 @@ class OptimizerConfig:
     n_init: int = 12
     max_iters: int = 1000
     learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    grad_mode: str = "full-grid"  # "full-grid" | "monte-carlo"
-    batch_size: int = 4096
-    prune_mass_tol: float = 1e-4
-    stop_grad_tol: float = 0.0
-    init_strategy: str = "uniform-random"  # "uniform-random" | "jittered-grid"
     epsilon_final: float | None = None  # optional geometric anneal target, off by default
 
     def __post_init__(self):
         if self.n_init < 1:
             raise ValueError("n_init must be at least 1")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.grad_mode not in ("full-grid", "monte-carlo"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
-        if self.grad_mode == "monte-carlo" and self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.init_strategy not in ("uniform-random", "jittered-grid"):
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.epsilon_final is not None and self.epsilon_final <= 0.0:
             raise ValueError("epsilon_final must be positive when set")
 
@@ -122,29 +109,6 @@ def prune_cells(
     return DiagramParams(params.sites[keep], params.weights[keep])
 
 
-def mc_gradient(
-    params: DiagramParams,
-    grid: GridMeasure,
-    cfg: ObjectiveConfig,
-    sampler_seed: int,
-    batch: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of the objective gradient.
-
-    Draws ``batch`` i.i.d. grid points from the prior and runs the
-    full-grid adjoint on them as a dense kernel with weights 1/batch, so
-    masses and barycenters are estimated from the same batch (ratio
-    estimator; small finite-batch bias, vanishing as the batch grows).
-    """
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
-    rng = np.random.default_rng(sampler_seed)
-    idx = rng.choice(grid.centers.shape[0], size=batch, replace=True, p=grid.masses)
-    kernel = dense_chi(params, grid.centers[idx], np.full(batch, 1.0 / batch), cfg.entropic)
-    _, dx, dg = _evaluate(kernel, params.sites, cfg, grad=True)
-    return dx, dg
-
-
 def optimize(
     init: DiagramParams,
     grid: GridMeasure,
@@ -153,25 +117,21 @@ def optimize(
 ) -> OptResult:
     """Adam ascent on (X, g), returning the best iterate after pruning.
 
-    Stops at max_iters or when the gradient infinity-norm drops below
-    stop_grad_tol. The raw Adam trajectory is not monotone; the best-seen
-    value is tracked separately and its iterate is what gets pruned and
-    returned. NaN or infinite objective values abort with the last valid
-    state attached.
+    Runs max_iters steps. The raw Adam trajectory is not monotone; the
+    best-seen value is tracked separately and its iterate is what gets
+    pruned and returned. NaN or infinite objective values abort with the
+    last valid state attached.
     """
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
-    beta1, beta2 = opt.adam_beta1, opt.adam_beta2
     lr = opt.learning_rate
 
     eps_run = obj.entropic.epsilon
     anneal = 1.0
     if opt.epsilon_final is not None and opt.max_iters > 1:
         anneal = (opt.epsilon_final / eps_run) ** (1.0 / (opt.max_iters - 1))
-
-    mc_rng = np.random.default_rng(opt.seed)
 
     def unpack(vec: np.ndarray) -> DiagramParams:
         return DiagramParams(vec[: 2 * n].reshape(n, 2), vec[2 * n :])
@@ -192,10 +152,6 @@ def optimize(
             )
         params = unpack(theta)
         report, dx, dg = value_and_grad(params, grid, cfg_t)
-        if opt.grad_mode == "monte-carlo":
-            dx, dg = mc_gradient(
-                params, grid, cfg_t, int(mc_rng.integers(2**63)), opt.batch_size
-            )
         grad = np.concatenate([dx.ravel(), dg])
         if not (np.isfinite(report.value) and np.all(np.isfinite(grad))):
             raise NumericFailure(
@@ -211,14 +167,12 @@ def optimize(
             best_value = report.value
             best_theta = theta.copy()
             best_iteration = it
-        if gnorm < opt.stop_grad_tol:
-            break
         # ascent step
-        m1 = beta1 * m1 + (1.0 - beta1) * grad
-        m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
-        m1_hat = m1 / (1.0 - beta1 ** (it + 1))
-        m2_hat = m2 / (1.0 - beta2 ** (it + 1))
-        theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + opt.adam_eps)
+        m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
+        m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
+        m1_hat = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
+        m2_hat = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
+        theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
     final_cfg = obj if opt.epsilon_final is None else ObjectiveConfig(
         eta=obj.eta, entropic=EntropicConfig(opt.epsilon_final), payoff=obj.payoff
@@ -226,7 +180,7 @@ def optimize(
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
     stats = report_before.cell_stats()
-    pruned = prune_cells(best_params, stats, opt.prune_mass_tol, grid)
+    pruned = prune_cells(best_params, stats, PRUNE_MASS_TOL, grid)
     report_after = soft_objective(pruned, grid, final_cfg)
 
     if pruned.n < best_params.n:

@@ -188,7 +188,6 @@ class PayoffModel:
     """
 
     kind: str
-    gradient_mode: str
     market: Optional[MarketConfig] = None
     fd_step: float = 0.0
     mix_weights: Optional[np.ndarray] = None
@@ -196,21 +195,18 @@ class PayoffModel:
 
 def concave_bowl() -> PayoffModel:
     """Phi(y) = 1 - |y - (0.5, 0.5)|^2, strictly concave with peak 1."""
-    return PayoffModel(kind="concave-bowl", gradient_mode="analytic")
+    return PayoffModel(kind="concave-bowl")
 
 
 def tri_modal() -> PayoffModel:
     """Gaussian mixture with three equal-height modes of value 1 each."""
-    return PayoffModel(
-        kind="tri-modal", gradient_mode="analytic", mix_weights=_tri_modal_weights()
-    )
+    return PayoffModel(kind="tri-modal", mix_weights=_tri_modal_weights())
 
 
 def monopolist_payoff(market: MarketConfig) -> PayoffModel:
     """Phi = expected revenue; gradient by central differences."""
     return PayoffModel(
         kind="monopolist",
-        gradient_mode="central-difference",
         market=market,
         fd_step=1e-4 * (market.q_max - market.q_min),
     )

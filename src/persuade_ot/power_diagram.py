@@ -1,7 +1,7 @@
 """Hard Laguerre (power) cells on a grid measure.
 
-Assignment, exact cell masses and barycenters, Lloyd's centroidal
-iteration, and the unregularized semi-discrete dual solve.
+Assignment, exact cell masses and barycenters, and Lloyd's centroidal
+iteration.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .grid import GridMeasure
 
 
@@ -122,13 +121,6 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     return CellStats(masses=masses, barycenters=barycenters, support=support)
 
 
-def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:
-    """Sum over grid points of nu_alpha |y_alpha - x_label(alpha)|^2."""
-    a = hard_assign(params, grid)
-    diff = grid.centers - params.sites[a.labels]
-    return float(grid.masses @ np.einsum("pk,pk->p", diff, diff))
-
-
 def _resolve_empty_cells(
     sites: np.ndarray, grid: GridMeasure
 ) -> tuple[np.ndarray, HardAssignment, CellStats]:
@@ -201,75 +193,3 @@ def lloyd_solve(
             break
     sites, _, stats = _resolve_empty_cells(sites, grid)
     return DiagramParams(sites, np.zeros(n)), stats
-
-
-def _dual_value(d2: np.ndarray, g: np.ndarray, nu: np.ndarray, targets: np.ndarray) -> float:
-    # D[g] = sum_alpha nu_alpha min_i (|y-x_i|^2 - g_i) + g . targets
-    c = (d2 - g[:, None]).min(axis=0)
-    return float(nu @ c + g @ targets)
-
-
-def sd_dual_solve(
-    sites: np.ndarray,
-    target_masses: np.ndarray,
-    grid: GridMeasure,
-    tol: float,
-    max_iters: int = 2000,
-) -> np.ndarray:
-    """Weights matching prescribed cell masses, by ascent on the dual.
-
-    Maximizes the concave piecewise-linear dual D[g] with supergradient
-    target - mass(g) and a doubling/halving line search on the dual value.
-    Returns g normalized so g[0] = 0, with every |mass_i - target_i| < tol.
-    """
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    targets = np.asarray(target_masses, dtype=float)
-    n = sites.shape[0]
-    if targets.shape != (n,):
-        raise ValueError("one target mass per site required")
-    if np.any(targets <= 0.0):
-        raise ValueError("target masses must be positive")
-    if abs(targets.sum() - 1.0) > 1e-9:
-        raise ValueError("target masses must sum to one")
-    if n == 1:
-        return np.zeros(1)
-
-    nu = grid.masses
-    d2 = sq_dists(sites, grid.centers)
-    g = np.zeros(n)
-    value = _dual_value(d2, g, nu, targets)
-    step = float(np.mean(d2))  # squared-distance scale of the instance
-    residual = np.inf
-    for _ in range(max_iters):
-        costs = d2 - g[:, None]
-        labels = np.argmin(costs, axis=0)
-        masses = np.bincount(labels, weights=nu, minlength=n)
-        grad = targets - masses
-        residual = float(np.max(np.abs(grad)))
-        if residual < tol:
-            return g - g[0]
-        # line search: grow while the dual improves, else shrink
-        best_t, best_v = 0.0, value
-        t = step
-        for _ in range(60):
-            v = _dual_value(d2, g + t * grad, nu, targets)
-            if v > best_v:
-                best_t, best_v = t, v
-                t *= 2.0
-            elif best_t > 0.0:
-                break
-            else:
-                t *= 0.5
-                if t < 1e-18 * step:
-                    break
-        if best_t == 0.0:
-            # at a kink: take a small subgradient step anyway
-            best_t = max(1e-6 * step, tol * step)
-            best_v = _dual_value(d2, g + best_t * grad, nu, targets)
-        g = g + best_t * grad
-        value = best_v
-        step = best_t
-    raise ConvergenceError(
-        f"dual ascent residual {residual:.3e} after {max_iters} iterations (tol {tol:.1e})",
-        residual=residual,
-    )

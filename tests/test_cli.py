@@ -81,6 +81,30 @@ def test_parse_error_names_offending_key():
     with pytest.raises(ConfigError) as exc:
         parse_config({"payoff": {"kind": "concave-bowl"}, "typo_key": 1})
     assert "typo_key" in str(exc.value)
+    for section, key, value in [
+        ("objective", "epsilon", float("nan")),
+        ("objective", "eta", float("inf")),
+        ("objective", "epsilon", 10**400),
+        ("optimizer", "epsilon_final", float("nan")),
+        ("optimizer", "learning_rate", float("inf")),
+        ("optimizer", "max_iters", 0),
+        ("optimizer", "max_iters", -5),
+        ("optimizer", "n_init", "abc"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"payoff": {"kind": "concave-bowl"}, section: {key: value}})
+        # a bad type or a non-finite number names the key itself
+        expected = "optimizer" if key == "max_iters" else f"{section}.{key}"
+        assert exc.value.key == expected
+        assert key in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"payoff": {"kind": "monopolist", "market": {
+            "p1": "abc", "p2": 1.0, "q_min": 0.0, "q_max": 2.0}}})
+    assert exc.value.key == "payoff.market.p1"
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"payoff": {"kind": "concave-bowl"},
+                      "sweep": {"parameter": "objective.eta", "values": [0.0, float("nan")]}})
+    assert exc.value.key == "sweep.values"
 
 
 def test_parse_rejects_unknown_section_keys():
@@ -88,12 +112,28 @@ def test_parse_rejects_unknown_section_keys():
         parse_config({"payoff": {"kind": "concave-bowl"}, "optimizer": {"lr": 0.1}})
     assert exc.value.key == "optimizer"
     assert "lr" in str(exc.value)
+    # keys of settings the optimizer no longer has fail loudly, not silently
+    removed = {
+        "grad_mode": "monte-carlo", "batch_size": 4096, "adam_beta1": 0.9,
+        "adam_beta2": 0.999, "adam_eps": 1e-8, "stop_grad_tol": 0.0,
+        "init_strategy": "jittered-grid", "prune_mass_tol": 1e-4,
+    }
+    for key, value in removed.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"payoff": {"kind": "concave-bowl"}, "optimizer": {key: value}})
+        assert exc.value.key == "optimizer"
+        assert key in str(exc.value)
 
 
 def test_parse_bad_bounds_and_kind():
     with pytest.raises(ConfigError) as exc:
         parse_config({"grid": {"bounds": [0, 1]}, "payoff": {"kind": "concave-bowl"}})
     assert exc.value.key == "grid.bounds"
+    for edge in (float("inf"), float("nan"), 10**400):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"grid": {"bounds": [[0, edge], [0, 1]]},
+                          "payoff": {"kind": "concave-bowl"}})
+        assert exc.value.key == "grid.bounds"
     with pytest.raises(ConfigError) as exc:
         parse_config({"payoff": {"kind": "parabola"}})
     assert exc.value.key == "payoff.kind"
@@ -103,6 +143,13 @@ def test_bad_config_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, {"payoff": {"kind": "nope"}})
     assert run_experiment(path, command="solve") == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_nonfinite_config_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "nan.yaml"
+    path.write_text("payoff: {kind: concave-bowl}\nobjective: {epsilon: .nan}\n", encoding="utf-8")
+    assert run_experiment(str(path), command="solve") == 2
+    assert "objective.epsilon" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_two(tmp_path, capsys):
@@ -334,7 +381,7 @@ def test_epsilon_final_uses_epsilon_units(tmp_path):
     h = 2.0 / 32.0
     assert result["epsilon"] == 5.0 * h
     assert result["epsilon_final"] == 0.5 * h
-    grid, payoff, _ = cli.build_scenario(parse_config(data))
+    grid, payoff, _, _ = cli.build_scenario(parse_config(data))
     final = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.5 * h), payoff=payoff)
     params = DiagramParams(np.array(result["sites"]), np.array(result["weights"]))
     assert result["soft_value"] == soft_objective(params, grid, final).value

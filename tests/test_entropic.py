@@ -6,15 +6,88 @@ from persuade_ot import (
     DensitySpec,
     DiagramParams,
     EntropicConfig,
+    GridMeasure,
     build_grid,
-    c_transform,
     discretize_density,
-    dual_value,
     hard_assign,
     sinkhorn_dual_solve,
     soft_partition,
-    soft_partition_grads,
 )
+from persuade_ot.power_diagram import sq_dists
+
+
+def c_transform(
+    params: DiagramParams,
+    point: np.ndarray,
+    cfg: EntropicConfig,
+    density_value: float,
+) -> float | np.ndarray:
+    """Regularized C-transform of the weights at a point.
+
+    Returns eps*log(density) - eps*log sum_j exp((g_j - |y - x_j|^2)/eps),
+    the soft analogue of min_j(|y - x_j|^2 - g_j). Accepts a single point
+    (shape (2,)) or a batch (k, 2); density_value must be positive and may
+    broadcast against the batch.
+    """
+    dens = np.asarray(density_value, dtype=float)
+    if np.any(dens <= 0.0):
+        raise ValueError("density_value must be positive")
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    eps = cfg.epsilon
+    logits = (params.weights[:, None] - sq_dists(params.sites, pts)) / eps
+    top = logits.max(axis=0)
+    lse = top + np.log(np.exp(logits - top[None, :]).sum(axis=0))
+    out = eps * np.log(dens) - eps * lse
+    return float(out[0]) if single and out.ndim > 0 and out.size == 1 else out
+
+
+def dual_value(
+    params: DiagramParams,
+    target_masses: np.ndarray,
+    grid: GridMeasure,
+    cfg: EntropicConfig,
+) -> float:
+    """Regularized dual objective D^eps at the given weights.
+
+    D^eps[g] = sum_alpha nu_alpha * g^{C,eps}(y_alpha) + g . targets - eps,
+    with the grid density nu_alpha / cell_area. Its partial derivative in
+    g_i is target_i - m_i^eps, which is what sinkhorn_dual_solve drives to
+    zero.
+    """
+    targets = np.asarray(target_masses, dtype=float)
+    live = grid.masses > 0.0
+    dens = grid.masses[live] / grid.cell_area
+    gc = c_transform(params, grid.centers[live], cfg, dens)
+    return float(grid.masses[live] @ gc + params.weights @ targets - cfg.epsilon)
+
+
+def soft_partition_grads(
+    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense derivative tensors of the soft memberships.
+
+    Returns (dchi_dx, dchi_dg) with
+
+        dchi_dg[k, j, alpha]    = -(1/eps) (chi_j - delta_kj) chi_k
+        dchi_dx[k, j, alpha, :] = (2 (x_k - y_alpha)/eps) (chi_j - delta_kj) chi_k
+
+    evaluated at each grid point. These are O(n^2 M^2) tensors intended for
+    verification at small sizes; the objective gradient uses a factored
+    assembly instead and never materializes them.
+    """
+    part, _ = soft_partition(params, grid, cfg)
+    chi = part.chi
+    n, p = chi.shape
+    eps = cfg.epsilon
+    delta = np.eye(n)
+    # factor[k, j, alpha] = (chi_j - delta_kj) * chi_k
+    factor = (chi[None, :, :] - delta[:, :, None]) * chi[:, None, :]
+    dchi_dg = -factor / eps
+    diff = params.sites[:, None, :] - grid.centers[None, :, :]  # x_k - y_alpha
+    dchi_dx = (2.0 / eps) * factor[:, :, :, None] * diff[:, None, :, :]
+    return dchi_dx, dchi_dg
 
 
 def unit_grid(res):

@@ -72,7 +72,7 @@ def grid_with(prior):
 def both_paths(params, grid, cfg):
     sep = chi_kernel(params, grid, cfg.entropic)
     assert isinstance(sep, SeparableChi)
-    dense = dense_chi(params, grid.centers, grid.masses, cfg.entropic)
+    dense = dense_chi(params, grid, cfg.entropic)
     return (
         _evaluate(sep, params.sites, cfg, grad=True),
         _evaluate(dense, params.sites, cfg, grad=True),
@@ -128,7 +128,7 @@ def test_fallback_where_factors_underflow():
         )
         assert isinstance(chi_kernel(params, grid, cfg.entropic), DenseChi)
         report, dx, dg = value_and_grad(params, grid, cfg)
-        dense = dense_chi(params, grid.centers, grid.masses, cfg.entropic)
+        dense = dense_chi(params, grid, cfg.entropic)
         ref, rdx, rdg = _evaluate(dense, params.sites, cfg, grad=True)
         assert report == ref
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)

@@ -12,11 +12,10 @@ from persuade_ot import (
     discretize_density,
     hard_objective,
     monopolist_payoff,
-    objective_gradient,
-    penalty_value,
     phi_eval,
     soft_objective,
     tri_modal,
+    value_and_grad,
 )
 
 
@@ -63,7 +62,8 @@ def test_single_cell_penalty_is_variance():
     for res in (16, 64, 256):
         grid = unit_grid(res)
         params = DiagramParams(sites=[(0.5, 0.5)], weights=[0.0])
-        vals.append(penalty_value(params, grid, EntropicConfig(0.05)))
+        cfg = ObjectiveConfig(0.0, EntropicConfig(0.05), concave_bowl())
+        vals.append(soft_objective(params, grid, cfg).penalty_term)
     assert abs(vals[-1] - 1.0 / 6.0) < 1e-4
     assert abs(vals[-1] - 1.0 / 6.0) <= abs(vals[0] - 1.0 / 6.0)
 
@@ -78,7 +78,7 @@ def test_penalty_repulsion_decreases_with_separation():
         params = DiagramParams(
             sites=[(0.5 - gap / 2, 0.5), (0.5 + gap / 2, 0.5)], weights=[0.0, 0.0]
         )
-        part = penalty_value(params, grid, cfg)
+        part = soft_objective(params, grid, ObjectiveConfig(0.0, cfg, concave_bowl())).penalty_term
         # subtract the quantization part to isolate repulsion
         soft, _ = soft_partition(params, grid, cfg)
         d2 = ((grid.centers[None, :, :] - params.sites[:, None, :]) ** 2).sum(-1)
@@ -137,7 +137,7 @@ def test_weight_gradient_sums_to_zero():
     for eta in (0.0, 1e-3):
         cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(0.05), payoff=tri_modal())
         params = random_params(rng, 5)
-        _, dg = objective_gradient(params, grid, cfg)
+        _, dg = value_and_grad(params, grid, cfg)[1:]
         assert abs(dg.sum()) < 1e-8
 
 
@@ -147,7 +147,7 @@ def test_single_cell_gradient_formulas():
     cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(0.1), payoff=concave_bowl())
     site = np.array([0.3, 0.6])
     params = DiagramParams(sites=[site], weights=[0.0])
-    dx, dg = objective_gradient(params, grid, cfg)
+    dx, dg = value_and_grad(params, grid, cfg)[1:]
     assert np.allclose(dg, 0.0, atol=1e-14)
     expected = -eta * (2.0 * (site[None, :] - grid.centers) * grid.masses[:, None]).sum(axis=0)
     assert np.allclose(dx[0], expected, atol=1e-12)
@@ -183,7 +183,7 @@ def test_gradient_matches_finite_differences():
         for eta in (0.0, 1e-3):
             cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(0.1), payoff=payoff)
             params = random_params(rng, 3)
-            dx, dg = objective_gradient(params, grid, cfg)
+            dx, dg = value_and_grad(params, grid, cfg)[1:]
             fdx, fdg = fd_gradient(params, grid, cfg)
             scale = max(np.max(np.abs(fdx)), np.max(np.abs(fdg)), 1e-12)
             assert np.max(np.abs(dx - fdx)) / scale < 1e-4
@@ -197,7 +197,7 @@ def test_directional_derivative_consistency():
     t = 1e-5
     for _ in range(5):
         params = random_params(rng, 4)
-        dx, dg = objective_gradient(params, grid, cfg)
+        dx, dg = value_and_grad(params, grid, cfg)[1:]
         ds = rng.normal(size=(4, 2))
         dw = rng.normal(size=4)
         analytic = float((dx * ds).sum() + dg @ dw)

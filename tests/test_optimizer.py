@@ -16,14 +16,13 @@ from persuade_ot import (
     discretize_density,
     init_sites,
     monopolist_payoff,
-    objective_gradient,
     optimize,
     prune_cells,
     soft_objective,
     soft_partition,
     tri_modal,
+    value_and_grad,
 )
-from persuade_ot.optimizer import mc_gradient
 from persuade_ot.power_diagram import min_separation
 
 
@@ -101,51 +100,14 @@ def test_prune_keeps_hard_supported_or_soft_cells():
     assert pruned.n == 2
 
 
-def test_mc_gradient_deterministic():
-    grid = unit_grid(32)
-    cfg = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.1), payoff=tri_modal())
-    params = DiagramParams(sites=[(0.3, 0.4), (0.7, 0.6)], weights=[0.05, -0.05])
-    dx1, dg1 = mc_gradient(params, grid, cfg, sampler_seed=9, batch=512)
-    dx2, dg2 = mc_gradient(params, grid, cfg, sampler_seed=9, batch=512)
-    assert np.array_equal(dx1, dx2) and np.array_equal(dg1, dg2)
-    dx3, _ = mc_gradient(params, grid, cfg, sampler_seed=10, batch=512)
-    assert not np.array_equal(dx1, dx3)
-
-
-def test_mc_gradient_converges_to_full():
-    grid = unit_grid(64)
-    cfg = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.1), payoff=tri_modal())
-    params = DiagramParams(sites=[(0.3, 0.4), (0.7, 0.6)], weights=[0.05, -0.05])
-    dx, dg = objective_gradient(params, grid, cfg)
-    scale = max(np.abs(dx).max(), np.abs(dg).max())
-
-    def rel_err(batch, seed):
-        mdx, mdg = mc_gradient(params, grid, cfg, sampler_seed=seed, batch=batch)
-        return max(np.abs(mdx - dx).max(), np.abs(mdg - dg).max()) / scale
-
-    small = np.mean([rel_err(1 << 12, s) for s in range(3)])
-    large = np.mean([rel_err(1 << 17, s) for s in range(3)])
-    assert large < small
-    assert large < 0.03
-
-
-def test_mc_gradient_rejects_empty_batch():
-    grid = unit_grid(8)
-    params = DiagramParams(sites=[(0.5, 0.5)], weights=[0.0])
-    with pytest.raises(ValueError):
-        mc_gradient(params, grid, bowl_cfg(), sampler_seed=0, batch=0)
-
-
 def test_flat_payoff_keeps_sites_still():
     # nobody ever buys on [0, 0.9]^2 at unit prices: gradient is exactly zero
     grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 0.9), (0.0, 0.9)), 32))
     payoff = monopolist_payoff(MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=0.9))
     cfg = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.05), payoff=payoff)
     init = init_sites(4, grid, seed=2)
-    dx, dg = objective_gradient(init, grid, cfg)
+    dx, dg = value_and_grad(init, grid, cfg)[1:]
     assert np.all(dx == 0.0) and np.all(dg == 0.0)
-    mdx, mdg = mc_gradient(init, grid, cfg, sampler_seed=0, batch=256)
-    assert np.all(mdx == 0.0) and np.all(mdg == 0.0)
     result = optimize(init, grid, cfg, OptimizerConfig(n_init=4, max_iters=10, seed=2))
     assert np.array_equal(result.params.sites, init.sites)
     assert result.report.value == 0.0
@@ -181,13 +143,6 @@ def test_optimize_improves_on_init():
     start = soft_objective(init, grid, cfg).value
     result = optimize(init, grid, cfg, OptimizerConfig(n_init=3, max_iters=200, seed=8))
     assert result.report.value > start
-
-
-def test_optimize_stop_grad_tol():
-    grid = unit_grid(16)
-    opt = OptimizerConfig(n_init=2, max_iters=50, stop_grad_tol=1e9, seed=0)
-    result = optimize(init_sites(2, grid, seed=0), grid, bowl_cfg(), opt)
-    assert len(result.trajectory) == 1
 
 
 def test_optimize_epsilon_anneal_final_report():
@@ -227,14 +182,16 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(n_init=0)
     with pytest.raises(ValueError):
+        OptimizerConfig(max_iters=0)
+    with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         OptimizerConfig(grad_mode="exact")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         OptimizerConfig(init_strategy="spiral")
     with pytest.raises(ValueError):
         OptimizerConfig(epsilon_final=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         OptimizerConfig(grad_mode="monte-carlo", batch_size=0)
 
 

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from persuade_ot import (
-    ConvergenceError,
     DensitySpec,
     DiagramParams,
+    GridMeasure,
     build_grid,
     discretize_density,
     hard_assign,
     hard_cell_stats,
     lloyd_solve,
     lloyd_step,
-    quantization_energy,
-    sd_dual_solve,
 )
+
+
+def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:
+    """Sum over grid points of nu_alpha |y_alpha - x_label(alpha)|^2."""
+    a = hard_assign(params, grid)
+    diff = grid.centers - params.sites[a.labels]
+    return float(grid.masses @ np.einsum("pk,pk->p", diff, diff))
 
 
 def unit_grid(res):
@@ -157,48 +162,3 @@ def test_lloyd_deterministic():
     p1, _ = lloyd_solve(4, grid, seed=42)
     p2, _ = lloyd_solve(4, grid, seed=42)
     assert np.array_equal(p1.sites, p2.sites)
-
-
-def test_sd_dual_symmetric_targets():
-    grid = unit_grid(64)
-    sites = np.array([(0.25, 0.5), (0.75, 0.5)])
-    g = sd_dual_solve(sites, np.array([0.5, 0.5]), grid, tol=1e-3)
-    assert abs(g[1] - g[0]) < 1e-6
-
-
-def test_sd_dual_bisector_weights():
-    # targets (.75, .25) move the boundary to v1 = 0.75, so g2 - g1 = -0.25
-    grid = unit_grid(256)
-    sites = np.array([(0.25, 0.5), (0.75, 0.5)])
-    g = sd_dual_solve(sites, np.array([0.75, 0.25]), grid, tol=2e-3)
-    assert abs((g[1] - g[0]) - (-0.25)) < 2.5 * grid.spacing[0]
-
-
-def test_sd_dual_single_cell():
-    grid = unit_grid(16)
-    g = sd_dual_solve(np.array([(0.4, 0.6)]), np.array([1.0]), grid, tol=1e-9)
-    assert g.shape == (1,)
-
-
-def test_sd_dual_residual_at_return():
-    rng = np.random.default_rng(17)
-    grid = unit_grid(64)
-    for _ in range(5):
-        n = rng.integers(2, 5)
-        sites = rng.uniform(0.1, 0.9, size=(n, 2))
-        t = rng.uniform(0.5, 1.5, size=n)
-        t /= t.sum()
-        tol = 5e-3
-        g = sd_dual_solve(sites, t, grid, tol=tol)
-        stats = hard_cell_stats(hard_assign(DiagramParams(sites=sites, weights=g), grid), grid)
-        assert np.max(np.abs(stats.masses - t)) < tol
-        assert g[0] == 0.0
-
-
-def test_sd_dual_nonconvergence_raises():
-    grid = unit_grid(8)
-    sites = np.array([(0.25, 0.5), (0.75, 0.5)])
-    with pytest.raises(ConvergenceError) as exc:
-        # an 8x8 grid cannot resolve masses to 1e-12
-        sd_dual_solve(sites, np.array([0.637, 0.363]), grid, tol=1e-12, max_iters=40)
-    assert exc.value.residual > 0

@@ -41,12 +41,10 @@ from .payoffs import (
     MarketConfig,
     PayoffModel,
     PurchaseBreakdown,
-    clip_halfplane,
     concave_bowl,
     monopolist_payoff,
     phi_eval,
     phi_grad,
-    polygon_area,
     purchase_breakdown,
     revenue,
     tri_modal,
@@ -87,7 +85,6 @@ __all__ = [
     "SoftPartition",
     "best_lloyd_revenue",
     "build_grid",
-    "clip_halfplane",
     "concave_bowl",
     "discretize_density",
     "full_info_revenue",
@@ -104,7 +101,6 @@ __all__ = [
     "optimize",
     "phi_eval",
     "phi_grad",
-    "polygon_area",
     "prune_cells",
     "purchase_breakdown",
     "revenue",

@@ -197,6 +197,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
         "seed": opt_sec.take("seed", "int", 0),
         "epsilon_final": opt_sec.take("epsilon_final", "float", None),
     }
+    if fields["seed"] < 0:
+        raise ConfigError("seed must be nonnegative", "optimizer.seed")
     try:
         optimizer = OptimizerConfig(**fields)
     except ValueError as exc:

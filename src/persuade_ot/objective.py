@@ -28,7 +28,7 @@ import numpy as np
 from .entropic import DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
-from .payoffs import PayoffModel, phi_eval, phi_grad
+from .payoffs import PayoffModel, phi_eval, phi_value_and_grad
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 
@@ -120,7 +120,10 @@ def _evaluate(
     dead = m <= 0.0
     if np.any(dead):
         b = np.where(dead[:, None], sites, b)
-    phis = np.atleast_1d(phi_eval(cfg.payoff, b))
+    if grad:
+        phis, gphis = phi_value_and_grad(cfg.payoff, b)
+    else:
+        phis = np.atleast_1d(phi_eval(cfg.payoff, b))
     # the report carries the penalty value even when eta = 0
     report = ObjectiveReport.build(eta, m, b, phis, _penalty(mom, sites))
     if not grad:
@@ -133,7 +136,6 @@ def _evaluate(
     # mean cell's affine part, subtracted here so that the moment sums below do
     # not cancel in floating point (a single cell then gives exactly zero, as
     # the dense path does).
-    gphis = np.atleast_2d(phi_grad(cfg.payoff, b))
     n = sites.shape[0]
     r = np.zeros(n)
     if eta > 0.0 and n > 1:

@@ -119,8 +119,8 @@ def optimize(
 
     Runs max_iters steps. The raw Adam trajectory is not monotone; the
     best-seen value is tracked separately and its iterate is what gets
-    pruned and returned. NaN or infinite objective values abort with the
-    last valid state attached.
+    pruned and returned. NaN or infinite objective values, and steps that
+    make two sites coincide, abort with the last valid state attached.
     """
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
@@ -150,7 +150,15 @@ def optimize(
                 entropic=EntropicConfig(eps_run * anneal**it),
                 payoff=obj.payoff,
             )
-        params = unpack(theta)
+        try:
+            params = unpack(theta)
+        except ValueError as exc:  # an Adam step can make two sites coincide
+            raise NumericFailure(
+                f"iterate became invalid at iteration {it}: {exc}",
+                last_params=last_valid,
+                last_value=best_value if np.isfinite(best_value) else None,
+                iteration=it,
+            ) from None
         report, dx, dg = value_and_grad(params, grid, cfg_t)
         grad = np.concatenate([dx.ravel(), dg])
         if not (np.isfinite(report.value) and np.all(np.isfinite(grad))):

@@ -3,7 +3,11 @@
 The monopolist revenue comes from exact purchase-region areas: every
 region boundary is linear in the valuation pair (v1, v2), so regions are
 convex polygons obtained by clipping the unit valuation square with
-half-planes, and areas are exact by the shoelace formula.
+half-planes (Sutherland-Hodgman), and areas are exact by the shoelace
+formula. One batched clip serves every caller: each (region, quality
+pair) is a column of fixed-width vertex arrays, and each half-plane is one
+array step over all columns, in the floating-point order of clipping one
+polygon at a time.
 """
 
 from __future__ import annotations
@@ -13,55 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-Vertex = tuple[float, float]
-
-UNIT_SQUARE: list[Vertex] = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-
 TRI_MODES = np.array([(0.5, 0.25), (0.75, 0.75), (0.25, 0.75)])
 TRI_SIGMA = 0.12
 BOWL_CENTER = np.array([0.5, 0.5])
 
-
-def clip_halfplane(polygon: list[Vertex], normal: Vertex, offset: float) -> list[Vertex]:
-    """Clip a convex CCW polygon against the half-plane normal . v <= offset.
-
-    Returns the (possibly empty) clipped polygon, CCW. A zero normal is a
-    degenerate constraint: it keeps everything when offset >= 0 and nothing
-    otherwise.
-    """
-    ax, ay = float(normal[0]), float(normal[1])
-    b = float(offset)
-    if ax == 0.0 and ay == 0.0:
-        return list(polygon) if b >= 0.0 else []
-    out: list[Vertex] = []
-    k = len(polygon)
-    for idx in range(k):
-        x1, y1 = polygon[idx]
-        x2, y2 = polygon[(idx + 1) % k]
-        s1 = ax * x1 + ay * y1 - b
-        s2 = ax * x2 + ay * y2 - b
-        if s1 <= 0.0:
-            out.append((x1, y1))
-            if s2 > 0.0:
-                t = s1 / (s1 - s2)
-                out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-        elif s2 < 0.0:
-            t = s1 / (s1 - s2)
-            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    return out
-
-
-def polygon_area(polygon: list[Vertex]) -> float:
-    """Shoelace area of a simple polygon; fewer than 3 vertices give 0."""
-    k = len(polygon)
-    if k < 3:
-        return 0.0
-    acc = 0.0
-    for idx in range(k):
-        x1, y1 = polygon[idx]
-        x2, y2 = polygon[(idx + 1) % k]
-        acc += x1 * y2 - x2 * y1
-    return abs(acc) * 0.5
+# quality pairs per clip pass: bounds the work arrays at a few MiB
+BLOCK = 1024
+# the unit valuation square, CCW from the origin, as (x, y) rows of a closed ring
+_SQUARE = np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -101,74 +64,139 @@ class PurchaseBreakdown:
     region_polygons: dict = field(default_factory=dict)
 
 
-def _region_constraints(q1: float, q2: float, market: MarketConfig):
-    """Half-plane systems (normal, offset) defining each purchase region.
+def _region_table(market: MarketConfig) -> dict[str, list[tuple[float, float, float]]]:
+    """Half-plane systems defining each purchase region.
 
-    Buyer utilities: s1 = q1 v1 - p1, s2 = q2 v2 - p2, and under additive
-    demand s12 = q1 v1 + q2 v2 - p3. Each region is where one option weakly
-    dominates the rest; ties have measure zero.
+    An entry (a, b, c) is the constraint a q1 v1 + b q2 v2 <= c, i.e. the
+    normal (a q1, b q2) and the offset c. Buyer utilities: s1 = q1 v1 - p1,
+    s2 = q2 v2 - p2, and under additive demand s12 = q1 v1 + q2 v2 - p3.
+    Each region is where one option weakly dominates the rest; ties have
+    measure zero. Unit demand has no bundle region.
     """
     p1, p2 = market.p1, market.p2
     if market.demand == "unit":
         return {
-            "none": [((q1, 0.0), p1), ((0.0, q2), p2)],
-            "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1)],
-            "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2)],
-            "bundle": None,
+            "none": [(1, 0, p1), (0, 1, p2)],
+            "good1": [(-1, 0, -p1), (-1, 1, p2 - p1)],
+            "good2": [(0, -1, -p2), (1, -1, p1 - p2)],
         }
     p3 = market.p3
     d = market.delta
     return {
-        "none": [((q1, 0.0), p1), ((0.0, q2), p2), ((q1, q2), p3)],
-        "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1), ((0.0, q2), p2 + d)],
-        "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2), ((q1, 0.0), p1 + d)],
-        "bundle": [((-q1, -q2), -p3), ((0.0, -q2), -(p2 + d)), ((-q1, 0.0), -(p1 + d))],
+        "none": [(1, 0, p1), (0, 1, p2), (1, 1, p3)],
+        "good1": [(-1, 0, -p1), (-1, 1, p2 - p1), (0, 1, p2 + d)],
+        "good2": [(0, -1, -p2), (1, -1, p1 - p2), (1, 0, p1 + d)],
+        "bundle": [(-1, -1, -p3), (0, -1, -(p2 + d)), (-1, 0, -(p1 + d))],
     }
+
+
+def _clip_regions(q: np.ndarray, market: MarketConfig, names) -> tuple[np.ndarray, np.ndarray]:
+    """Clip the unit square to each named region at every quality pair in q (k, 2).
+
+    Returns (poly, count): column r * k + i holds region names[r] at q[i],
+    with poly[:, j, col] its j-th vertex (x, y) for j < count[col], the first
+    vertex again at j = count[col] and zeros after it. Each half-plane step
+    follows the polygon-at-a-time rule exactly: an edge (v1, v2) with signed
+    distances s1, s2 emits v1 when s1 <= 0, then the crossing point when
+    s1 <= 0 < s2 or s1 > 0 > s2; the emitted points are then packed in order.
+    A zero normal needs no special case: every s is -c, so all or nothing
+    is kept.
+    """
+    table = _region_table(market)
+    cons = np.array([table[name] for name in names], dtype=float)  # (regions, m, 3)
+    rows = len(names) * len(q)
+    normals = (cons[:, :, None, :2] * q).transpose(1, 3, 0, 2).reshape(-1, 2, rows)
+    offsets = np.repeat(cons[:, :, 2].T, len(q), axis=1)
+    col = np.arange(rows)
+    poly = _SQUARE[:, :, None]
+    count = 4
+    # padded slots and dead edges divide 0/0; their results are never kept
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for (nx, ny), b in zip(normals, offsets):
+            s = poly[0] * nx + poly[1] * ny - b
+            le, lt, gt = s <= 0.0, s < 0.0, s > 0.0
+            width = len(s) - 1
+            keep = np.empty((width, 2, rows), dtype=bool)
+            keep[:, 0] = le[:-1]
+            keep[:, 1] = (le[:-1] & gt[1:]) | (gt[:-1] & lt[1:])
+            keep &= (np.arange(width)[:, None] < count)[:, None]  # real edges only
+            p1 = poly[:, :-1]
+            t = s[:-1] / (s[:-1] - s[1:])
+            cand = np.empty((2, width, 2, rows))
+            cand[:, :, 0] = p1
+            cand[:, :, 1] = p1 + t * (poly[:, 1:] - p1)
+            keep = keep.reshape(2 * width, rows)
+            rank = np.cumsum(keep, axis=0, dtype=np.intp)
+            count = rank[-1]
+            width = int(count.max(initial=0))
+            # kept points go to slot rank - 1, the rest to the last (dump) slot;
+            # slot count repeats the first vertex to close the ring
+            dest = (rank * keep - 1) * rows + col
+            close = count * rows + col
+            packed = np.zeros((2, width + 2, rows))
+            for xy in range(2):
+                flat = packed[xy].reshape(-1)
+                flat[dest] = cand[xy].reshape(-1, rows)
+                flat[close] = packed[xy, 0]
+            poly = packed[:, : width + 1]
+            if width == 0:
+                break
+    return poly, count
+
+
+def _areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace areas of clipped polygons; fewer than 3 vertices give 0.
+
+    Terms are summed slot by slot, the order of a vertex-by-vertex loop;
+    the zero padding adds exact zeros.
+    """
+    x, y = poly
+    terms = x[:-1] * y[1:] - x[1:] * y[:-1]
+    acc = np.zeros(len(count))
+    for term in terms:
+        acc = acc + term
+    return np.where(count >= 3, np.abs(acc) * 0.5, 0.0)
 
 
 def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
     """Exact purchase probabilities at quality pair q, with region polygons."""
-    q1, q2 = float(q[0]), float(q[1])
-    polys: dict[str, list[Vertex]] = {}
-    areas: dict[str, float] = {}
-    for name, constraints in _region_constraints(q1, q2, market).items():
-        if constraints is None:
-            polys[name] = []
-            areas[name] = 0.0
-            continue
-        poly = UNIT_SQUARE
-        for normal, offset in constraints:
-            poly = clip_halfplane(poly, normal, offset)
-            if not poly:
-                break
-        polys[name] = poly
-        areas[name] = polygon_area(poly)
+    names = list(_region_table(market))
+    poly, count = _clip_regions(np.asarray(q, dtype=float).reshape(1, 2), market, names)
+    areas = dict(zip(names, _areas(poly, count).tolist()))
+    polys = {
+        name: [(float(x), float(y)) for x, y in poly[:, :c, r].T]
+        for r, (name, c) in enumerate(zip(names, count))
+    }
+    polys.setdefault("bundle", [])
     return PurchaseBreakdown(
         c0=areas["none"],
         c1=areas["good1"],
         c2=areas["good2"],
-        c3=areas["bundle"],
+        c3=areas.get("bundle", 0.0),
         region_polygons=polys,
     )
 
 
-def revenue(q, market: MarketConfig) -> float:
-    """Expected revenue p1 c1 + p2 c2 + p3 c3 at quality pair q."""
-    q1, q2 = float(q[0]), float(q[1])
-    total = 0.0
-    constraints = _region_constraints(q1, q2, market)
-    for name, price in (("good1", market.p1), ("good2", market.p2), ("bundle", None)):
-        cons = constraints[name]
-        if cons is None:
-            continue
-        poly = UNIT_SQUARE
-        for normal, offset in cons:
-            poly = clip_halfplane(poly, normal, offset)
-            if not poly:
-                break
-        if poly:
-            total += (market.p3 if price is None else price) * polygon_area(poly)
-    return total
+def revenue(q, market: MarketConfig) -> float | np.ndarray:
+    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2).
+
+    A batch is clipped BLOCK pairs at a time; every value equals the one the
+    pair gets on its own.
+    """
+    pts = np.asarray(q, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    names = ["good1", "good2"] + (["bundle"] if market.demand == "additive" else [])
+    prices = [market.p1, market.p2, market.p3]
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), BLOCK):
+        block = pts[start : start + BLOCK]
+        areas = _areas(*_clip_regions(block, market, names)).reshape(len(names), -1)
+        total = prices[0] * areas[0]
+        for price, area in zip(prices[1:], areas[1:]):
+            total = total + price * area
+        out[start : start + BLOCK] = total
+    return float(out[0]) if single else out
 
 
 def _tri_modal_weights() -> np.ndarray:
@@ -223,10 +251,26 @@ def phi_eval(model: PayoffModel, point) -> float | np.ndarray:
         d2 = ((pts[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
         out = np.exp(-d2 / (2.0 * TRI_SIGMA**2)) @ model.mix_weights
     elif model.kind == "monopolist":
-        out = np.array([revenue(p, model.market) for p in pts])
+        out = revenue(pts, model.market)
     else:
         raise ValueError(f"unknown payoff kind {model.kind!r}")
     return float(out[0]) if single else out
+
+
+def _fd_shifts(pts: np.ndarray, step: float) -> np.ndarray:
+    """The 4k central-difference points: +x, -x, +y, -y shifts of every point."""
+    shifts = np.repeat(pts[None], 4, axis=0)
+    shifts[0, :, 0] += step
+    shifts[1, :, 0] -= step
+    shifts[2, :, 1] += step
+    shifts[3, :, 1] -= step
+    return shifts.reshape(-1, 2)
+
+
+def _fd_gradient(rev: np.ndarray, step: float) -> np.ndarray:
+    """Central differences from the revenue at the _fd_shifts points."""
+    hi_x, lo_x, hi_y, lo_y = rev.reshape(4, -1)
+    return np.stack([hi_x - lo_x, hi_y - lo_y], axis=1) / (2.0 * step)
 
 
 def phi_grad(model: PayoffModel, point) -> np.ndarray:
@@ -243,16 +287,21 @@ def phi_grad(model: PayoffModel, point) -> np.ndarray:
         out = -(e[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
     elif model.kind == "monopolist":
         step = model.fd_step
-        out = np.empty_like(pts)
-        for row, p in enumerate(pts):
-            for axis in range(2):
-                hi = p.copy()
-                lo = p.copy()
-                hi[axis] += step
-                lo[axis] -= step
-                out[row, axis] = (
-                    revenue(hi, model.market) - revenue(lo, model.market)
-                ) / (2.0 * step)
+        out = _fd_gradient(revenue(_fd_shifts(pts, step), model.market), step)
     else:
         raise ValueError(f"unknown payoff kind {model.kind!r}")
     return out[0] if single else out
+
+
+def phi_value_and_grad(model: PayoffModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """phi_eval and phi_grad at a batch (k, 2) of points, with equal results.
+
+    The monopolist takes the values and the 4k difference points in one
+    revenue batch, which halves the fixed cost of a small batch.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if model.kind != "monopolist":
+        return phi_eval(model, pts), phi_grad(model, pts)
+    step = model.fd_step
+    rev = revenue(np.concatenate([pts, _fd_shifts(pts, step)]), model.market)
+    return rev[: len(pts)], _fd_gradient(rev[len(pts) :], step)

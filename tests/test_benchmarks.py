@@ -115,3 +115,27 @@ def test_table_layout_has_all_labels():
     labels = [ln.split()[0] for ln in lines[1:]]
     assert labels == ["R_opt", "R(no", "R_Lloyd", "E(R)", "pp"]
     assert "p2=1 " in lines[0] + " " or "p2=1" in lines[0]
+
+
+def test_full_info_bit_identical_across_blas_threads():
+    # a BLAS dot product over M^2 = 65536 terms splits the sum across threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from persuade_ot import DensitySpec, MarketConfig, build_grid, discretize_density, "
+        "full_info_revenue\n"
+        "grid = discretize_density(DensitySpec('uniform'), build_grid(((0.0, 2.0), (0.0, 2.0)), 256))\n"
+        "print(repr(full_info_revenue(MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0), grid)))\n"
+    )
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        values.append(run.stdout.strip())
+    assert values[0] == values[1]

@@ -63,7 +63,7 @@ def test_parse_minimal_defaults():
     assert cfg.output_dir == "out"
 
 
-def test_parse_error_names_offending_key():
+def test_parse_error_names_offending_key(tmp_path, capsys):
     with pytest.raises(ConfigError) as exc:
         parse_config({})
     assert exc.value.key == "payoff"
@@ -90,6 +90,7 @@ def test_parse_error_names_offending_key():
         ("optimizer", "max_iters", 0),
         ("optimizer", "max_iters", -5),
         ("optimizer", "n_init", "abc"),
+        ("optimizer", "seed", -1),
     ]:
         with pytest.raises(ConfigError) as exc:
             parse_config({"payoff": {"kind": "concave-bowl"}, section: {key: value}})
@@ -105,6 +106,10 @@ def test_parse_error_names_offending_key():
         parse_config({"payoff": {"kind": "concave-bowl"},
                       "sweep": {"parameter": "objective.eta", "values": [0.0, float("nan")]}})
     assert exc.value.key == "sweep.values"
+    # --seed overrides optimizer.seed and is checked the same way
+    path = write_config(tmp_path, {"payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 8}})
+    assert main(["solve", "--config", path, "--seed", "-1"]) == 2
+    assert "optimizer.seed" in capsys.readouterr().err
 
 
 def test_parse_rejects_unknown_section_keys():
@@ -329,6 +334,19 @@ def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):
     dump = json.loads((out / "failure.json").read_text())
     assert dump["iteration"] == 7
     assert len(dump["sites"]) == 4
+
+
+def test_coincident_sites_exit_three(tmp_path, capsys):
+    # the default Adam run on a coarse bowl drives two sites onto one point
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {
+        "payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 8}, "output_dir": str(out)})
+    assert run_experiment(path, command="solve") == 3
+    assert "pairwise distinct" in capsys.readouterr().err
+    dump = json.loads((out / "failure.json").read_text())
+    assert dump["iteration"] > 0
+    assert len(dump["sites"]) == 12
+    DiagramParams(np.array(dump["sites"]), np.array(dump["weights"]))
 
 
 def test_render_svg_skips_outside_sites():

@@ -1,19 +1,123 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from persuade_ot import (
     MarketConfig,
-    clip_halfplane,
     concave_bowl,
     monopolist_payoff,
     phi_eval,
     phi_grad,
-    polygon_area,
     purchase_breakdown,
     revenue,
     tri_modal,
 )
-from persuade_ot.payoffs import TRI_MODES, UNIT_SQUARE
+from persuade_ot.payoffs import BLOCK, TRI_MODES, phi_value_and_grad
+
+# Scalar reference for the batched revenue: one polygon clipped by one
+# half-plane at a time (Sutherland-Hodgman), as plain Python floats.
+
+Vertex = tuple[float, float]
+
+UNIT_SQUARE: list[Vertex] = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def clip_halfplane(polygon: list[Vertex], normal: Vertex, offset: float) -> list[Vertex]:
+    """Clip a convex CCW polygon against the half-plane normal . v <= offset.
+
+    Returns the (possibly empty) clipped polygon, CCW. A zero normal is a
+    degenerate constraint: it keeps everything when offset >= 0 and nothing
+    otherwise.
+    """
+    ax, ay = float(normal[0]), float(normal[1])
+    b = float(offset)
+    if ax == 0.0 and ay == 0.0:
+        return list(polygon) if b >= 0.0 else []
+    out: list[Vertex] = []
+    k = len(polygon)
+    for idx in range(k):
+        x1, y1 = polygon[idx]
+        x2, y2 = polygon[(idx + 1) % k]
+        s1 = ax * x1 + ay * y1 - b
+        s2 = ax * x2 + ay * y2 - b
+        if s1 <= 0.0:
+            out.append((x1, y1))
+            if s2 > 0.0:
+                t = s1 / (s1 - s2)
+                out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+        elif s2 < 0.0:
+            t = s1 / (s1 - s2)
+            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    return out
+
+
+def polygon_area(polygon: list[Vertex]) -> float:
+    """Shoelace area of a simple polygon; fewer than 3 vertices give 0."""
+    k = len(polygon)
+    if k < 3:
+        return 0.0
+    acc = 0.0
+    for idx in range(k):
+        x1, y1 = polygon[idx]
+        x2, y2 = polygon[(idx + 1) % k]
+        acc += x1 * y2 - x2 * y1
+    return abs(acc) * 0.5
+
+
+def region_constraints(q1: float, q2: float, market: MarketConfig):
+    """Half-plane systems (normal, offset) defining each purchase region."""
+    p1, p2 = market.p1, market.p2
+    if market.demand == "unit":
+        return {
+            "none": [((q1, 0.0), p1), ((0.0, q2), p2)],
+            "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1)],
+            "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2)],
+            "bundle": None,
+        }
+    p3 = market.p3
+    d = market.delta
+    return {
+        "none": [((q1, 0.0), p1), ((0.0, q2), p2), ((q1, q2), p3)],
+        "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1), ((0.0, q2), p2 + d)],
+        "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2), ((q1, 0.0), p1 + d)],
+        "bundle": [((-q1, -q2), -p3), ((0.0, -q2), -(p2 + d)), ((-q1, 0.0), -(p1 + d))],
+    }
+
+
+def reference_polygons(q, market: MarketConfig) -> dict[str, list[Vertex]]:
+    polys = {}
+    for name, constraints in region_constraints(float(q[0]), float(q[1]), market).items():
+        poly = [] if constraints is None else UNIT_SQUARE
+        for normal, offset in constraints or []:
+            poly = clip_halfplane(poly, normal, offset)
+            if not poly:
+                break
+        polys[name] = poly
+    return polys
+
+
+def reference_revenue(q, market: MarketConfig) -> float:
+    polys = reference_polygons(q, market)
+    total = 0.0
+    for name, price in (("good1", market.p1), ("good2", market.p2), ("bundle", market.p3)):
+        if polys[name]:
+            total += price * polygon_area(polys[name])
+    return total
+
+
+def table_markets():
+    """The 25 markets of the four revenue tables (configs/table1..4.yaml)."""
+    for p2 in (1.0, 1.25, 1.5, 1.75, 2.0):
+        yield MarketConfig(p1=1.0, p2=p2, q_min=0.0, q_max=2.0)
+    for q_min in (0.25, 0.5, 0.75, 1.0, 1.25):
+        yield MarketConfig(p1=1.0, p2=1.25, q_min=q_min, q_max=2.0)
+    for delta in (-1.0, -0.875, -0.75, -0.625, -0.5, -0.375, -0.25, -0.125, 0.0,
+                  0.125, 0.25, 0.375, 0.5, 0.625, 0.75):
+        yield MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=delta, demand="additive")
+
+
+TIE_LATTICE = np.array(list(itertools.product((0.0, 0.5, 1.0, 1.125, 1.25, 1.5, 2.0), repeat=2)))
 
 
 def test_clip_vertical_halfplane():
@@ -218,3 +322,71 @@ def test_phi_batch_shapes():
     assert vals.shape == (3,)
     grads = phi_grad(model, pts)
     assert grads.shape == (3, 2)
+
+
+def test_batch_revenue_matches_scalar_reference():
+    # difference shifts leave [q_min, q_max] (q_min = 0 gives negative q),
+    # the lattice holds exact ties, and a zero component zeroes a normal
+    rng = np.random.default_rng(41)
+    markets = list(table_markets())
+    assert len(markets) == 25
+    for market in markets:
+        q = np.vstack([
+            rng.uniform(market.q_min - 0.1, market.q_max + 0.1, size=(400, 2)),
+            TIE_LATTICE,
+            [[0.0, 1.3], [1.3, 0.0], [0.0, 0.0], [-0.05, 0.7]],
+        ])
+        want = np.array([reference_revenue(p, market) for p in q])
+        got = revenue(q, market)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
+        assert all(revenue(p, market) == w for p, w in zip(q[::50], want[::50]))
+
+
+def test_batch_revenue_block_edges():
+    rng = np.random.default_rng(43)
+    for market in (MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0),
+                   MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=-0.5, demand="additive")):
+        q = rng.uniform(-0.1, 2.1, size=(BLOCK + 1, 2))
+        one_by_one = np.array([revenue(p, market) for p in q])
+        for k in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+            got = revenue(q[:k], market)
+            assert got.shape == (k,)
+            assert np.array_equal(got, one_by_one[:k])
+
+
+def test_breakdown_polygons_match_scalar_reference():
+    rng = np.random.default_rng(45)
+    for market in table_markets():
+        for q in np.vstack([TIE_LATTICE[::5], rng.uniform(-0.1, 2.1, size=(20, 2))]):
+            b = purchase_breakdown(q, market)
+            want = reference_polygons(q, market)
+            assert b.region_polygons == want
+            assert (b.c0, b.c1, b.c2, b.c3) == tuple(
+                polygon_area(want[name]) for name in ("none", "good1", "good2", "bundle"))
+
+
+def test_payoff_batch_equals_point_calls():
+    rng = np.random.default_rng(47)
+    pts = rng.uniform(-0.1, 2.1, size=(13, 2))
+    for market in (MarketConfig(p1=1.0, p2=1.5, q_min=0.0, q_max=2.0),
+                   MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=0.25, demand="additive")):
+        model = monopolist_payoff(market)
+        vals = phi_eval(model, pts)
+        grads = phi_grad(model, pts)
+        assert np.array_equal(vals, [phi_eval(model, p) for p in pts])
+        assert np.array_equal(grads, [phi_grad(model, p) for p in pts])
+        both = phi_value_and_grad(model, pts)
+        assert np.array_equal(both[0], vals) and np.array_equal(both[1], grads)
+        step = model.fd_step
+        for p, g in zip(pts, grads):
+            for axis in range(2):
+                hi, lo = p.copy(), p.copy()
+                hi[axis] += step
+                lo[axis] -= step
+                assert g[axis] == (
+                    reference_revenue(hi, market) - reference_revenue(lo, market)) / (2.0 * step)
+    for model in (concave_bowl(), tri_modal()):
+        both = phi_value_and_grad(model, pts)
+        assert np.array_equal(both[0], phi_eval(model, pts))
+        assert np.array_equal(both[1], phi_grad(model, pts))

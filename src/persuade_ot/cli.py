@@ -470,7 +470,7 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
             "q_min": cfg.market.q_min,
             "q_max": cfg.market.q_max,
         }
-    return {
+    summary = {
         "payoff": {"kind": cfg.payoff_kind, "market": market},
         "resolution": cfg.resolution,
         "epsilon": obj.entropic.epsilon,
@@ -488,6 +488,9 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
         "best_iteration": result.best_iteration,
         "iterations": len(result.trajectory),
     }
+    if result.stopped_early is not None:
+        summary["stopped_early"] = result.stopped_early
+    return summary
 
 
 def _write_json(path: Path, obj: Any) -> None:

@@ -100,24 +100,31 @@ Z_FLOOR = 1e-250
 # Both kernels answer the same two questions about the prior-weighted soft
 # memberships nu_alpha chi[i, alpha], with u = y_alpha - x_i the offset from
 # site i:
-#   moments(w)    -> (6, n) sums of nu w chi [1, u1, u2, u1^2, u1 u2, u2^2];
+#   moments(w)    -> (6, n) sums of nu w chi [1, u1, u2, u1^2, u1 u2, u2^2]
+#                    (w may be overwritten);
 #   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
 # A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
 # for SeparableChi, (M^2,) for DenseChi; average() returns that layout.
 
 
 class SeparableChi:
-    """Soft memberships on the tensor grid, kept as per-axis factors."""
+    """Soft memberships on the tensor grid, kept as per-axis factors.
 
-    def __init__(self, ex, sey, ux, uy, z, nu):
+    ``work`` is an optional (3, M, M) float array that receives Z, nu / Z
+    and the result of average(); without it each is a fresh array.
+    """
+
+    def __init__(self, ex, sey, ux, uy, z, nu, work=None):
         # x factors as columns (M, 3n): Ex, Ex u1, Ex u1^2; y factors (3, n, M): s Ey u2^q
         self._xs = np.concatenate([ex, ex * ux, ex * ux * ux]).T.copy()
         self._ys = np.stack([sey, sey * uy, sey * uy * uy])
         self._z = z
-        self._r = nu.reshape(z.shape) / z
+        self._r = np.divide(nu.reshape(z.shape), z, out=None if work is None else work[1])
+        self._avg = None if work is None else work[2]
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
-        weight = self._r if w is None else self._r * w
+        """Weighted moments; a given w is overwritten with nu / Z * w."""
+        weight = self._r if w is None else np.multiply(w, self._r, out=w)
         t = (weight @ self._xs).reshape(weight.shape[0], 3, -1)  # [iy, p, i]
         full = np.einsum("qiy,ypi->pqi", self._ys, t)
         return full[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]]
@@ -125,7 +132,8 @@ class SeparableChi:
     def average(self, coef: np.ndarray) -> np.ndarray:
         sey, seyu = self._ys[0].T, self._ys[1].T
         left = np.concatenate([sey * coef[0] + seyu * coef[2], sey * coef[1]], axis=1)
-        return (left @ self._xs[:, : left.shape[1]].T) / self._z
+        out = np.matmul(left, self._xs[:, : left.shape[1]].T, out=self._avg)
+        return np.divide(out, self._z, out=out)
 
 
 class DenseChi:
@@ -154,9 +162,14 @@ def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> 
 
 
 def chi_kernel(
-    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
+    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig,
+    work: np.ndarray | None = None,
 ) -> SeparableChi | DenseChi:
-    """Separable kernel on the grid, or the dense one where Z < Z_FLOOR."""
+    """Separable kernel on the grid, or the dense one where Z < Z_FLOOR.
+
+    A (3, M, M) ``work`` array, if given, holds the separable kernel's
+    (M, M) arrays; the kernel is valid until the next call with it.
+    """
     m = grid.resolution
     gx = grid.centers[:m, 0]
     gy = grid.centers[::m, 1]
@@ -171,10 +184,10 @@ def chi_kernel(
     ey = np.exp(ly - b[:, None])
     shift = a + b
     sey = np.exp(shift - shift.max())[:, None] * ey
-    z = sey.T @ ex
+    z = np.matmul(sey.T, ex, out=None if work is None else work[0])
     if z.min() < Z_FLOOR:
         return dense_chi(params, grid, cfg)
-    return SeparableChi(ex, sey, ux, uy, z, grid.masses)
+    return SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
 
 
 def _log_soft_masses(

@@ -180,12 +180,15 @@ def soft_objective(
 
 
 def value_and_grad(
-    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
+    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig,
+    work: np.ndarray | None = None,
 ) -> tuple[ObjectiveReport, np.ndarray, np.ndarray]:
     """Objective report plus (dF/dX, dF/dg) in one pass.
 
     Shares the kernel between the value and the gradient; this is the
-    workhorse the optimizer calls every iteration.
+    workhorse the optimizer calls every iteration. ``work`` is an optional
+    (3, M, M) float array the kernel reuses for its grid-sized arrays (see
+    entropic.chi_kernel); the results do not depend on it.
     """
-    kernel = chi_kernel(params, grid, cfg.entropic)
+    kernel = chi_kernel(params, grid, cfg.entropic, work)
     return _evaluate(kernel, params.sites, cfg, grad=True)

@@ -52,6 +52,7 @@ class OptResult:
     trajectory: list  # (value, grad_norm) per iteration
     seed_used: int
     best_iteration: int
+    stopped_early: int | None = None  # iteration whose step made two sites coincide
 
 
 def init_sites(
@@ -119,8 +120,10 @@ def optimize(
 
     Runs max_iters steps. The raw Adam trajectory is not monotone; the
     best-seen value is tracked separately and its iterate is what gets
-    pruned and returned. NaN or infinite objective values, and steps that
-    make two sites coincide, abort with the last valid state attached.
+    pruned and returned. A step that makes two sites coincide ends the run
+    early: the best iterate so far is finalised and ``stopped_early``
+    records the iteration. NaN or infinite objective values abort with the
+    last valid state attached.
     """
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
@@ -141,7 +144,10 @@ def optimize(
     best_theta = theta.copy()
     best_iteration = 0
     last_valid = unpack(theta)
+    stopped_early = None
     cfg_t = obj
+    m = grid.resolution
+    work = np.empty((3, m, m))  # the kernel's grid-sized arrays, reused every step
 
     for it in range(opt.max_iters):
         if anneal != 1.0:
@@ -152,14 +158,12 @@ def optimize(
             )
         try:
             params = unpack(theta)
-        except ValueError as exc:  # an Adam step can make two sites coincide
-            raise NumericFailure(
-                f"iterate became invalid at iteration {it}: {exc}",
-                last_params=last_valid,
-                last_value=best_value if np.isfinite(best_value) else None,
-                iteration=it,
-            ) from None
-        report, dx, dg = value_and_grad(params, grid, cfg_t)
+        except ValueError:
+            # an Adam step made two sites coincide; iteration 0 (the valid
+            # init) already gave a finite best iterate to finalise
+            stopped_early = it
+            break
+        report, dx, dg = value_and_grad(params, grid, cfg_t, work)
         grad = np.concatenate([dx.ravel(), dg])
         if not (np.isfinite(report.value) and np.all(np.isfinite(grad))):
             raise NumericFailure(
@@ -215,6 +219,7 @@ def optimize(
         trajectory=trajectory,
         seed_used=opt.seed,
         best_iteration=best_iteration,
+        stopped_early=stopped_early,
     )
 
 

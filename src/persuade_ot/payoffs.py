@@ -12,6 +12,8 @@ polygon at a time.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -90,7 +92,40 @@ def _region_table(market: MarketConfig) -> dict[str, list[tuple[float, float, fl
     }
 
 
-def _clip_regions(q: np.ndarray, market: MarketConfig, names) -> tuple[np.ndarray, np.ndarray]:
+class _ClipWork:
+    """Work arrays for the float and index steps of _clip_regions.
+
+    They are views of one allocation that every half-plane step, and every
+    block of a batch, reuses: reserve(rows, width) makes room for a step on
+    rows columns of polygons with at most width edges. The boolean masks are
+    an eighth of the size and are allocated per step.
+    """
+
+    # units of (width + 2) * rows 8-byte words per array
+    UNITS = {"s": 1, "tmp": 1, "edge": 2, "cand": 4, "rank": 2, "packed": 2}
+    START = dict(zip(UNITS, itertools.accumulate(UNITS.values(), initial=0)))
+
+    def __init__(self):
+        self._buf = np.empty(0)
+        self._unit = 0
+        self._start: dict[str, int] = {}
+
+    def reserve(self, rows: int, width: int) -> None:
+        unit = (width + 2) * rows
+        if unit > self._unit:
+            self._buf = np.empty(sum(self.UNITS.values()) * unit)
+            self._unit = unit
+            self._start = {name: k * unit for name, k in self.START.items()}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """A C-contiguous float view of the named array's prefix, in the given shape."""
+        start = self._start[name]
+        return self._buf[start : start + math.prod(shape)].reshape(shape)
+
+
+def _clip_regions(
+    q: np.ndarray, market: MarketConfig, names, work: _ClipWork | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Clip the unit square to each named region at every quality pair in q (k, 2).
 
     Returns (poly, count): column r * k + i holds region names[r] at q[i],
@@ -100,7 +135,8 @@ def _clip_regions(q: np.ndarray, market: MarketConfig, names) -> tuple[np.ndarra
     distances s1, s2 emits v1 when s1 <= 0, then the crossing point when
     s1 <= 0 < s2 or s1 > 0 > s2; the emitted points are then packed in order.
     A zero normal needs no special case: every s is -c, so all or nothing
-    is kept.
+    is kept. Every step writes into ``work``; poly is a view of it, valid
+    until the next call with the same work.
     """
     table = _region_table(market)
     cons = np.array([table[name] for name in names], dtype=float)  # (regions, m, 3)
@@ -108,32 +144,49 @@ def _clip_regions(q: np.ndarray, market: MarketConfig, names) -> tuple[np.ndarra
     normals = (cons[:, :, None, :2] * q).transpose(1, 3, 0, 2).reshape(-1, 2, rows)
     offsets = np.repeat(cons[:, :, 2].T, len(q), axis=1)
     col = np.arange(rows)
+    work = _ClipWork() if work is None else work
+    # each cut adds at most one vertex to a convex polygon; a polygon dented
+    # by rounded crossings can gain more, and the step then makes more room
+    work.reserve(rows, 4 + len(offsets))
     poly = _SQUARE[:, :, None]
     count = 4
     # padded slots and dead edges divide 0/0; their results are never kept
     with np.errstate(invalid="ignore", divide="ignore"):
         for (nx, ny), b in zip(normals, offsets):
-            s = poly[0] * nx + poly[1] * ny - b
+            width = poly.shape[1] - 1
+            s = np.multiply(poly[0], nx, out=work.take("s", width + 1, rows))
+            s += np.multiply(poly[1], ny, out=work.take("tmp", width + 1, rows))
+            s -= b
             le, lt, gt = s <= 0.0, s < 0.0, s > 0.0
-            width = len(s) - 1
             keep = np.empty((width, 2, rows), dtype=bool)
             keep[:, 0] = le[:-1]
             keep[:, 1] = (le[:-1] & gt[1:]) | (gt[:-1] & lt[1:])
             keep &= (np.arange(width)[:, None] < count)[:, None]  # real edges only
             p1 = poly[:, :-1]
-            t = s[:-1] / (s[:-1] - s[1:])
-            cand = np.empty((2, width, 2, rows))
+            t = np.subtract(s[:-1], s[1:], out=work.take("tmp", width, rows))
+            np.divide(s[:-1], t, out=t)
+            edge = np.subtract(poly[:, 1:], p1, out=work.take("edge", 2, width, rows))
+            np.multiply(t, edge, out=edge)
+            np.add(p1, edge, out=edge)
+            cand = work.take("cand", 2, width, 2, rows)
             cand[:, :, 0] = p1
-            cand[:, :, 1] = p1 + t * (poly[:, 1:] - p1)
+            cand[:, :, 1] = edge
             keep = keep.reshape(2 * width, rows)
-            rank = np.cumsum(keep, axis=0, dtype=np.intp)
-            count = rank[-1]
+            rank = work.take("rank", 2 * width, rows).view(np.int64)
+            np.cumsum(keep, axis=0, dtype=np.int64, out=rank)
+            count = rank[-1].copy()
             width = int(count.max(initial=0))
+            work.reserve(rows, width)
             # kept points go to slot rank - 1, the rest to the last (dump) slot;
             # slot count repeats the first vertex to close the ring
-            dest = (rank * keep - 1) * rows + col
+            dest = np.multiply(rank, keep, out=rank)
+            dest -= 1
+            dest *= rows
+            dest += col
             close = count * rows + col
-            packed = np.zeros((2, width + 2, rows))
+            # poly's points are all in cand by now, so poly's array is free
+            packed = work.take("packed", 2, width + 2, rows)
+            packed.fill(0.0)
             for xy in range(2):
                 flat = packed[xy].reshape(-1)
                 flat[dest] = cand[xy].reshape(-1, rows)
@@ -189,9 +242,10 @@ def revenue(q, market: MarketConfig) -> float | np.ndarray:
     names = ["good1", "good2"] + (["bundle"] if market.demand == "additive" else [])
     prices = [market.p1, market.p2, market.p3]
     out = np.empty(len(pts))
+    work = _ClipWork()
     for start in range(0, len(pts), BLOCK):
         block = pts[start : start + BLOCK]
-        areas = _areas(*_clip_regions(block, market, names)).reshape(len(names), -1)
+        areas = _areas(*_clip_regions(block, market, names, work)).reshape(len(names), -1)
         total = prices[0] * areas[0]
         for price, area in zip(prices[1:], areas[1:]):
             total = total + price * area

@@ -2,6 +2,14 @@
 
 Assignment, exact cell masses and barycenters, and Lloyd's centroidal
 iteration.
+
+A grid point y belongs to the cell i minimizing the power cost
+|y - x_i|^2 - g_i; ties go to the lowest index. On the tensor grid the
+squared distance splits into per-axis terms, (gy - x_i2)^2 + (gx - x_i1)^2,
+so hard_assign keeps a running minimum over sites of one (M, M) cost array
+built from (n, M) offsets, and never forms the (n, M^2) cost matrix. These
+are the floating-point operations of the dense sq_dists(sites, centers) - g
+followed by argmin, so the labels equal the dense argmin's bit for bit.
 """
 
 from __future__ import annotations
@@ -86,19 +94,34 @@ def sq_dists(sites: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("ipk,ipk->ip", diff, diff)
 
 
-def power_costs(params: DiagramParams, points: np.ndarray) -> np.ndarray:
-    """(n, P) matrix of power costs |y - x_i|^2 - g_i."""
-    return sq_dists(params.sites, points) - params.weights[:, None]
+def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> np.ndarray:
+    """(M^2,) index of the power-cost argmin cell at every grid point."""
+    m = grid.resolution
+    dx = grid.centers[:m, 0][None, :] - sites[:, 0:1]
+    dy = grid.centers[::m, 1][None, :] - sites[:, 1:2]
+    dx2 = dx * dx
+    dy2 = dy * dy
+    best = np.add.outer(dy2[0], dx2[0])
+    best -= weights[0]
+    labels = np.zeros((m, m), dtype=np.intp)
+    cost = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    for i in range(1, len(weights)):
+        np.add.outer(dy2[i], dx2[i], out=cost)
+        cost -= weights[i]
+        # strictly smaller only: a tie keeps the lower index
+        np.less(cost, best, out=closer)
+        np.minimum(best, cost, out=best)
+        labels[closer] = i
+    return labels.ravel()
 
 
 def hard_assign(params: DiagramParams, grid: GridMeasure) -> HardAssignment:
     """Label each grid point with its power-cost argmin cell.
 
-    Ties break to the lowest cell index (argmin returns the first minimum),
-    so the assignment is deterministic.
+    Ties break to the lowest cell index, so the assignment is deterministic.
     """
-    costs = power_costs(params, grid.centers)
-    labels = np.argmin(costs, axis=0)
+    labels = _power_labels(params.sites, params.weights, grid)
     return HardAssignment(labels=labels, n_cells=params.n, grid=grid)
 
 
@@ -134,8 +157,7 @@ def _resolve_empty_cells(
     n = sites.shape[0]
     zeros = np.zeros(n)
     for _ in range(4 * n):
-        params = DiagramParams(sites, zeros)
-        assignment = hard_assign(params, grid)
+        assignment = HardAssignment(_power_labels(sites, zeros, grid), n, grid)
         stats = hard_cell_stats(assignment, grid)
         if stats.support.all():
             return sites, assignment, stats

@@ -336,17 +336,22 @@ def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):
     assert len(dump["sites"]) == 4
 
 
-def test_coincident_sites_exit_three(tmp_path, capsys):
-    # the default Adam run on a coarse bowl drives two sites onto one point
+def test_coincident_sites_stop_early(tmp_path):
+    # the default Adam run on a coarse bowl drives two sites onto one point:
+    # the run stops there and finalises the best iterate it has
     out = tmp_path / "run"
-    path = write_config(tmp_path, {
-        "payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 8}, "output_dir": str(out)})
-    assert run_experiment(path, command="solve") == 3
-    assert "pairwise distinct" in capsys.readouterr().err
-    dump = json.loads((out / "failure.json").read_text())
-    assert dump["iteration"] > 0
-    assert len(dump["sites"]) == 12
-    DiagramParams(np.array(dump["sites"]), np.array(dump["weights"]))
+    raw = {"payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 8}, "output_dir": str(out)}
+    assert run_experiment(write_config(tmp_path, raw), command="solve") == 0
+    assert not (out / "failure.json").exists()
+    data = json.loads((out / "result.json").read_text())
+    assert data["stopped_early"] == data["iterations"] > 0
+    assert data["best_iteration"] < data["stopped_early"]
+    assert np.isfinite(data["soft_value"]) and np.isfinite(data["hard_value"])
+    DiagramParams(np.array(data["sites"]), np.array(data["weights"]))
+    # a run that ends before that step carries no stopped_early key
+    raw["optimizer"] = {"max_iters": data["stopped_early"] - 1}
+    assert run_experiment(write_config(tmp_path, raw), command="solve") == 0
+    assert "stopped_early" not in json.loads((out / "result.json").read_text())
 
 
 def test_render_svg_skips_outside_sites():

@@ -135,6 +135,31 @@ def test_fallback_where_factors_underflow():
         assert np.isfinite(report.value) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))
 
 
+def test_reused_workspace_matches_fresh_kernel():
+    # one workspace over consecutive, different iterates, with the forced
+    # dense fallback (one site at (0.05, 0.05), a quarter cell) in between
+    grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 1.0), (0.0, 1.0)), 128))
+    h = grid.spacing[0]
+    corner = DiagramParams(sites=[(0.05, 0.05)], weights=[0.0])
+    steps = [
+        (init_sites(12, grid, 1), 5.0, 0.0),
+        (init_sites(5, grid, 2), 2.0, 1e-3),
+        (corner, 0.25, 0.0),
+        (init_sites(12, grid, 3), 1.0, 1e-3),
+        (corner, 0.25, 1e-3),
+        (init_sites(12, grid, 1), 5.0, 0.0),
+    ]
+    work = np.full((3, 128, 128), np.nan)
+    for params, eps_cells, eta in steps:
+        cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(eps_cells * h), payoff=tri_modal())
+        dense = isinstance(chi_kernel(params, grid, cfg.entropic, work), DenseChi)
+        assert dense == (params is corner)
+        report, dx, dg = value_and_grad(params, grid, cfg, work)
+        ref, rdx, rdg = value_and_grad(params, grid, cfg)
+        assert report == ref
+        assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
+
+
 def test_no_fallback_for_spread_sites_below_one_cell():
     grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 1.0), (0.0, 1.0)), 256))
     for seed in range(3):

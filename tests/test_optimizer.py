@@ -160,7 +160,7 @@ def test_optimize_flags_nonfinite_objective(monkeypatch):
     real = optimizer_mod.value_and_grad
     calls = {"k": 0}
 
-    def poisoned(params, g, c):
+    def poisoned(params, g, c, work=None):
         calls["k"] += 1
         if calls["k"] > 3:
             report = ObjectiveReport(
@@ -168,7 +168,7 @@ def test_optimize_flags_nonfinite_objective(monkeypatch):
             )
             n = params.n
             return report, np.zeros((n, 2)), np.zeros(n)
-        return real(params, g, c)
+        return real(params, g, c, work)
 
     monkeypatch.setattr(optimizer_mod, "value_and_grad", poisoned)
     with pytest.raises(NumericFailure) as exc:

@@ -13,7 +13,14 @@ from persuade_ot import (
     revenue,
     tri_modal,
 )
-from persuade_ot.payoffs import BLOCK, TRI_MODES, phi_value_and_grad
+from persuade_ot.payoffs import (
+    BLOCK,
+    TRI_MODES,
+    _ClipWork,
+    _clip_regions,
+    _region_table,
+    phi_value_and_grad,
+)
 
 # Scalar reference for the batched revenue: one polygon clipped by one
 # half-plane at a time (Sutherland-Hodgman), as plain Python floats.
@@ -353,6 +360,49 @@ def test_batch_revenue_block_edges():
             got = revenue(q[:k], market)
             assert got.shape == (k,)
             assert np.array_equal(got, one_by_one[:k])
+
+
+class GrowingWork(_ClipWork):
+    """Reserves room for the square alone up front, so that every step that
+    gains vertices grows the arrays in the middle of the clip."""
+
+    def __init__(self):
+        super().__init__()
+        self.grown = 0
+
+    def reserve(self, rows, width):
+        if self._unit == 0:
+            width = 4
+        elif (width + 2) * rows > self._unit:
+            self.grown += 1
+        super().reserve(rows, width)
+
+
+def test_consecutive_calls_match_fresh():
+    # batches of alternating markets and sizes across the block edges, by
+    # revenue and by one clip work object shared as the blocks of a batch
+    # share it; and clips whose work arrays grow between steps
+    rng = np.random.default_rng(49)
+    unit = MarketConfig(p1=1.0, p2=1.5, q_min=0.0, q_max=2.0)
+    additive = MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=0.25, demand="additive")
+    q = rng.uniform(-0.1, 2.1, size=(BLOCK + 1, 2))
+    one_by_one = {m: np.array([revenue(p, m) for p in q]) for m in (unit, additive)}
+    calls = [(unit, BLOCK + 1), (additive, BLOCK - 1), (unit, BLOCK), (additive, BLOCK + 1),
+             (unit, 3), (additive, BLOCK), (unit, BLOCK - 1)]
+    for market, k in calls:
+        assert np.array_equal(revenue(q[:k], market), one_by_one[market][:k])
+    work = _ClipWork()
+    grown = 0
+    for market, k in calls:
+        names = list(_region_table(market))
+        poly, count = _clip_regions(q[:k], market, names, work)
+        want_poly, want_count = _clip_regions(q[:k], market, names)
+        assert np.array_equal(poly, want_poly) and np.array_equal(count, want_count)
+        growing = GrowingWork()
+        poly, count = _clip_regions(q[:k], market, names, growing)
+        grown += growing.grown
+        assert np.array_equal(poly, want_poly) and np.array_equal(count, want_count)
+    assert grown > 0
 
 
 def test_breakdown_polygons_match_scalar_reference():

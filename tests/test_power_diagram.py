@@ -12,6 +12,7 @@ from persuade_ot import (
     lloyd_solve,
     lloyd_step,
 )
+from persuade_ot.power_diagram import sq_dists
 
 
 def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:
@@ -19,6 +20,11 @@ def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:
     a = hard_assign(params, grid)
     diff = grid.centers - params.sites[a.labels]
     return float(grid.masses @ np.einsum("pk,pk->p", diff, diff))
+
+
+def dense_labels(params: DiagramParams, grid: GridMeasure) -> np.ndarray:
+    """Reference labels: argmin over the dense (n, M^2) power-cost matrix."""
+    return np.argmin(sq_dists(params.sites, grid.centers) - params.weights[:, None], axis=0)
 
 
 def unit_grid(res):
@@ -81,6 +87,52 @@ def test_tie_break_lowest_index():
     labels = hard_assign(params, grid).labels
     mid = np.isclose(grid.centers[:, 0], 0.5)
     assert np.all(labels[mid] == 0)
+
+
+def test_labels_match_dense_argmin():
+    # n = 1..19 on odd and even M; sites on grid points, inside and outside
+    # the box, and mirror-image pairs about a grid column; zero and random
+    # weights. On the box [0, M]^2 every coordinate below is exact, so the
+    # mirror pairs tie exactly on that column.
+    rng = np.random.default_rng(23)
+    ties = 0
+    parities = set()
+    for trial in range(240):
+        res = int(rng.integers(10, 41))
+        parities.add(res % 2)
+        n = 1 + trial % 19
+        if trial % 2:
+            bounds = ((-0.5, 1.5), (0.25, 1.0))
+        else:
+            bounds = ((0.0, float(res)), (0.0, float(res)))
+        grid = build_grid(bounds, res)
+        (a1, b1), (a2, b2) = bounds
+        kind = (trial // 2) % 3
+        if kind == 0:
+            sites = grid.centers[rng.choice(res * res, size=n, replace=False)]
+        elif kind == 1:
+            w, h = b1 - a1, b2 - a2
+            sites = rng.uniform((a1 - w, a2 - h), (b1 + w, b2 + h), size=(n, 2))
+        else:
+            # pairs (cx - d, y), (cx + d, y) about grid column cx, one row each
+            hx, hy = grid.spacing
+            pairs = (n + 1) // 2
+            cx = a1 + hx * (rng.integers(0, res, size=pairs) + 0.5)
+            d = hx * rng.integers(1, res, size=pairs) / 2.0
+            y = a2 + hy * (rng.choice(res, size=pairs, replace=False) + 0.5)
+            sites = np.stack([np.column_stack([cx - d, y]), np.column_stack([cx + d, y])],
+                             axis=1).reshape(-1, 2)[:n]
+        if trial % 4 < 2:
+            weights = np.zeros(n)
+        else:
+            # equal weights within each mirror pair keep its ties
+            weights = np.repeat(0.05 * (b1 - a1) ** 2 * rng.normal(size=n), 2)[:n]
+        params = DiagramParams(sites, weights)
+        ref = dense_labels(params, grid)
+        assert np.array_equal(hard_assign(params, grid).labels, ref), trial
+        costs = sq_dists(params.sites, grid.centers) - params.weights[:, None]
+        ties += int(((costs == costs.min(axis=0)).sum(axis=0) > 1).sum())
+    assert ties > 0 and parities == {0, 1}
 
 
 def test_shift_invariance_exact():

@@ -28,7 +28,7 @@ import numpy as np
 from .entropic import DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
-from .payoffs import PayoffModel, phi_eval, phi_value_and_grad
+from .payoffs import PayoffModel
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 
@@ -80,9 +80,7 @@ class ObjectiveReport:
 def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
     """sum over supported hard cells of m_i * Phi(b_i); empty cells contribute 0."""
     stats = hard_cell_stats(hard_assign(params, grid), grid)
-    if not np.any(stats.support):
-        return 0.0
-    phis = phi_eval(payoff, stats.barycenters[stats.support])
+    phis = payoff.value(stats.barycenters[stats.support])
     return float(stats.masses[stats.support] @ phis)
 
 
@@ -121,9 +119,9 @@ def _evaluate(
     if np.any(dead):
         b = np.where(dead[:, None], sites, b)
     if grad:
-        phis, gphis = phi_value_and_grad(cfg.payoff, b)
+        phis, gphis = cfg.payoff.value_and_grad(b)
     else:
-        phis = np.atleast_1d(phi_eval(cfg.payoff, b))
+        phis = cfg.payoff.value(b)
     # the report carries the penalty value even when eta = 0
     report = ObjectiveReport.build(eta, m, b, phis, _penalty(mom, sites))
     if not grad:

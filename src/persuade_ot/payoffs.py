@@ -1,23 +1,28 @@
 """Sender payoffs: synthetic test surfaces and monopolist revenue.
 
-The monopolist revenue comes from exact purchase-region areas: every
-region boundary is linear in the valuation pair (v1, v2), so regions are
-convex polygons obtained by clipping the unit valuation square with
+Every payoff is a PayoffModel with a value and an exact gradient on a batch
+of points. The monopolist revenue comes from exact purchase-region areas:
+every region boundary is linear in the valuation pair (v1, v2), so regions
+are convex polygons obtained by clipping the unit valuation square with
 half-planes (Sutherland-Hodgman), and areas are exact by the shoelace
-formula. One batched clip serves every caller: each (region, quality
-pair) is a column of fixed-width vertex arrays, and each half-plane is one
-array step over all columns, in the floating-point order of clipping one
-polygon at a time.
+formula. One batched clip serves every caller: each (region, quality pair)
+is a column of fixed-width vertex arrays, and each half-plane is one array
+step over all columns, in the floating-point order of clipping one polygon
+at a time. The revenue gradient follows from the areas and the regions'
+lengths along the square's far edges by a scaling identity (Monopolist).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
+
+from .errors import NumericFailure
 
 TRI_MODES = np.array([(0.5, 0.25), (0.75, 0.75), (0.25, 0.75)])
 TRI_SIGMA = 0.12
@@ -246,116 +251,112 @@ def revenue(q, market: MarketConfig) -> float | np.ndarray:
     for start in range(0, len(pts), BLOCK):
         block = pts[start : start + BLOCK]
         areas = _areas(*_clip_regions(block, market, names, work)).reshape(len(names), -1)
-        total = prices[0] * areas[0]
-        for price, area in zip(prices[1:], areas[1:]):
-            total = total + price * area
-        out[start : start + BLOCK] = total
+        out[start : start + BLOCK] = sum(price * area for price, area in zip(prices, areas))
     return float(out[0]) if single else out
 
 
-def _tri_modal_weights() -> np.ndarray:
-    # mixture weights solving Phi(mode_j) = 1 exactly for every mode
-    d2 = ((TRI_MODES[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
-    gram = np.exp(-d2 / (2.0 * TRI_SIGMA**2))
-    return np.linalg.solve(gram, np.ones(3))
+def _edge_sections(q: np.ndarray, market: MarketConfig) -> np.ndarray:
+    """Lengths (regions, k, 2) of the _region_table regions along the square's far edges.
+
+    [r, i, a] is region r at q[i] on v_a = 1, where each constraint bounds the other
+    valuation t by slope * t <= rhs; a zero slope keeps all of [0, 1] or nothing.
+    """
+    cons = np.array(list(_region_table(market).values()), dtype=float)[:, :, None, :]
+    slope = cons[..., 1::-1] * q[:, ::-1]  # (regions, m, k, edge)
+    rhs = cons[..., 2:] - cons[..., :2] * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = rhs / slope
+    hi = np.where(slope > 0.0, bound, np.inf).min(axis=1)
+    lo = np.where(slope < 0.0, bound, -np.inf).max(axis=1)
+    live = ((slope != 0.0) | (rhs >= 0.0)).all(axis=1)
+    return np.where(live, np.maximum(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0), 0.0)
+
+
+class PayoffModel(ABC):
+    """A sender payoff surface Phi with its exact gradient, on a batch (k, 2) of points."""
+
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        """Phi (k,) at a batch (k, 2) of points."""
+        return self.value_and_grad(pts)[0]
+
+    @abstractmethod
+    def value_and_grad(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phi (k,) and its gradient (k, 2) at a batch (k, 2) of points."""
 
 
 @dataclass(frozen=True)
-class PayoffModel:
-    """A sender payoff surface with a gradient contract.
+class ConcaveBowl(PayoffModel):
+    """Phi(y) = 1 - |y - (0.5, 0.5)|^2, strictly concave with peak 1."""
 
-    kind is one of "concave-bowl", "tri-modal", "monopolist". Synthetic
-    kinds carry analytic gradients; the monopolist revenue is only
-    piecewise smooth and uses central differences with step fd_step.
+    def value_and_grad(self, pts):
+        return 1.0 - ((pts - BOWL_CENTER) ** 2).sum(axis=1), -2.0 * (pts - BOWL_CENTER)
+
+
+@functools.cache
+def _tri_modal_weights() -> np.ndarray:
+    # mixture weights solving Phi(mode_j) = 1 exactly for every mode; shared, so read-only
+    d2 = ((TRI_MODES[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
+    gram = np.exp(-d2 / (2.0 * TRI_SIGMA**2))
+    weights = np.linalg.solve(gram, np.ones(3))
+    weights.flags.writeable = False
+    return weights
+
+
+@dataclass(frozen=True)
+class TriModal(PayoffModel):
+    """Gaussian mixture with three equal-height modes of value 1 each."""
+
+    def value(self, pts):
+        d2 = ((pts[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
+        return np.exp(-d2 / (2.0 * TRI_SIGMA**2)) @ _tri_modal_weights()
+
+    def value_and_grad(self, pts):
+        w = _tri_modal_weights()
+        diff = pts[:, None, :] - TRI_MODES[None, :, :]
+        e = np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2))
+        return e @ w, -((e * w)[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
+
+
+@dataclass(frozen=True)
+class Monopolist(PayoffModel):
+    """Phi = expected revenue in the market, with its exact gradient.
+
+    Region k is {v in [0,1]^2: (q1 v1, q2 v2) in P_k} for a polygon P_k set by
+    the prices, so for q_i != 0: dR/dq_i = (sum_k p_k l_k^(i) - R) / q_i,
+    where l_k^(i) is the region's length along the edge v_i = 1.
     """
 
-    kind: str
-    market: Optional[MarketConfig] = None
-    fd_step: float = 0.0
-    mix_weights: Optional[np.ndarray] = None
+    market: MarketConfig
+
+    def value(self, pts):
+        return revenue(pts, self.market)
+
+    def value_and_grad(self, pts):
+        if not pts.all():
+            point = tuple(pts[~pts.all(axis=1)][0].tolist())
+            raise NumericFailure(f"no revenue gradient at q = {point}: a quality is zero")
+        m = self.market
+        rev = revenue(pts, m)
+        # region prices in _region_table order: none, good1, good2, bundle
+        sections = zip((0.0, m.p1, m.p2, m.p3), _edge_sections(pts, m))
+        return rev, (sum(price * section for price, section in sections) - rev[:, None]) / pts
 
 
-def concave_bowl() -> PayoffModel:
-    """Phi(y) = 1 - |y - (0.5, 0.5)|^2, strictly concave with peak 1."""
-    return PayoffModel(kind="concave-bowl")
-
-
-def tri_modal() -> PayoffModel:
-    """Gaussian mixture with three equal-height modes of value 1 each."""
-    return PayoffModel(kind="tri-modal", mix_weights=_tri_modal_weights())
-
-
-def monopolist_payoff(market: MarketConfig) -> PayoffModel:
-    """Phi = expected revenue; gradient by central differences."""
-    return PayoffModel(
-        kind="monopolist",
-        market=market,
-        fd_step=1e-4 * (market.q_max - market.q_min),
-    )
+# the public constructors: concave_bowl(), tri_modal(), monopolist_payoff(market)
+concave_bowl = ConcaveBowl
+tri_modal = TriModal
+monopolist_payoff = Monopolist
 
 
 def phi_eval(model: PayoffModel, point) -> float | np.ndarray:
     """Payoff value at a point (2,) or batch (k, 2) of points."""
     pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if model.kind == "concave-bowl":
-        out = 1.0 - ((pts - BOWL_CENTER) ** 2).sum(axis=1)
-    elif model.kind == "tri-modal":
-        d2 = ((pts[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
-        out = np.exp(-d2 / (2.0 * TRI_SIGMA**2)) @ model.mix_weights
-    elif model.kind == "monopolist":
-        out = revenue(pts, model.market)
-    else:
-        raise ValueError(f"unknown payoff kind {model.kind!r}")
-    return float(out[0]) if single else out
-
-
-def _fd_shifts(pts: np.ndarray, step: float) -> np.ndarray:
-    """The 4k central-difference points: +x, -x, +y, -y shifts of every point."""
-    shifts = np.repeat(pts[None], 4, axis=0)
-    shifts[0, :, 0] += step
-    shifts[1, :, 0] -= step
-    shifts[2, :, 1] += step
-    shifts[3, :, 1] -= step
-    return shifts.reshape(-1, 2)
-
-
-def _fd_gradient(rev: np.ndarray, step: float) -> np.ndarray:
-    """Central differences from the revenue at the _fd_shifts points."""
-    hi_x, lo_x, hi_y, lo_y = rev.reshape(4, -1)
-    return np.stack([hi_x - lo_x, hi_y - lo_y], axis=1) / (2.0 * step)
+    out = model.value(np.atleast_2d(pts))
+    return float(out[0]) if pts.ndim == 1 else out
 
 
 def phi_grad(model: PayoffModel, point) -> np.ndarray:
     """Payoff gradient at a point (2,) or batch (k, 2) of points."""
     pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if model.kind == "concave-bowl":
-        out = -2.0 * (pts - BOWL_CENTER)
-    elif model.kind == "tri-modal":
-        diff = pts[:, None, :] - TRI_MODES[None, :, :]
-        d2 = (diff**2).sum(-1)
-        e = np.exp(-d2 / (2.0 * TRI_SIGMA**2)) * model.mix_weights[None, :]
-        out = -(e[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
-    elif model.kind == "monopolist":
-        step = model.fd_step
-        out = _fd_gradient(revenue(_fd_shifts(pts, step), model.market), step)
-    else:
-        raise ValueError(f"unknown payoff kind {model.kind!r}")
-    return out[0] if single else out
-
-
-def phi_value_and_grad(model: PayoffModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """phi_eval and phi_grad at a batch (k, 2) of points, with equal results.
-
-    The monopolist takes the values and the 4k difference points in one
-    revenue batch, which halves the fixed cost of a small batch.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if model.kind != "monopolist":
-        return phi_eval(model, pts), phi_grad(model, pts)
-    step = model.fd_step
-    rev = revenue(np.concatenate([pts, _fd_shifts(pts, step)]), model.market)
-    return rev[: len(pts)], _fd_gradient(rev[len(pts) :], step)
+    out = model.value_and_grad(np.atleast_2d(pts))[1]
+    return out[0] if pts.ndim == 1 else out

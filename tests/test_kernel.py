@@ -58,8 +58,8 @@ PRIORS = {
     "holed": DensitySpec("callable", _holed),
 }
 PAYOFFS = {
-    # relative tolerance; the monopolist gradient is a central difference
-    # with step 2e-4, which amplifies barycenter rounding
+    # relative tolerance; this market's revenue rises from zero at the
+    # one-cell barycenter (1, 1), where barycenter rounding moves it by ~1e-15
     "tri-modal": (tri_modal(), 1e-12),
     "monopolist": (monopolist_payoff(MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0)), 1e-10),
 }

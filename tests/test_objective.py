@@ -179,7 +179,8 @@ def fd_gradient(params, grid, cfg, step=1e-5):
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(51)
     grid = unit_grid(24)
-    for payoff in (concave_bowl(), tri_modal()):
+    market = MarketConfig(p1=0.5, p2=0.6, q_min=0.0, q_max=1.0)
+    for payoff in (concave_bowl(), tri_modal(), monopolist_payoff(market)):
         for eta in (0.0, 1e-3):
             cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(0.1), payoff=payoff)
             params = random_params(rng, 3)

@@ -1,10 +1,15 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from persuade_ot import (
+    EntropicConfig,
     MarketConfig,
+    NumericFailure,
+    ObjectiveConfig,
     concave_bowl,
     monopolist_payoff,
     phi_eval,
@@ -16,10 +21,11 @@ from persuade_ot import (
 from persuade_ot.payoffs import (
     BLOCK,
     TRI_MODES,
+    Monopolist,
     _ClipWork,
     _clip_regions,
+    _edge_sections,
     _region_table,
-    phi_value_and_grad,
 )
 
 # Scalar reference for the batched revenue: one polygon clipped by one
@@ -419,24 +425,79 @@ def test_breakdown_polygons_match_scalar_reference():
 def test_payoff_batch_equals_point_calls():
     rng = np.random.default_rng(47)
     pts = rng.uniform(-0.1, 2.1, size=(13, 2))
-    for market in (MarketConfig(p1=1.0, p2=1.5, q_min=0.0, q_max=2.0),
-                   MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=0.25, demand="additive")):
-        model = monopolist_payoff(market)
-        vals = phi_eval(model, pts)
-        grads = phi_grad(model, pts)
-        assert np.array_equal(vals, [phi_eval(model, p) for p in pts])
-        assert np.array_equal(grads, [phi_grad(model, p) for p in pts])
-        both = phi_value_and_grad(model, pts)
-        assert np.array_equal(both[0], vals) and np.array_equal(both[1], grads)
-        step = model.fd_step
-        for p, g in zip(pts, grads):
+    markets = (MarketConfig(p1=1.0, p2=1.5, q_min=0.0, q_max=2.0),
+               MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=0.25, demand="additive"))
+    for model in (concave_bowl(), tri_modal(), *map(monopolist_payoff, markets)):
+        vals, grads = model.value_and_grad(pts)
+        assert np.array_equal(vals, model.value(pts))
+        assert np.array_equal(vals, phi_eval(model, pts)) and np.array_equal(grads, phi_grad(model, pts))
+        if isinstance(model, Monopolist):
+            assert np.array_equal(vals, [phi_eval(model, p) for p in pts])
+            assert np.array_equal(grads, [phi_grad(model, p) for p in pts])
+
+
+def test_revenue_gradient_matches_richardson_reference():
+    # the exact gradient against Richardson extrapolations of central
+    # differences of the scalar oracle, on every table market and both signs
+    # of q; a point is away from kinks when the extrapolations from steps
+    # (h, h/2) and (h/2, h/4) agree
+    rng = np.random.default_rng(53)
+    h = 1e-3
+    checked = total = 0
+    for market in table_markets():
+        q = rng.uniform(-market.q_max, market.q_max, size=(100, 2))
+        q = q[np.all(np.abs(q) > 0.05, axis=1)]
+        grads = monopolist_payoff(market).value_and_grad(q)[1]
+        for p, g in zip(q, grads):
             for axis in range(2):
-                hi, lo = p.copy(), p.copy()
-                hi[axis] += step
-                lo[axis] -= step
-                assert g[axis] == (
-                    reference_revenue(hi, market) - reference_revenue(lo, market)) / (2.0 * step)
-    for model in (concave_bowl(), tri_modal()):
-        both = phi_value_and_grad(model, pts)
-        assert np.array_equal(both[0], phi_eval(model, pts))
-        assert np.array_equal(both[1], phi_grad(model, pts))
+                step = np.zeros(2)
+                diffs = []
+                for j in range(3):
+                    step[axis] = h / 2**j
+                    rise = reference_revenue(p + step, market) - reference_revenue(p - step, market)
+                    diffs.append(rise / (2.0 * step[axis]))
+                coarse = (4.0 * diffs[1] - diffs[0]) / 3.0
+                fine = (4.0 * diffs[2] - diffs[1]) / 3.0
+                total += 1
+                if abs(coarse - fine) <= 1e-10:
+                    checked += 1
+                    assert abs(g[axis] - fine) <= 1e-9
+    assert checked >= 0.95 * total
+
+
+def test_edge_sections_match_scalar_reference():
+    # a reference polygon's vertices on the edge v_a = 1 have v_a == 1.0
+    # exactly: they are the square's corners or crossings along that edge
+    rng = np.random.default_rng(55)
+    for market in table_markets():
+        q = np.vstack([rng.uniform(-2.1, 2.1, size=(40, 2)), TIE_LATTICE, -TIE_LATTICE])
+        q = q[np.all(q != 0.0, axis=1)]
+        for p, sections in zip(q, _edge_sections(q, market).transpose(1, 0, 2)):
+            polys = reference_polygons(p, market)
+            for name, lengths in zip(_region_table(market), sections):
+                for edge in range(2):
+                    on = [v[1 - edge] for v in polys[name] if v[edge] == 1.0]
+                    assert abs(lengths[edge] - (max(on) - min(on) if on else 0.0)) <= 1e-12
+
+
+def test_zero_quality_gradient_raises():
+    market = MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0)
+    model = monopolist_payoff(market)
+    for point in ((0.0, 1.3), (1.3, 0.0), (0.0, 0.0)):
+        with pytest.raises(NumericFailure, match=re.escape(str(point))):
+            phi_grad(model, point)
+    with pytest.raises(NumericFailure, match=re.escape("(0.0, 1.3)")):
+        model.value_and_grad(np.array([[0.5, 0.7], [0.0, 1.3]]))
+    # the value needs no division and stays defined there
+    assert phi_eval(model, (0.0, 1.3)) == reference_revenue((0.0, 1.3), market)
+
+
+def test_payoffs_compare_and_hash_by_value():
+    market = MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0)
+    for make in (concave_bowl, tri_modal, lambda: monopolist_payoff(market)):
+        assert make() == make() and hash(make()) == hash(make())
+        one, two = (ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.1), payoff=make())
+                    for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+    assert concave_bowl() != tri_modal()
+    assert monopolist_payoff(market) != monopolist_payoff(replace(market, p2=1.5))

@@ -6,7 +6,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,7 +22,7 @@ from .benchmarks import (
 )
 from .entropic import EntropicConfig
 from .errors import ConfigError, NumericFailure
-from .grid import Bounds, DensitySpec, GridMeasure, build_grid, discretize_density
+from .grid import Bounds, GridMeasure, build_grid
 from .objective import ObjectiveConfig, hard_objective
 from .optimizer import OptimizerConfig, OptResult, init_sites, optimize
 from .payoffs import (
@@ -296,9 +296,7 @@ def build_scenario(
     else:
         bounds = ((0.0, 1.0), (0.0, 1.0))
     try:
-        grid = discretize_density(
-            DensitySpec("uniform"), build_grid(bounds, cfg.resolution)
-        )
+        grid = build_grid(bounds, cfg.resolution)
     except ValueError as exc:
         raise ConfigError(str(exc), "grid") from None
     if cfg.payoff_kind == "concave-bowl":
@@ -435,13 +433,13 @@ def render_svg(diagram: dict) -> str:
     return "\n".join(parts)
 
 
-def export_diagram(result, grid: GridMeasure, path, stem: str = "diagram") -> list[str]:
-    """Write diagram.json and diagram.svg for a result into a directory.
+def export_diagram(
+    params: DiagramParams, grid: GridMeasure, path, stem: str = "diagram"
+) -> list[str]:
+    """Write diagram.json and diagram.svg for a diagram into a directory.
 
-    ``result`` may be an OptResult or bare DiagramParams. Returns the paths
-    written.
+    Returns the paths written.
     """
-    params = result.params if hasattr(result, "params") else result
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -460,16 +458,7 @@ def export_diagram(result, grid: GridMeasure, path, stem: str = "diagram") -> li
 
 def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
                     obj: ObjectiveConfig, opt: OptimizerConfig) -> dict:
-    market = None
-    if cfg.market is not None:
-        market = {
-            "demand": cfg.market.demand,
-            "p1": cfg.market.p1,
-            "p2": cfg.market.p2,
-            "delta": cfg.market.delta,
-            "q_min": cfg.market.q_min,
-            "q_max": cfg.market.q_max,
-        }
+    market = None if cfg.market is None else asdict(cfg.market)
     summary = {
         "payoff": {"kind": cfg.payoff_kind, "market": market},
         "resolution": cfg.resolution,
@@ -508,7 +497,7 @@ def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     result, hard_value, grid, obj, opt = solve_scenario(cfg)
     summary = _result_summary(result, hard_value, cfg, obj, opt)
     _write_json(out_dir / "result.json", summary)
-    export_diagram(result, grid, out_dir)
+    export_diagram(result.params, grid, out_dir)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
         f"hard_value={hard_value:.6f} seed={result.seed_used}"
@@ -524,36 +513,52 @@ def _sweep_rows(raw: dict, cfg: ExperimentConfig):
         yield name, value, parse_config(row_raw)
 
 
+def _require_monopolist(cfg: ExperimentConfig, mode: str) -> None:
+    if cfg.payoff_kind != "monopolist":
+        raise ConfigError(f"{mode} mode is for monopolist scenarios", "payoff.kind")
+
+
+def _baselines(
+    cfg: ExperimentConfig, grid: GridMeasure, n_cells: int, lloyd_solves: dict
+) -> tuple[float, float, float]:
+    """No-information, best-Lloyd and full-information revenue of one scenario."""
+    market = cfg.market
+    return (
+        no_info_revenue(market, grid),
+        best_lloyd_revenue(
+            n_cells, market, grid,
+            seed=cfg.optimizer.seed, tries=cfg.lloyd_tries, solves=lloyd_solves,
+        ),
+        full_info_revenue(market, grid),
+    )
+
+
 def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.sweep_parameter is None:
         raise ConfigError("table mode needs a sweep section", "sweep")
-    if cfg.payoff_kind != "monopolist":
-        raise ConfigError(
-            "table mode is for monopolist scenarios", "payoff.kind"
-        )
+    _require_monopolist(cfg, "table")
     rows = []
     summaries = []
     lloyd_solves: dict = {}
     for name, value, row_cfg in _sweep_rows(raw, cfg):
         result, r_opt, grid, obj, opt = solve_scenario(row_cfg)
-        market = row_cfg.market
+        r_noinfo, r_lloyd, r_fullinfo = _baselines(
+            row_cfg, grid, max(result.effective_n, 1), lloyd_solves
+        )
         row = BenchmarkRow(
             param_name=name,
             param_value=float(value),
-            market=market,
+            market=row_cfg.market,
             r_opt=r_opt,
-            r_noinfo=no_info_revenue(market, grid),
-            r_lloyd=best_lloyd_revenue(
-                max(result.effective_n, 1), market, grid,
-                seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries, solves=lloyd_solves,
-            ),
-            r_fullinfo=full_info_revenue(market, grid),
+            r_noinfo=r_noinfo,
+            r_lloyd=r_lloyd,
+            r_fullinfo=r_fullinfo,
             effective_n=result.effective_n,
             seed=result.seed_used,
         )
         rows.append(row)
         stem = f"diagram_{_param_stem(name, value)}"
-        export_diagram(result, grid, out_dir, stem=stem)
+        export_diagram(result.params, grid, out_dir, stem=stem)
         summary = _result_summary(result, r_opt, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
@@ -566,10 +571,7 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
-    if cfg.payoff_kind != "monopolist":
-        raise ConfigError(
-            "benchmark mode is for monopolist scenarios", "payoff.kind"
-        )
+    _require_monopolist(cfg, "benchmark")
     scenarios: list[tuple[str, float, ExperimentConfig]]
     if cfg.sweep_parameter is not None:
         scenarios = list(_sweep_rows(raw, cfg))
@@ -579,13 +581,7 @@ def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     lloyd_solves: dict = {}
     for name, value, row_cfg in scenarios:
         grid = build_scenario(row_cfg)[0]
-        market = row_cfg.market
-        r_noinfo = no_info_revenue(market, grid)
-        r_lloyd = best_lloyd_revenue(
-            row_cfg.lloyd_n, market, grid,
-            seed=row_cfg.optimizer.seed, tries=row_cfg.lloyd_tries, solves=lloyd_solves,
-        )
-        r_fullinfo = full_info_revenue(market, grid)
+        r_noinfo, r_lloyd, r_fullinfo = _baselines(row_cfg, grid, row_cfg.lloyd_n, lloyd_solves)
         label = name if value != value else _param_stem(name, value)
         lines.append(f"{label},{r_noinfo:.4f},{r_lloyd:.4f},{r_fullinfo:.4f}")
         print(

@@ -18,7 +18,9 @@ prior enters only through nu / Z. Terms that underflow to zero are below
 of its normaliser. Where Z drops below the floor (a small epsilon or a
 site far outside the grid), chi_kernel falls back to the dense log-domain
 softmax, which subtracts the per-point maximum logit before exponentiating
-(DenseChi). soft_partition always returns the dense chi.
+(DenseChi). soft_partition, which returns chi itself, always takes the
+dense kernel; soft_cell_stats turns either kernel's moments into the soft
+masses and barycenters.
 """
 
 from __future__ import annotations
@@ -65,15 +67,15 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-def _stats_from_chi(
-    chi: np.ndarray, grid: GridMeasure, sites: np.ndarray
-) -> SoftCellStats:
-    nu = grid.masses
-    masses = chi @ nu
-    first_moments = chi @ (nu[:, None] * grid.centers)
+def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> SoftCellStats:
+    """Soft masses and barycenters from a kernel's moments() about the sites.
+
+    A cell whose mass underflows to zero keeps its site as barycenter.
+    """
+    masses = mom[0]
     # masses are strictly positive in exact arithmetic; guard float underflow
     safe = np.maximum(masses, np.finfo(float).tiny)
-    barycenters = first_moments / safe[:, None]
+    barycenters = sites + mom[1:3].T / safe[:, None]
     dead = masses <= 0.0
     if np.any(dead):
         barycenters = np.where(dead[:, None], sites, barycenters)
@@ -87,11 +89,11 @@ def soft_partition(
 
     chi[i, alpha] = softmax_i((g_i - |y_alpha - x_i|^2) / epsilon). Every
     column sums to one, and chi is invariant under a common shift of the
-    weights.
+    weights. chi is the dense kernel's (dense_chi), and the masses and
+    barycenters come from its moments.
     """
-    logits = (params.weights[:, None] - sq_dists(params.sites, grid.centers)) / cfg.epsilon
-    chi = _softmax_cols(logits)
-    return SoftPartition(chi=chi), _stats_from_chi(chi, grid, params.sites)
+    kernel = dense_chi(params, grid, cfg)
+    return SoftPartition(chi=kernel.chi), soft_cell_stats(kernel.moments(), params.sites)
 
 
 # Above this floor on Z every term lost to underflow is under 1e-58 of Z.
@@ -140,16 +142,16 @@ class DenseChi:
     """Soft memberships as an explicit (n, M^2) array over the grid."""
 
     def __init__(self, chi, ux, uy, nu):
-        self._chi, self._ux, self._uy, self._nu = chi, ux, uy, nu
+        self.chi, self._ux, self._uy, self._nu = chi, ux, uy, nu
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
-        cw = self._chi * (self._nu if w is None else self._nu * w)
+        cw = self.chi * (self._nu if w is None else self._nu * w)
         ux, uy = self._ux, self._uy
         return np.stack([(cw * f).sum(axis=1) for f in (1.0, ux, uy, ux * ux, ux * uy, uy * uy)])
 
     def average(self, coef: np.ndarray) -> np.ndarray:
         psi = coef[0][:, None] + coef[1][:, None] * self._ux + coef[2][:, None] * self._uy
-        return np.einsum("ip,ip->p", self._chi, psi)
+        return np.einsum("ip,ip->p", self.chi, psi)
 
 
 def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:

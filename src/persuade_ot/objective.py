@@ -1,10 +1,17 @@
 """Persuasion objective, penalty, and its analytic gradient.
 
 The soft objective is F = sum_i m_i Phi(b_i) over soft cells, minus
-eta times the penalty R (site-to-cell second moment plus pairwise site
-repulsion). The gradient is assembled in a factored adjoint form: for any
-functional sum_{j,alpha} A_{j,alpha} chi_{j,alpha} the softmax derivative
-identity collapses the chain rule to
+eta times the penalty
+
+    R = sum_i sum_a nu_a chi_ia |y_a - x_i|^2 + sum_{i != j} m_i m_j / |x_i - x_j|^2,
+
+each cell's second moment about its site plus a mass-weighted inverse-square
+repulsion between sites. _penalty_terms computes R and its derivatives
+from the moments and the diagram's separation matrix.
+
+The gradient is assembled in a factored adjoint form: for any functional
+sum_{j,alpha} A_{j,alpha} chi_{j,alpha} the softmax derivative identity
+collapses the chain rule to
 
     dF/dg_k = (1/eps) sum_alpha nu_a chi_ka (Psi_ka - Psibar_a)
     dF/dx_k = (2/eps) sum_alpha nu_a (y_a - x_k) chi_ka (Psi_ka - Psibar_a)
@@ -25,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel
+from .entropic import (
+    DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel, soft_cell_stats,
+)
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel
@@ -84,46 +93,48 @@ def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel
     return float(stats.masses[stats.support] @ phis)
 
 
-def _separation_sq(sites: np.ndarray) -> np.ndarray:
-    diff = sites[:, None, :] - sites[None, :, :]
-    sep2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(sep2, np.inf)
-    return sep2
+def _penalty_terms(
+    mom: np.ndarray, params: DiagramParams, grad: bool
+) -> tuple[float, np.ndarray | float, np.ndarray | float]:
+    """Penalty R, and with grad the adjoint's per-cell r and R's explicit dR/dX.
 
-
-def _penalty(mom: np.ndarray, sites: np.ndarray) -> float:
-    # quantization sum_i sum_a nu_a chi_ia |y_a - x_i|^2 plus repulsion
-    quantization = float((mom[3] + mom[5]).sum())
-    if sites.shape[0] == 1:
-        return quantization
+    All three read one separation matrix, params.separation_sq, whose inf
+    diagonal makes the i = j repulsion terms exact zeros, so one site needs
+    no special case. Without grad, r and dR/dX are 0.0.
+    """
     m = mom[0]
-    total = quantization + float((m[:, None] * m[None, :] / _separation_sq(sites)).sum())
+    sep2 = params.separation_sq
+    mm = m[:, None] * m[None, :]
+    total = float((mom[3] + mom[5]).sum()) + float((mm / sep2).sum())
     if not np.isfinite(total):
         raise SingularPenaltyError("sites too close: repulsion term is not finite")
-    return total
+    if not grad:
+        return total, 0.0, 0.0
+    # r_j = dR/dm_j of the repulsion; dR/dX with chi held fixed
+    r = 2.0 * (m[None, :] / sep2).sum(axis=1)
+    sites = params.sites
+    diff = sites[:, None, :] - sites[None, :, :]
+    rep_x = -4.0 * ((mm / sep2**2)[:, :, None] * diff).sum(axis=1)
+    return total, r, -2.0 * mom[1:3].T + rep_x
 
 
 def _evaluate(
-    kernel: SeparableChi | DenseChi, sites: np.ndarray, cfg: ObjectiveConfig, grad: bool
+    kernel: SeparableChi | DenseChi, params: DiagramParams, cfg: ObjectiveConfig, grad: bool
 ) -> tuple[ObjectiveReport, np.ndarray | None, np.ndarray | None]:
     """Report, and with grad also (dF/dX, dF/dg), from one soft-membership kernel."""
     eps = cfg.entropic.epsilon
     eta = cfg.eta
+    sites = params.sites
     mom = kernel.moments()
-    m = mom[0]
-    u1 = mom[1:3].T  # sum_a nu_a chi_ja (y_a - x_j)
-    # masses are strictly positive in exact arithmetic; guard float underflow
-    safe = np.maximum(m, np.finfo(float).tiny)
-    b = sites + u1 / safe[:, None]
-    dead = m <= 0.0
-    if np.any(dead):
-        b = np.where(dead[:, None], sites, b)
+    stats = soft_cell_stats(mom, sites)
+    m, b = stats.masses, stats.barycenters
     if grad:
         phis, gphis = cfg.payoff.value_and_grad(b)
     else:
         phis = cfg.payoff.value(b)
     # the report carries the penalty value even when eta = 0
-    report = ObjectiveReport.build(eta, m, b, phis, _penalty(mom, sites))
+    penalty, r, penalty_x = _penalty_terms(mom, params, grad and eta > 0.0)
+    report = ObjectiveReport.build(eta, m, b, phis, penalty)
     if not grad:
         return report, None, None
 
@@ -134,10 +145,6 @@ def _evaluate(
     # mean cell's affine part, subtracted here so that the moment sums below do
     # not cancel in floating point (a single cell then gives exactly zero, as
     # the dense path does).
-    n = sites.shape[0]
-    r = np.zeros(n)
-    if eta > 0.0 and n > 1:
-        r = 2.0 * (m[None, :] / _separation_sq(sites)).sum(axis=1)
     c = phis - np.einsum("jk,jk->j", gphis, b) - eta * (r + (sites * sites).sum(axis=1))
     lin = gphis + 2.0 * eta * sites
     w = m / m.sum()
@@ -155,17 +162,8 @@ def _evaluate(
     ], axis=1)
     dg = row_sum / eps
     dx = (2.0 / eps) * core_u
-
     if eta > 0.0:
-        # explicit x-dependence of the penalty (chi held fixed)
-        quant_x = -2.0 * u1
-        if n > 1:
-            diff = sites[:, None, :] - sites[None, :, :]
-            coef_rep = m[:, None] * m[None, :] / _separation_sq(sites) ** 2
-            rep_x = -4.0 * (coef_rep[:, :, None] * diff).sum(axis=1)
-        else:
-            rep_x = np.zeros_like(sites)
-        dx = dx - eta * (quant_x + rep_x)
+        dx = dx - eta * penalty_x
     return report, dx, dg
 
 
@@ -174,7 +172,7 @@ def soft_objective(
 ) -> ObjectiveReport:
     """Penalized soft objective F - eta*R with its per-cell decomposition."""
     kernel = chi_kernel(params, grid, cfg.entropic)
-    return _evaluate(kernel, params.sites, cfg, grad=False)[0]
+    return _evaluate(kernel, params, cfg, grad=False)[0]
 
 
 def value_and_grad(
@@ -189,4 +187,4 @@ def value_and_grad(
     entropic.chi_kernel); the results do not depend on it.
     """
     kernel = chi_kernel(params, grid, cfg.entropic, work)
-    return _evaluate(kernel, params.sites, cfg, grad=True)
+    return _evaluate(kernel, params, cfg, grad=True)

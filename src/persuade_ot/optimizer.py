@@ -7,7 +7,7 @@ seeded initialization, and finalization pruning of dead cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,6 +139,9 @@ def optimize(
     def unpack(vec: np.ndarray) -> DiagramParams:
         return DiagramParams(vec[: 2 * n].reshape(n, 2), vec[2 * n :])
 
+    def at_epsilon(eps: float) -> ObjectiveConfig:
+        return replace(obj, entropic=EntropicConfig(eps))
+
     trajectory: list[tuple[float, float]] = []
     best_value = -np.inf
     best_theta = theta.copy()
@@ -151,11 +154,7 @@ def optimize(
 
     for it in range(opt.max_iters):
         if anneal != 1.0:
-            cfg_t = ObjectiveConfig(
-                eta=obj.eta,
-                entropic=EntropicConfig(eps_run * anneal**it),
-                payoff=obj.payoff,
-            )
+            cfg_t = at_epsilon(eps_run * anneal**it)
         try:
             params = unpack(theta)
         except ValueError:
@@ -186,9 +185,7 @@ def optimize(
         m2_hat = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
         theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
-    final_cfg = obj if opt.epsilon_final is None else ObjectiveConfig(
-        eta=obj.eta, entropic=EntropicConfig(opt.epsilon_final), payoff=obj.payoff
-    )
+    final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
     stats = report_before.cell_stats()

@@ -306,15 +306,11 @@ def _tri_modal_weights() -> np.ndarray:
 class TriModal(PayoffModel):
     """Gaussian mixture with three equal-height modes of value 1 each."""
 
-    def value(self, pts):
-        d2 = ((pts[:, None, :] - TRI_MODES[None, :, :]) ** 2).sum(-1)
-        return np.exp(-d2 / (2.0 * TRI_SIGMA**2)) @ _tri_modal_weights()
-
     def value_and_grad(self, pts):
-        w = _tri_modal_weights()
         diff = pts[:, None, :] - TRI_MODES[None, :, :]
-        e = np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2))
-        return e @ w, -((e * w)[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
+        # a row sum, not a BLAS product, so a point's value is the same in any batch
+        ew = np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2)) * _tri_modal_weights()
+        return ew.sum(axis=1), -(ew[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
 
 
 @dataclass(frozen=True)

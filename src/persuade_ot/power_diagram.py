@@ -14,22 +14,24 @@ followed by argmin, so the labels equal the dense argmin's bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridMeasure
 
 
-def min_separation(sites: np.ndarray) -> float:
-    """Smallest pairwise distance between sites (inf for a single site)."""
-    n = sites.shape[0]
-    if n < 2:
-        return float("inf")
+def _separation_sq(sites: np.ndarray) -> np.ndarray:
+    """(n, n) squared pairwise site distances, inf on the diagonal."""
     diff = sites[:, None, :] - sites[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min()))
+    return d2
+
+
+def min_separation(sites: np.ndarray) -> float:
+    """Smallest pairwise distance between sites (inf for a single site)."""
+    return float(np.sqrt(_separation_sq(sites).min()))
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,14 @@ class DiagramParams:
     """Sites and weights of a power diagram.
 
     Weights only matter up to a common additive shift. Sites must be
-    pairwise distinct or the diagram is ill-defined.
+    pairwise distinct or the diagram is ill-defined. ``separation_sq`` is
+    the read-only (n, n) matrix of squared site distances with an inf
+    diagonal, built once here for the distinctness check and the penalty.
     """
 
     sites: np.ndarray
     weights: np.ndarray
+    separation_sq: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
@@ -58,8 +63,11 @@ class DiagramParams:
             )
         if not (np.all(np.isfinite(sites)) and np.all(np.isfinite(weights))):
             raise ValueError("sites and weights must be finite")
-        if min_separation(sites) <= 0.0:
+        sep2 = _separation_sq(sites)
+        if sep2.min() <= 0.0:
             raise ValueError("sites must be pairwise distinct")
+        sep2.flags.writeable = False
+        object.__setattr__(self, "separation_sq", sep2)
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ from persuade_ot import (
     EntropicConfig,
     MarketConfig,
     ObjectiveConfig,
+    SoftCellStats,
     build_grid,
     discretize_density,
     init_sites,
@@ -25,6 +26,7 @@ from persuade_ot import (
     phi_eval,
     phi_grad,
     soft_objective,
+    soft_partition,
     tri_modal,
     value_and_grad,
 )
@@ -32,12 +34,11 @@ from persuade_ot.entropic import (
     DenseChi,
     SeparableChi,
     _softmax_cols,
-    _stats_from_chi,
     chi_kernel,
     dense_chi,
 )
-from persuade_ot.objective import ObjectiveReport, _evaluate, _separation_sq
-from persuade_ot.power_diagram import sq_dists
+from persuade_ot.objective import ObjectiveReport, _evaluate
+from persuade_ot.power_diagram import _separation_sq, sq_dists
 
 BOUNDS = ((0.0, 2.0), (0.0, 2.0))
 RES = 48
@@ -74,8 +75,8 @@ def both_paths(params, grid, cfg):
     assert isinstance(sep, SeparableChi)
     dense = dense_chi(params, grid, cfg.entropic)
     return (
-        _evaluate(sep, params.sites, cfg, grad=True),
-        _evaluate(dense, params.sites, cfg, grad=True),
+        _evaluate(sep, params, cfg, grad=True),
+        _evaluate(dense, params, cfg, grad=True),
     )
 
 
@@ -129,7 +130,7 @@ def test_fallback_where_factors_underflow():
         assert isinstance(chi_kernel(params, grid, cfg.entropic), DenseChi)
         report, dx, dg = value_and_grad(params, grid, cfg)
         dense = dense_chi(params, grid, cfg.entropic)
-        ref, rdx, rdg = _evaluate(dense, params.sites, cfg, grad=True)
+        ref, rdx, rdg = _evaluate(dense, params, cfg, grad=True)
         assert report == ref
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
         assert np.isfinite(report.value) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))
@@ -166,6 +167,40 @@ def test_no_fallback_for_spread_sites_below_one_cell():
         params = init_sites(12, grid, seed)
         cfg = EntropicConfig(0.5 * grid.spacing[0])
         assert isinstance(chi_kernel(params, grid, cfg), SeparableChi)
+
+
+def _stats_from_chi(chi, grid, sites):
+    """Reference: masses chi @ nu and barycenters from the explicit first moments."""
+    nu = grid.masses
+    masses = chi @ nu
+    first_moments = chi @ (nu[:, None] * grid.centers)
+    # masses are strictly positive in exact arithmetic; guard float underflow
+    safe = np.maximum(masses, np.finfo(float).tiny)
+    barycenters = first_moments / safe[:, None]
+    dead = masses <= 0.0
+    if np.any(dead):
+        barycenters = np.where(dead[:, None], sites, barycenters)
+    return SoftCellStats(masses=masses, barycenters=barycenters)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "holed"])
+def test_soft_partition_stats_match_explicit_chi_reference(prior):
+    grid = grid_with(prior)
+    h = grid.spacing[0]
+    rng = np.random.default_rng(29)
+    cases = [
+        (init_sites(n, grid, int(rng.integers(2**31))), eps_cells)
+        for n, eps_cells in itertools.product((1, 3, 12), (5.0, 1.0, 0.25))
+    ]
+    # the middle cell's weight leaves it no mass at all
+    dead = DiagramParams(sites=[(0.5, 1.0), (1.0, 1.0), (1.5, 1.0)], weights=[0.0, -60.0, 0.0])
+    cases.append((dead, 1.0))
+    for params, eps_cells in cases:
+        part, stats = soft_partition(params, grid, EntropicConfig(eps_cells * h))
+        ref = _stats_from_chi(part.chi, grid, params.sites)
+        assert np.allclose(stats.masses, ref.masses, rtol=1e-12, atol=0.0)
+        assert np.allclose(stats.barycenters, ref.barycenters, rtol=1e-12, atol=0.0)
+    assert stats.masses[1] == 0.0 and np.array_equal(stats.barycenters[1], (1.0, 1.0))
 
 
 def reference_value_and_grad(params, grid, cfg):

@@ -21,7 +21,6 @@ from persuade_ot import (
 from persuade_ot.payoffs import (
     BLOCK,
     TRI_MODES,
-    Monopolist,
     _ClipWork,
     _clip_regions,
     _edge_sections,
@@ -431,9 +430,8 @@ def test_payoff_batch_equals_point_calls():
         vals, grads = model.value_and_grad(pts)
         assert np.array_equal(vals, model.value(pts))
         assert np.array_equal(vals, phi_eval(model, pts)) and np.array_equal(grads, phi_grad(model, pts))
-        if isinstance(model, Monopolist):
-            assert np.array_equal(vals, [phi_eval(model, p) for p in pts])
-            assert np.array_equal(grads, [phi_grad(model, p) for p in pts])
+        assert np.array_equal(vals, [phi_eval(model, p) for p in pts])
+        assert np.array_equal(grads, [phi_grad(model, p) for p in pts])
 
 
 def test_revenue_gradient_matches_richardson_reference():

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridMeasure
-from .objective import hard_objective
 from .payoffs import MarketConfig, monopolist_payoff, revenue
 from .power_diagram import lloyd_solve
 
@@ -23,13 +22,19 @@ class BenchmarkRow:
     r_noinfo: float
     r_lloyd: float
     r_fullinfo: float
-    pp: float | None = None
     effective_n: int = 0
     seed: int = 0
 
     @property
     def param(self) -> str:
         return f"{self.param_name}={self.param_value:g}"
+
+    @property
+    def pp(self) -> float | None:
+        """100 (r_opt - r_fullinfo) / r_fullinfo; None when r_fullinfo is not positive."""
+        if self.r_fullinfo > 0.0:
+            return 100.0 * (self.r_opt - self.r_fullinfo) / self.r_fullinfo
+        return None
 
 
 def no_info_revenue(market: MarketConfig, grid: GridMeasure) -> float:
@@ -48,8 +53,10 @@ def lloyd_revenue(
 ) -> float:
     """Revenue of the n-cell centroidal (Lloyd) partition.
 
-    ``solves`` memoizes the partition across markets on the same grid:
-    lloyd_solve reads only n, the seed and the grid's centers and masses.
+    ``solves`` memoizes the partition's cell stats across markets on the
+    same grid: lloyd_solve reads only n, the seed and the grid's centers
+    and masses. Every cell it returns has mass, so each is priced at its
+    barycenter.
     """
     import hashlib  # here, not at module level: loading it costs ~4 ms of start-up
 
@@ -58,8 +65,9 @@ def lloyd_revenue(
     digest.update(np.ascontiguousarray(grid.masses))
     key = (n, seed, grid.centers.shape, digest.digest())
     if key not in solves:
-        solves[key] = lloyd_solve(n, grid, seed)[0]
-    return hard_objective(solves[key], grid, monopolist_payoff(market))
+        solves[key] = lloyd_solve(n, grid, seed)[1]
+    stats = solves[key]
+    return float(stats.masses @ monopolist_payoff(market).value(stats.barycenters))
 
 
 def best_lloyd_revenue(
@@ -71,17 +79,7 @@ def best_lloyd_revenue(
 
 
 def improvement_table(rows: list[BenchmarkRow]) -> str:
-    """Fill the pp column and render the five-row table layout.
-
-    pp = 100 (r_opt - r_fullinfo) / r_fullinfo; reported as n/a when the
-    full-information revenue is not positive.
-    """
-    for row in rows:
-        row.pp = (
-            100.0 * (row.r_opt - row.r_fullinfo) / row.r_fullinfo
-            if row.r_fullinfo > 0.0
-            else None
-        )
+    """Render the five-row table layout; pp reads n/a where it is None."""
     headers = [row.param for row in rows]
     lines = [
         ("", headers),

@@ -441,18 +441,15 @@ def export_diagram(
     Returns the paths written.
     """
     out_dir = Path(path)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        diagram = _diagram_dict(params, grid)
-        json_path = out_dir / f"{stem}.json"
-        svg_path = out_dir / f"{stem}.svg"
-        json_path.write_text(
-            json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-        svg_path.write_text(render_svg(diagram), encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write diagram files under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    diagram = _diagram_dict(params, grid)
+    json_path = out_dir / f"{stem}.json"
+    svg_path = out_dir / f"{stem}.svg"
+    json_path.write_text(
+        json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n",
+        encoding="utf-8",
+    )
+    svg_path.write_text(render_svg(diagram), encoding="utf-8")
     return [str(json_path), str(svg_path)]
 
 
@@ -543,7 +540,7 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     for name, value, row_cfg in _sweep_rows(raw, cfg):
         result, r_opt, grid, obj, opt = solve_scenario(row_cfg)
         r_noinfo, r_lloyd, r_fullinfo = _baselines(
-            row_cfg, grid, max(result.effective_n, 1), lloyd_solves
+            row_cfg, grid, result.effective_n, lloyd_solves
         )
         row = BenchmarkRow(
             param_name=name,
@@ -598,13 +595,21 @@ def cmd_export(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     result_path = out_dir / "result.json"
     if not result_path.exists():
         raise ConfigError(f"no result.json in {out_dir}; run solve first")
-    data = json.loads(result_path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(result_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{result_path} is not valid JSON: {exc}") from None
     if isinstance(data, list):
         raise ConfigError(
             "result.json holds a table run; export works on solve results"
         )
+    try:
+        params = DiagramParams(np.array(data["sites"]), np.array(data["weights"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{result_path} holds no valid diagram ({type(exc).__name__}: {exc})"
+        ) from None
     grid = build_scenario(cfg)[0]
-    params = DiagramParams(np.array(data["sites"]), np.array(data["weights"]))
     paths = export_diagram(params, grid, out_dir)
     print("wrote " + " ".join(paths))
     return 0
@@ -665,6 +670,9 @@ def run_experiment(
         return handler(raw, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"i/o error under {out_path}: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
         dump = {

@@ -20,7 +20,8 @@ site far outside the grid), chi_kernel falls back to the dense log-domain
 softmax, which subtracts the per-point maximum logit before exponentiating
 (DenseChi). soft_partition, which returns chi itself, always takes the
 dense kernel; soft_cell_stats turns either kernel's moments into the soft
-masses and barycenters.
+masses and barycenters. The mass-matching dual solve (sinkhorn_dual_solve)
+reads its soft masses from the same kernel.
 """
 
 from __future__ import annotations
@@ -112,17 +113,17 @@ Z_FLOOR = 1e-250
 class SeparableChi:
     """Soft memberships on the tensor grid, kept as per-axis factors.
 
-    ``work`` is an optional (3, M, M) float array that receives Z, nu / Z
-    and the result of average(); without it each is a fresh array.
+    ``work`` is a (3, M, M) float array whose rows hold Z, nu / Z and the
+    result of average().
     """
 
-    def __init__(self, ex, sey, ux, uy, z, nu, work=None):
+    def __init__(self, ex, sey, ux, uy, z, nu, work):
         # x factors as columns (M, 3n): Ex, Ex u1, Ex u1^2; y factors (3, n, M): s Ey u2^q
         self._xs = np.concatenate([ex, ex * ux, ex * ux * ux]).T.copy()
         self._ys = np.stack([sey, sey * uy, sey * uy * uy])
         self._z = z
-        self._r = np.divide(nu.reshape(z.shape), z, out=None if work is None else work[1])
-        self._avg = None if work is None else work[2]
+        self._r = np.divide(nu.reshape(z.shape), z, out=work[1])
+        self._avg = work[2]
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
         """Weighted moments; a given w is overwritten with nu / Z * w."""
@@ -171,8 +172,11 @@ def chi_kernel(
 
     A (3, M, M) ``work`` array, if given, holds the separable kernel's
     (M, M) arrays; the kernel is valid until the next call with it.
+    Without one a fresh array is allocated.
     """
     m = grid.resolution
+    if work is None:
+        work = np.empty((3, m, m))
     gx = grid.centers[:m, 0]
     gy = grid.centers[::m, 1]
     eps = cfg.epsilon
@@ -186,22 +190,10 @@ def chi_kernel(
     ey = np.exp(ly - b[:, None])
     shift = a + b
     sey = np.exp(shift - shift.max())[:, None] * ey
-    z = np.matmul(sey.T, ex, out=None if work is None else work[0])
+    z = np.matmul(sey.T, ex, out=work[0])
     if z.min() < Z_FLOOR:
         return dense_chi(params, grid, cfg)
     return SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
-
-
-def _log_soft_masses(
-    d2: np.ndarray, g: np.ndarray, log_nu: np.ndarray, live: np.ndarray, eps: float
-) -> np.ndarray:
-    # log m_i = logsumexp_alpha(log nu_alpha + logit_i - logsumexp_j logit_j)
-    logits = (g[:, None] - d2[:, live]) / eps
-    top = logits.max(axis=0)
-    log_z = top + np.log(np.exp(logits - top[None, :]).sum(axis=0))
-    a = log_nu[None, :] + logits - log_z[None, :]
-    amax = a.max(axis=1)
-    return amax + np.log(np.exp(a - amax[:, None]).sum(axis=1))
 
 
 def sinkhorn_dual_solve(
@@ -214,10 +206,12 @@ def sinkhorn_dual_solve(
 ) -> np.ndarray:
     """Weights whose soft cell masses match the targets.
 
-    Runs the semi-discrete Sinkhorn fixed point in the log domain: the
-    continuous potential is eliminated in closed form, and each sweep
-    rescales g_i by eps*log(target_i / m_i^eps). Stops when the mass
-    residual max_i |m_i^eps - target_i| drops below tol; the returned g is
+    Runs the semi-discrete Sinkhorn fixed point: the continuous potential
+    is eliminated in closed form, and each sweep takes the soft masses
+    m_i^eps from chi_kernel and rescales g_i by eps*log(target_i / m_i^eps).
+    A mass that underflows to zero enters as the smallest positive float,
+    so g stays finite. Stops when the mass residual
+    max_i |m_i^eps - target_i| drops below tol; the returned g is
     normalized so g[0] = 0.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -230,19 +224,15 @@ def sinkhorn_dual_solve(
     if abs(targets.sum() - 1.0) > 1e-9:
         raise ValueError("target masses must sum to one")
 
-    eps = cfg.epsilon
-    live = grid.masses > 0.0
-    log_nu = np.log(grid.masses[live])
-    d2 = sq_dists(sites, grid.centers)
     log_targets = np.log(targets)
     g = np.zeros(n)
     residual = np.inf
     for _ in range(max_iters):
-        log_m = _log_soft_masses(d2, g, log_nu, live, eps)
-        residual = float(np.max(np.abs(np.exp(log_m) - targets)))
+        masses = chi_kernel(DiagramParams(sites, g), grid, cfg).moments()[0]
+        residual = float(np.max(np.abs(masses - targets)))
         if residual < tol:
             return g - g[0]
-        g = g + eps * (log_targets - log_m)
+        g = g + cfg.epsilon * (log_targets - np.log(np.maximum(masses, np.finfo(float).tiny)))
     raise ConvergenceError(
         f"sinkhorn residual {residual:.3e} after {max_iters} iterations (tol {tol:.1e})",
         residual=residual,

@@ -190,12 +190,13 @@ def optimize(
     report_before = soft_objective(best_params, grid, final_cfg)
     stats = report_before.cell_stats()
     pruned = prune_cells(best_params, stats, PRUNE_MASS_TOL, grid)
-    report_after = soft_objective(pruned, grid, final_cfg)
+    report_after = report_before
 
     if pruned.n < best_params.n:
-        removed = float(stats.masses.sum() - stats.masses[
-            _kept_mask(best_params, pruned)
-        ].sum())
+        # sites are pairwise distinct: a cell is kept iff its site is among the pruned sites
+        kept = (best_params.sites[:, None, :] == pruned.sites[None, :, :]).all(axis=2).any(axis=1)
+        report_after = soft_objective(pruned, grid, final_cfg)
+        removed = float(stats.masses.sum() - stats.masses[kept].sum())
         scale = max(1.0, max(abs(v) for _, _, v in report_before.per_cell))
         bound = 10.0 * removed * scale + final_cfg.eta * abs(
             report_before.penalty_term - report_after.penalty_term
@@ -219,15 +220,3 @@ def optimize(
         stopped_early=stopped_early,
     )
 
-
-def _kept_mask(original: DiagramParams, pruned: DiagramParams) -> np.ndarray:
-    """Boolean mask of original cells surviving in the pruned params."""
-    keep = np.zeros(original.n, dtype=bool)
-    j = 0
-    for i in range(original.n):
-        if j < pruned.n and np.array_equal(original.sites[i], pruned.sites[j]) and (
-            original.weights[i] == pruned.weights[j]
-        ):
-            keep[i] = True
-            j += 1
-    return keep

@@ -207,7 +207,8 @@ def lloyd_solve(
     Sites initialize at n distinct grid points drawn with probability
     proportional to the grid masses (seeded); weights stay zero. Iterates
     until the largest site-to-barycenter distance drops below ``tol`` or
-    ``max_iters`` is reached.
+    ``max_iters`` is reached. Every returned cell has mass: empty cells are
+    reseeded, and a RuntimeError is raised where that fails.
     """
     if n < 1:
         raise ValueError("need at least one cell")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 
 from persuade_ot import (
@@ -8,10 +10,15 @@ from persuade_ot import (
     build_grid,
     discretize_density,
     full_info_revenue,
+    hard_objective,
     improvement_table,
     lloyd_revenue,
+    lloyd_solve,
     no_info_revenue,
 )
+from persuade_ot.cli import build_scenario, load_raw_config, parse_config, set_config_path
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_grid(res, lo=0.0, hi=2.0):
@@ -72,6 +79,25 @@ def test_best_lloyd_takes_max():
     grid = make_grid(64)
     singles = [lloyd_revenue(4, UNIT_11, grid, seed=k) for k in range(5)]
     assert best_lloyd_revenue(4, UNIT_11, grid, seed=0, tries=5) == max(singles)
+
+
+def test_lloyd_revenue_equals_hard_objective_on_table_markets():
+    # pricing the cell stats lloyd_solve returns is the hard objective of
+    # its sites, bit for bit, on every column of the four table configs
+    columns = 0
+    for path in sorted(CONFIGS.glob("table*.yaml")):
+        raw = set_config_path(load_raw_config(str(path)), "grid.resolution", 24)
+        sweep = parse_config(raw)
+        for value in sweep.sweep_values:
+            cfg = parse_config(set_config_path(raw, sweep.sweep_parameter, value))
+            grid, payoff = build_scenario(cfg)[:2]
+            for seed in (0, 1):
+                sites = lloyd_solve(4, grid, seed)[0]
+                assert lloyd_revenue(4, cfg.market, grid, seed) == hard_objective(
+                    sites, grid, payoff
+                )
+            columns += 1
+    assert columns == 25
 
 
 def row(r_opt, r_fullinfo, name="p2", value=1.0):

@@ -305,6 +305,28 @@ def test_export_rejects_table_results(tmp_path, capsys):
     assert "table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    '{"weights": [0.0, 0.0]}',
+    "not json",
+    '{"sites": [[0.5, 0.5], [0.5, 0.5]], "weights": [0.0, 0.0]}',
+], ids=["missing-sites", "not-json", "coincident-sites"])
+def test_export_malformed_result_exits_two(tmp_path, capsys, content):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "result.json").write_text(content, encoding="utf-8")
+    path = write_config(tmp_path, tiny_market_config(out))
+    assert run_experiment(path, command="export") == 2
+    assert str(out / "result.json") in capsys.readouterr().err
+
+
+def test_unwritable_out_dir_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    path = write_config(tmp_path, tiny_market_config(tmp_path / "ignored"))
+    assert main(["solve", "--config", path, "--out-dir", str(blocker / "sub")]) == 2
+    assert str(blocker / "sub") in capsys.readouterr().err
+
+
 def test_cli_overrides_reach_result(tmp_path):
     out = tmp_path / "run"
     path = write_config(tmp_path, tiny_market_config(tmp_path / "ignored"))

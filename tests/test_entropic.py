@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from persuade_ot import (
     sinkhorn_dual_solve,
     soft_partition,
 )
+from persuade_ot.entropic import chi_kernel
 from persuade_ot.power_diagram import sq_dists
 
 
@@ -230,6 +233,22 @@ def test_sinkhorn_self_consistency():
     cfg = EntropicConfig(0.05)
     g = sinkhorn_dual_solve(sites, targets, grid, cfg, tol=1e-8)
     assert g[0] == 0.0
+    _, stats = soft_partition(DiagramParams(sites=sites, weights=g), grid, cfg)
+    assert np.max(np.abs(stats.masses - targets)) < 1e-8
+
+
+def test_sinkhorn_site_far_outside_grid():
+    # the far site's soft mass underflows to zero at g = 0; its update still
+    # raises the weight by a finite step, with no warning from log(0)
+    grid = unit_grid(32)
+    sites = np.array([(0.25, 0.5), (0.75, 0.5), (30.0, -4.0)])
+    cfg = EntropicConfig(0.05)
+    assert chi_kernel(DiagramParams(sites, np.zeros(3)), grid, cfg).moments()[0][2] == 0.0
+    targets = np.array([0.4, 0.4, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = sinkhorn_dual_solve(sites, targets, grid, cfg, tol=1e-8)
+    assert np.all(np.isfinite(g))
     _, stats = soft_partition(DiagramParams(sites=sites, weights=g), grid, cfg)
     assert np.max(np.abs(stats.masses - targets)) < 1e-8
 

@@ -219,3 +219,29 @@ def test_pruning_check_raises_numeric_failure(monkeypatch):
     monkeypatch.setattr(optimizer_mod, "soft_objective", shifted)
     with pytest.raises(NumericFailure, match=r"pruning moved the objective by 1\.000e\+00 > bound"):
         optimize(init, grid, bowl_cfg(eps=0.05), opt)
+
+
+@pytest.mark.parametrize("prunes", [False, True])
+def test_final_report_is_soft_objective_of_result(monkeypatch, prunes):
+    # the returned report is the annealed final objective of the returned
+    # diagram; a second evaluation happens only when a cell was pruned
+    grid = unit_grid(32)
+    if prunes:
+        init = DiagramParams(
+            sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0]
+        )
+    else:
+        init = init_sites(3, grid, seed=3)
+    real = optimizer_mod.soft_objective
+    calls = []
+
+    def counted(params, g, c):
+        calls.append(params.n)
+        return real(params, g, c)
+
+    monkeypatch.setattr(optimizer_mod, "soft_objective", counted)
+    opt = OptimizerConfig(n_init=3, max_iters=20, learning_rate=1e-3, seed=0, epsilon_final=0.02)
+    result = optimize(init, grid, bowl_cfg(eps=0.05), opt)
+    assert result.effective_n == (2 if prunes else 3)
+    assert calls == ([3, 2] if prunes else [3])
+    assert result.report == real(result.params, grid, bowl_cfg(eps=0.02))

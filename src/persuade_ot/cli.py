@@ -25,13 +25,7 @@ from .errors import ConfigError, NumericFailure
 from .grid import Bounds, GridMeasure, build_grid
 from .objective import ObjectiveConfig, hard_objective
 from .optimizer import OptimizerConfig, OptResult, init_sites, optimize
-from .payoffs import (
-    MarketConfig,
-    PayoffModel,
-    concave_bowl,
-    monopolist_payoff,
-    tri_modal,
-)
+from .payoffs import ConcaveBowl, MarketConfig, Monopolist, PayoffModel, TriModal
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 _REQUIRED = object()
@@ -44,6 +38,18 @@ SWEEPABLE = {
     "payoff.market.q_max",
     "objective.epsilon",
     "objective.eta",
+}
+
+PAYOFF_KINDS = {"concave-bowl": ConcaveBowl, "tri-modal": TriModal, "monopolist": Monopolist}
+
+# command-line flag -> (config key it overrides, argument type, help text)
+OVERRIDES = {
+    "--seed": ("optimizer.seed", int, "override optimizer.seed"),
+    "--out-dir": ("output_dir", str, "override output_dir"),
+    "--resolution": ("grid.resolution", int, "override grid.resolution"),
+    "--epsilon": ("objective.epsilon", float,
+                  "override objective.epsilon (in the config's epsilon_units)"),
+    "--eta": ("objective.eta", float, "override objective.eta"),
 }
 
 PALETTE = [
@@ -69,16 +75,14 @@ class _Section:
         self.data = dict(data)
         self.path = path
 
-    def _full(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
     def take(self, key: str, kind: str, default: Any = _REQUIRED) -> Any:
-        full = self._full(key)
+        full = f"{self.path}.{key}" if self.path else key
         if key not in self.data:
             if default is _REQUIRED:
                 raise ConfigError("missing required key", full)
-            return default
-        val = self.data.pop(key)
+            if kind != "mapping":
+                return default
+        val = self.data.pop(key, default)
         if kind == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"expected an integer, got {val!r}", full)
@@ -129,32 +133,26 @@ class ExperimentConfig:
 def parse_config(raw: Any) -> ExperimentConfig:
     root = _Section(raw, "")
 
-    grid_sec = root.take("grid", "mapping", None)
+    grid_sec = root.take("grid", "mapping", {})
     bounds = None
-    resolution = 256
-    if grid_sec is not None:
-        b = grid_sec.take("bounds", "list", None)
-        if b is not None:
-            try:
-                (a1, b1), (a2, b2) = b
-                bounds = ((float(a1), float(b1)), (float(a2), float(b2)))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    "expected [[a1, b1], [a2, b2]]", "grid.bounds"
-                ) from None
-            if not all(_finite(v) for pair in bounds for v in pair):
-                raise ConfigError(f"bounds must be finite, got {b!r}", "grid.bounds")
-        resolution = grid_sec.take("resolution", "int", 256)
-        grid_sec.finish()
+    b = grid_sec.take("bounds", "list", None)
+    if b is not None:
+        try:
+            (a1, b1), (a2, b2) = b
+            bounds = ((float(a1), float(b1)), (float(a2), float(b2)))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("expected [[a1, b1], [a2, b2]]", "grid.bounds") from None
+        if not all(_finite(v) for pair in bounds for v in pair):
+            raise ConfigError(f"bounds must be finite, got {b!r}", "grid.bounds")
+    resolution = grid_sec.take("resolution", "int", 256)
+    grid_sec.finish()
 
-    if "payoff" not in root.data:
-        raise ConfigError("missing required key", "payoff")
     payoff_sec = root.take("payoff", "mapping")
     kind = payoff_sec.take("kind", "str")
-    if kind not in ("concave-bowl", "tri-modal", "monopolist"):
+    if kind not in PAYOFF_KINDS:
         raise ConfigError(f"unknown payoff kind {kind!r}", "payoff.kind")
     market = None
-    if kind == "monopolist":
+    if PAYOFF_KINDS[kind] is Monopolist:
         m = payoff_sec.take("market", "mapping")
         fields = {
             "p1": m.take("p1", "float"),
@@ -171,7 +169,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         m.finish()
     payoff_sec.finish()
 
-    obj_sec = root.take("objective", "mapping", None) or _Section({}, "objective")
+    obj_sec = root.take("objective", "mapping", {})
     epsilon = obj_sec.take("epsilon", "float", 5.0)
     epsilon_units = obj_sec.take("epsilon_units", "str", "grid")
     if epsilon_units not in ("grid", "absolute"):
@@ -186,7 +184,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raise ConfigError("eta must be nonnegative", "objective.eta")
     obj_sec.finish()
 
-    opt_sec = root.take("optimizer", "mapping", None) or _Section({}, "optimizer")
+    opt_sec = root.take("optimizer", "mapping", {})
     restarts = opt_sec.take("restarts", "int", 1)
     if restarts < 1:
         raise ConfigError("restarts must be at least 1", "optimizer.restarts")
@@ -205,15 +203,19 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raise ConfigError(str(exc), "optimizer") from None
     opt_sec.finish()
 
-    bench_sec = root.take("benchmark", "mapping", None) or _Section({}, "benchmark")
+    bench_sec = root.take("benchmark", "mapping", {})
     lloyd_tries = bench_sec.take("lloyd_tries", "int", 5)
+    if lloyd_tries < 1:
+        raise ConfigError("lloyd_tries must be at least 1", "benchmark.lloyd_tries")
     lloyd_n = bench_sec.take("lloyd_n", "int", 4)
+    if lloyd_n < 1:
+        raise ConfigError("lloyd_n must be at least 1", "benchmark.lloyd_n")
     bench_sec.finish()
 
-    sweep_sec = root.take("sweep", "mapping", None)
     sweep_parameter = None
     sweep_values: list = []
-    if sweep_sec is not None:
+    if "sweep" in root.data:
+        sweep_sec = root.take("sweep", "mapping")
         sweep_parameter = sweep_sec.take("parameter", "str")
         if sweep_parameter not in SWEEPABLE:
             raise ConfigError(
@@ -226,6 +228,10 @@ def parse_config(raw: Any) -> ExperimentConfig:
         for v in sweep_values:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
                 raise ConfigError(f"values must be finite numbers, got {v!r}", "sweep.values")
+        labels = [f"{v:g}" for v in sweep_values]
+        if len(set(labels)) < len(labels):
+            # each value names its table row and diagram files by this label
+            raise ConfigError(f"values must have distinct labels, got {labels}", "sweep.values")
         sweep_sec.finish()
 
     output_dir = root.take("output_dir", "str", "out")
@@ -249,17 +255,23 @@ def parse_config(raw: Any) -> ExperimentConfig:
     )
 
 
-def load_raw_config(path: str) -> Any:
+def load_raw_config(path: str) -> dict:
+    """The config file's mapping; {} for an empty file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     try:
-        return yaml.safe_load(text)
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"config parse error{where}: {exc}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    return raw
 
 
 def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
@@ -299,12 +311,8 @@ def build_scenario(
         grid = build_grid(bounds, cfg.resolution)
     except ValueError as exc:
         raise ConfigError(str(exc), "grid") from None
-    if cfg.payoff_kind == "concave-bowl":
-        payoff = concave_bowl()
-    elif cfg.payoff_kind == "tri-modal":
-        payoff = tri_modal()
-    else:
-        payoff = monopolist_payoff(cfg.market)
+    payoff_cls = PAYOFF_KINDS[cfg.payoff_kind]
+    payoff = payoff_cls() if cfg.market is None else payoff_cls(cfg.market)
     unit = grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
     obj = ObjectiveConfig(
         eta=cfg.eta, entropic=EntropicConfig(cfg.epsilon * unit), payoff=payoff
@@ -440,16 +448,11 @@ def export_diagram(
 
     Returns the paths written.
     """
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     diagram = _diagram_dict(params, grid)
-    json_path = out_dir / f"{stem}.json"
-    svg_path = out_dir / f"{stem}.svg"
-    json_path.write_text(
-        json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    svg_path.write_text(render_svg(diagram), encoding="utf-8")
+    json_path = Path(path) / f"{stem}.json"
+    svg_path = Path(path) / f"{stem}.svg"
+    _write(json_path, json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n")
+    _write(svg_path, render_svg(diagram))
     return [str(json_path), str(svg_path)]
 
 
@@ -479,15 +482,13 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
     return summary
 
 
-def _write_json(path: Path, obj: Any) -> None:
+def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    path.write_text(text, encoding="utf-8")
 
 
-def _param_stem(name: str, value) -> str:
-    return f"{name}={value:g}"
+def _write_json(path: Path, obj: Any) -> None:
+    _write(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -503,16 +504,16 @@ def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_rows(raw: dict, cfg: ExperimentConfig):
+def _market_rows(raw: dict, cfg: ExperimentConfig, mode: str):
+    """(parameter name, value, config) per sweep value, or ("base", nan, cfg) with no sweep."""
+    if cfg.market is None:
+        raise ConfigError(f"{mode} mode is for monopolist scenarios", "payoff.kind")
+    if cfg.sweep_parameter is None:
+        yield "base", float("nan"), cfg
+        return
     name = cfg.sweep_parameter.rsplit(".", 1)[-1]
     for value in cfg.sweep_values:
-        row_raw = set_config_path(raw, cfg.sweep_parameter, value)
-        yield name, value, parse_config(row_raw)
-
-
-def _require_monopolist(cfg: ExperimentConfig, mode: str) -> None:
-    if cfg.payoff_kind != "monopolist":
-        raise ConfigError(f"{mode} mode is for monopolist scenarios", "payoff.kind")
+        yield name, value, parse_config(set_config_path(raw, cfg.sweep_parameter, value))
 
 
 def _baselines(
@@ -533,11 +534,10 @@ def _baselines(
 def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.sweep_parameter is None:
         raise ConfigError("table mode needs a sweep section", "sweep")
-    _require_monopolist(cfg, "table")
     rows = []
     summaries = []
     lloyd_solves: dict = {}
-    for name, value, row_cfg in _sweep_rows(raw, cfg):
+    for name, value, row_cfg in _market_rows(raw, cfg, "table"):
         result, r_opt, grid, obj, opt = solve_scenario(row_cfg)
         r_noinfo, r_lloyd, r_fullinfo = _baselines(
             row_cfg, grid, result.effective_n, lloyd_solves
@@ -554,13 +554,11 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
             seed=result.seed_used,
         )
         rows.append(row)
-        stem = f"diagram_{_param_stem(name, value)}"
-        export_diagram(result.params, grid, out_dir, stem=stem)
+        export_diagram(result.params, grid, out_dir, stem=f"diagram_{row.param}")
         summary = _result_summary(result, r_opt, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
-    table_text = improvement_table(rows)
-    print(table_text)
+    print(improvement_table(rows))
     write_table_csv(rows, out_dir / "table.csv")
     _write_json(out_dir / "result.json", summaries)
     print(f"wrote {out_dir / 'table.csv'}")
@@ -568,25 +566,20 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
-    _require_monopolist(cfg, "benchmark")
-    scenarios: list[tuple[str, float, ExperimentConfig]]
-    if cfg.sweep_parameter is not None:
-        scenarios = list(_sweep_rows(raw, cfg))
-    else:
-        scenarios = [("base", float("nan"), cfg)]
+    if cfg.lloyd_n > cfg.resolution**2:
+        raise ConfigError(f"exceeds the grid's {cfg.resolution**2} points", "benchmark.lloyd_n")
     lines = ["param,r_noinfo,r_lloyd,r_fullinfo"]
     lloyd_solves: dict = {}
-    for name, value, row_cfg in scenarios:
+    for name, value, row_cfg in _market_rows(raw, cfg, "benchmark"):
         grid = build_scenario(row_cfg)[0]
         r_noinfo, r_lloyd, r_fullinfo = _baselines(row_cfg, grid, row_cfg.lloyd_n, lloyd_solves)
-        label = name if value != value else _param_stem(name, value)
+        label = name if value != value else f"{name}={value:g}"
         lines.append(f"{label},{r_noinfo:.4f},{r_lloyd:.4f},{r_fullinfo:.4f}")
         print(
             f"{label}: no_info={r_noinfo:.4f} lloyd={r_lloyd:.4f} "
             f"full_info={r_fullinfo:.4f}"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "benchmark.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(out_dir / "benchmark.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_dir / 'benchmark.csv'}")
     return 0
 
@@ -624,50 +617,35 @@ def write_table_csv(rows: list[BenchmarkRow], path: Path) -> None:
             f"{r.param},{r.r_opt:.4f},{r.r_noinfo:.4f},{r.r_lloyd:.4f},"
             f"{r.r_fullinfo:.4f},{pp},{r.effective_n},{r.seed}"
         )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
+
+
+COMMANDS = {
+    "solve": cmd_solve,
+    "table": cmd_table,
+    "benchmark": cmd_benchmark,
+    "export": cmd_export,
+}
 
 
 def run_experiment(
-    config_path: str,
-    command: Optional[str] = None,
-    seed: Optional[int] = None,
-    out_dir: Optional[str] = None,
-    resolution: Optional[int] = None,
-    epsilon: Optional[float] = None,
-    eta: Optional[float] = None,
+    config_path: str, command: str, overrides: Optional[dict[str, Any]] = None
 ) -> int:
-    """Run one CLI command against a config file; returns the exit status."""
-    out_path = Path(out_dir) if out_dir else Path("out")
+    """Run one CLI command against a config file; returns the exit status.
+
+    ``overrides`` maps dotted config keys to the values that replace them.
+    """
+    out_path = Path("out")
     try:
-        raw = load_raw_config(config_path)
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
-        if seed is not None:
-            raw = set_config_path(raw, "optimizer.seed", int(seed))
-        if out_dir is not None:
-            raw = set_config_path(raw, "output_dir", str(out_dir))
-        if resolution is not None:
-            raw = set_config_path(raw, "grid.resolution", int(resolution))
-        if epsilon is not None:
-            raw = set_config_path(raw, "objective.epsilon", float(epsilon))
-        if eta is not None:
-            raw = set_config_path(raw, "objective.eta", float(eta))
-        cfg = parse_config(raw)
-        if command is None:
-            command = "table" if cfg.sweep_parameter is not None else "solve"
-        out = out_path = Path(cfg.output_dir)
-        handler = {
-            "solve": cmd_solve,
-            "table": cmd_table,
-            "benchmark": cmd_benchmark,
-            "export": cmd_export,
-        }.get(command)
+        handler = COMMANDS.get(command)
         if handler is None:
             raise ConfigError(f"unknown command {command!r}")
-        return handler(raw, cfg, out)
+        raw = load_raw_config(config_path)
+        for key, value in (overrides or {}).items():
+            raw = set_config_path(raw, key, value)
+        cfg = parse_config(raw)
+        out_path = Path(cfg.output_dir)
+        return handler(raw, cfg, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -697,31 +675,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="persuade-ot",
         description="Optimal information policies via entropic power diagrams.",
     )
-    parser.add_argument(
-        "command", choices=["solve", "table", "benchmark", "export"],
-        help="what to run",
-    )
+    parser.add_argument("command", choices=list(COMMANDS), help="what to run")
     parser.add_argument("--config", required=True, help="path to the YAML config")
-    parser.add_argument("--seed", type=int, default=None, help="override optimizer.seed")
-    parser.add_argument("--out-dir", default=None, help="override output_dir")
-    parser.add_argument(
-        "--resolution", type=int, default=None, help="override grid.resolution"
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=None,
-        help="override objective.epsilon (in the config's epsilon_units)",
-    )
-    parser.add_argument("--eta", type=float, default=None, help="override objective.eta")
-    args = parser.parse_args(argv)
-    return run_experiment(
-        args.config,
-        command=args.command,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        resolution=args.resolution,
-        epsilon=args.epsilon,
-        eta=args.eta,
-    )
+    dests = {
+        key: parser.add_argument(flag, type=kind, help=help_text).dest
+        for flag, (key, kind, help_text) in OVERRIDES.items()
+    }
+    args = vars(parser.parse_args(argv))
+    overrides = {key: args[dest] for key, dest in dests.items() if args[dest] is not None}
+    return run_experiment(args["config"], args["command"], overrides)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,6 @@ class HardAssignment:
 
     labels: np.ndarray
     n_cells: int
-    grid: GridMeasure
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def hard_assign(params: DiagramParams, grid: GridMeasure) -> HardAssignment:
     Ties break to the lowest cell index, so the assignment is deterministic.
     """
     labels = _power_labels(params.sites, params.weights, grid)
-    return HardAssignment(labels=labels, n_cells=params.n, grid=grid)
+    return HardAssignment(labels=labels, n_cells=params.n)
 
 
 def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
@@ -152,9 +151,7 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     return CellStats(masses=masses, barycenters=barycenters, support=support)
 
 
-def _resolve_empty_cells(
-    sites: np.ndarray, grid: GridMeasure
-) -> tuple[np.ndarray, HardAssignment, CellStats]:
+def _resolve_empty_cells(sites: np.ndarray, grid: GridMeasure) -> tuple[np.ndarray, CellStats]:
     """Reseed empty Voronoi cells until every cell has mass.
 
     Walks empty cells in index order; each is re-sited at the highest-mass
@@ -165,10 +162,10 @@ def _resolve_empty_cells(
     n = sites.shape[0]
     zeros = np.zeros(n)
     for _ in range(4 * n):
-        assignment = HardAssignment(_power_labels(sites, zeros, grid), n, grid)
+        assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
         stats = hard_cell_stats(assignment, grid)
         if stats.support.all():
-            return sites, assignment, stats
+            return sites, stats
         empty = int(np.flatnonzero(~stats.support)[0])
         largest = int(np.argmax(stats.masses))
         in_cell = np.flatnonzero(assignment.labels == largest)
@@ -189,7 +186,7 @@ def lloyd_step(sites: np.ndarray, grid: GridMeasure) -> tuple[np.ndarray, float]
     Returns the new sites and the largest site displacement. Empty cells
     are reseeded (deterministically) before the move.
     """
-    sites, _, stats = _resolve_empty_cells(sites, grid)
+    sites, stats = _resolve_empty_cells(sites, grid)
     new_sites = stats.barycenters.copy()
     shift = float(np.max(np.linalg.norm(new_sites - sites, axis=1)))
     return new_sites, shift
@@ -222,5 +219,5 @@ def lloyd_solve(
         sites, shift = lloyd_step(sites, grid)
         if shift < tol:
             break
-    sites, _, stats = _resolve_empty_cells(sites, grid)
+    sites, stats = _resolve_empty_cells(sites, grid)
     return DiagramParams(sites, np.zeros(n)), stats

@@ -477,3 +477,72 @@ def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
     # three markets on one grid, two Lloyd tries: two solves, same table
     assert sorted(calls) == [(4, 0), (4, 1)]
     assert (out / "benchmark.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("bench, command", [
+    ({"lloyd_tries": 0}, "solve"),
+    ({"lloyd_n": 0}, "solve"),
+    ({"lloyd_n": 16 * 16 + 1}, "benchmark"),
+], ids=["lloyd_tries-zero", "lloyd_n-zero", "lloyd_n-above-grid"])
+def test_invalid_lloyd_settings_exit_two(tmp_path, capsys, bench, command):
+    data = tiny_market_config(tmp_path / "out")
+    data["grid"]["resolution"] = 16
+    data["benchmark"] = bench
+    assert run_experiment(write_config(tmp_path, data), command) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"benchmark.{next(iter(bench))}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lloyd_n_above_grid_only_fails_benchmark(tmp_path):
+    # a solve never reads lloyd_n, so the default of 4 is fine on a single grid point
+    data = {"payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 1},
+            "optimizer": {"n_init": 1, "max_iters": 5}, "output_dir": str(tmp_path / "out")}
+    assert run_experiment(write_config(tmp_path, data), "solve") == 0
+
+
+@pytest.mark.parametrize("values", [[1.0, 1.0000001], [1.25, 1.25], [1, 1.0]])
+def test_sweep_values_with_one_label_exit_two(tmp_path, capsys, values):
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"payoff": {"kind": "concave-bowl"},
+                      "sweep": {"parameter": "objective.eta", "values": values}})
+    assert exc.value.key == "sweep.values"
+    out = tmp_path / "out"
+    data = tiny_market_config(out, sweep={"parameter": "payoff.market.p2", "values": values})
+    assert run_experiment(write_config(tmp_path, data), "table") == 2
+    assert "sweep.values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_needs_monopolist(tmp_path, capsys):
+    path = write_config(tmp_path, {"payoff": {"kind": "concave-bowl"}})
+    assert run_experiment(path, "benchmark") == 2
+    assert "monopolist" in capsys.readouterr().err
+
+
+def test_config_root_must_be_mapping(tmp_path, capsys):
+    path = tmp_path / "list.yaml"
+    path.write_text("- payoff\n- grid\n", encoding="utf-8")
+    assert run_experiment(str(path), "solve") == 2
+    assert "config root must be a mapping" in capsys.readouterr().err
+
+
+def test_run_experiment_rejects_unknown_command(tmp_path, capsys):
+    path = write_config(tmp_path, {"payoff": {"kind": "concave-bowl"}})
+    assert run_experiment(path, "dance") == 2
+    assert "unknown command 'dance'" in capsys.readouterr().err
+
+
+def test_benchmark_setup_probe_runs_on_every_config():
+    # perfbench runs this probe before each measured run; it must keep working
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    configs = sorted(str(p) for p in (root / "configs").glob("*.yaml"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "setup_probe.py"), str(root / "src"), *configs],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert configs and proc.returncode == 0, proc.stderr

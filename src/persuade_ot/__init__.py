@@ -11,7 +11,6 @@ from .benchmarks import (
 from .entropic import (
     EntropicConfig,
     SoftCellStats,
-    SoftPartition,
     sinkhorn_dual_solve,
     soft_partition,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "PurchaseBreakdown",
     "SingularPenaltyError",
     "SoftCellStats",
-    "SoftPartition",
     "best_lloyd_revenue",
     "build_grid",
     "concave_bowl",

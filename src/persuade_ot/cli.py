@@ -504,16 +504,24 @@ def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _market_rows(raw: dict, cfg: ExperimentConfig, mode: str):
-    """(parameter name, value, config) per sweep value, or ("base", nan, cfg) with no sweep."""
+def _market_rows(raw: dict, cfg: ExperimentConfig, mode: str) -> list:
+    """(parameter name, value, config) per sweep value, or ("base", nan, cfg) with no sweep.
+
+    Every row's config is parsed before any is returned, so a bad value fails before any work.
+    """
     if cfg.market is None:
         raise ConfigError(f"{mode} mode is for monopolist scenarios", "payoff.kind")
     if cfg.sweep_parameter is None:
-        yield "base", float("nan"), cfg
-        return
+        return [("base", float("nan"), cfg)]
     name = cfg.sweep_parameter.rsplit(".", 1)[-1]
+    rows = []
     for value in cfg.sweep_values:
-        yield name, value, parse_config(set_config_path(raw, cfg.sweep_parameter, value))
+        try:
+            row_cfg = parse_config(set_config_path(raw, cfg.sweep_parameter, value))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}={value:g} is invalid ({exc})", "sweep.values") from None
+        rows.append((name, value, row_cfg))
+    return rows
 
 
 def _baselines(

@@ -18,10 +18,10 @@ prior enters only through nu / Z. Terms that underflow to zero are below
 of its normaliser. Where Z drops below the floor (a small epsilon or a
 site far outside the grid), chi_kernel falls back to the dense log-domain
 softmax, which subtracts the per-point maximum logit before exponentiating
-(DenseChi). soft_partition, which returns chi itself, always takes the
-dense kernel; soft_cell_stats turns either kernel's moments into the soft
-masses and barycenters. The mass-matching dual solve (sinkhorn_dual_solve)
-reads its soft masses from the same kernel.
+(DenseChi). soft_partition returns the dense kernel, whose chi is the
+(n, M^2) membership array; soft_cell_stats turns either kernel's moments
+into the soft masses and barycenters. The mass-matching dual solve
+(sinkhorn_dual_solve) reads its soft masses from the same kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridMeasure
-from .power_diagram import DiagramParams, sq_dists
+from .power_diagram import DiagramParams
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class EntropicConfig:
     def __post_init__(self):
         if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be a positive real, got {self.epsilon!r}")
-
-
-@dataclass(frozen=True)
-class SoftPartition:
-    """Soft memberships chi (n, M^2)."""
-
-    chi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,16 +78,15 @@ def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> SoftCellStats:
 
 def soft_partition(
     params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
-) -> tuple[SoftPartition, SoftCellStats]:
-    """Soft memberships and the induced masses/barycenters.
+) -> tuple[DenseChi, SoftCellStats]:
+    """The dense kernel (dense_chi) and the induced masses/barycenters.
 
-    chi[i, alpha] = softmax_i((g_i - |y_alpha - x_i|^2) / epsilon). Every
-    column sums to one, and chi is invariant under a common shift of the
-    weights. chi is the dense kernel's (dense_chi), and the masses and
-    barycenters come from its moments.
+    The kernel's chi[i, alpha] = softmax_i((g_i - |y_alpha - x_i|^2) / epsilon).
+    Every column sums to one, and chi is invariant under a common shift of
+    the weights. The masses and barycenters come from the kernel's moments.
     """
     kernel = dense_chi(params, grid, cfg)
-    return SoftPartition(chi=kernel.chi), soft_cell_stats(kernel.moments(), params.sites)
+    return kernel, soft_cell_stats(kernel.moments(), params.sites)
 
 
 # Above this floor on Z every term lost to underflow is under 1e-58 of Z.
@@ -158,9 +150,9 @@ class DenseChi:
 def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
     """Log-domain softmax over every grid point."""
     points = grid.centers
-    logits = (params.weights[:, None] - sq_dists(params.sites, points)) / cfg.epsilon
     ux = points[:, 0][None, :] - params.sites[:, 0:1]
     uy = points[:, 1][None, :] - params.sites[:, 1:2]
+    logits = (params.weights[:, None] - (ux * ux + uy * uy)) / cfg.epsilon
     return DenseChi(_softmax_cols(logits), ux, uy, grid.masses)
 
 

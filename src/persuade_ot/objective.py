@@ -54,36 +54,27 @@ class ObjectiveConfig:
             raise ValueError(f"eta must be a nonnegative real, got {self.eta!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveReport:
-    """Value decomposition plus per-cell (mass, barycenter, payoff) triples."""
+    """Value decomposition plus the soft cells and their payoffs.
+
+    ``cells`` and ``payoffs`` are the arrays the evaluation computed, not
+    copies; reports compare by identity.
+    """
 
     value: float
     payoff_term: float
     penalty_term: float
-    per_cell: list
+    cells: SoftCellStats
+    payoffs: np.ndarray
 
-    @staticmethod
-    def build(eta: float, masses, barycenters, phis, penalty_term: float) -> "ObjectiveReport":
-        payoff_term = float(masses @ phis)
-        value = payoff_term - eta * penalty_term
-        per_cell = [
+    @property
+    def per_cell(self) -> list:
+        """(mass, (b1, b2), payoff) per cell, as Python floats."""
+        return [
             (float(m), (float(b[0]), float(b[1])), float(v))
-            for m, b, v in zip(masses, barycenters, phis)
+            for m, b, v in zip(self.cells.masses, self.cells.barycenters, self.payoffs)
         ]
-        return ObjectiveReport(
-            value=value,
-            payoff_term=payoff_term,
-            penalty_term=float(penalty_term),
-            per_cell=per_cell,
-        )
-
-    def cell_stats(self) -> SoftCellStats:
-        """The per-cell masses and barycenters as arrays."""
-        return SoftCellStats(
-            masses=np.array([m for m, _, _ in self.per_cell]),
-            barycenters=np.array([b for _, b, _ in self.per_cell]).reshape(-1, 2),
-        )
 
 
 def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
@@ -134,7 +125,8 @@ def _evaluate(
         phis = cfg.payoff.value(b)
     # the report carries the penalty value even when eta = 0
     penalty, r, penalty_x = _penalty_terms(mom, params, grad and eta > 0.0)
-    report = ObjectiveReport.build(eta, m, b, phis, penalty)
+    payoff_term = float(m @ phis)
+    report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, stats, phis)
     if not grad:
         return report, None, None
 

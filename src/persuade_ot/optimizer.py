@@ -188,16 +188,16 @@ def optimize(
     final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
-    stats = report_before.cell_stats()
-    pruned = prune_cells(best_params, stats, PRUNE_MASS_TOL, grid)
+    pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid)
     report_after = report_before
 
     if pruned.n < best_params.n:
         # sites are pairwise distinct: a cell is kept iff its site is among the pruned sites
         kept = (best_params.sites[:, None, :] == pruned.sites[None, :, :]).all(axis=2).any(axis=1)
         report_after = soft_objective(pruned, grid, final_cfg)
-        removed = float(stats.masses.sum() - stats.masses[kept].sum())
-        scale = max(1.0, max(abs(v) for _, _, v in report_before.per_cell))
+        masses = report_before.cells.masses
+        removed = float(masses.sum() - masses[kept].sum())
+        scale = max(1.0, float(np.abs(report_before.payoffs).max()))
         bound = 10.0 * removed * scale + final_cfg.eta * abs(
             report_before.penalty_term - report_after.penalty_term
         ) + 1e-8

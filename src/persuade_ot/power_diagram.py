@@ -8,8 +8,8 @@ A grid point y belongs to the cell i minimizing the power cost
 squared distance splits into per-axis terms, (gy - x_i2)^2 + (gx - x_i1)^2,
 so hard_assign keeps a running minimum over sites of one (M, M) cost array
 built from (n, M) offsets, and never forms the (n, M^2) cost matrix. These
-are the floating-point operations of the dense sq_dists(sites, centers) - g
-followed by argmin, so the labels equal the dense argmin's bit for bit.
+are the floating-point operations of the dense squared-distance argmin that
+the tests use as the reference, so the labels equal its labels bit for bit.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ class CellStats:
     masses: np.ndarray
     barycenters: np.ndarray
     support: np.ndarray
-
-
-def sq_dists(sites: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(n, P) matrix of squared distances |y_alpha - x_i|^2."""
-    diff = points[None, :, :] - sites[:, None, :]
-    return np.einsum("ipk,ipk->ip", diff, diff)
 
 
 def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> np.ndarray:

@@ -257,6 +257,20 @@ def test_table_needs_sweep_and_monopolist(tmp_path, capsys):
     assert "monopolist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["table", "benchmark"])
+def test_bad_sweep_row_fails_before_any_work(tmp_path, capsys, command):
+    # the first row is valid, the second has q_min above q_max: every row is
+    # parsed before the first is solved, so nothing is printed or written
+    out = tmp_path / "sweep"
+    sweep = {"parameter": "payoff.market.q_min", "values": [0.5, 3.0]}
+    path = write_config(tmp_path, tiny_market_config(out, sweep=sweep))
+    assert run_experiment(path, command=command) == 2
+    captured = capsys.readouterr()
+    assert "sweep.values" in captured.err and "3" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_benchmark_rows(tmp_path, capsys):
     out = tmp_path / "bench"
     cfg = tiny_market_config(out, sweep={"parameter": "payoff.market.p2", "values": [1.0, 1.25]})

@@ -16,7 +16,7 @@ from persuade_ot import (
     soft_partition,
 )
 from persuade_ot.entropic import chi_kernel
-from persuade_ot.power_diagram import sq_dists
+from reference import sq_dists
 
 
 def c_transform(

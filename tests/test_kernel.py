@@ -38,7 +38,8 @@ from persuade_ot.entropic import (
     dense_chi,
 )
 from persuade_ot.objective import ObjectiveReport, _evaluate
-from persuade_ot.power_diagram import _separation_sq, sq_dists
+from persuade_ot.power_diagram import _separation_sq
+from reference import assert_reports_equal, sq_dists
 
 BOUNDS = ((0.0, 2.0), (0.0, 2.0))
 RES = 48
@@ -131,7 +132,7 @@ def test_fallback_where_factors_underflow():
         report, dx, dg = value_and_grad(params, grid, cfg)
         dense = dense_chi(params, grid, cfg.entropic)
         ref, rdx, rdg = _evaluate(dense, params, cfg, grad=True)
-        assert report == ref
+        assert_reports_equal(report, ref)
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
         assert np.isfinite(report.value) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))
 
@@ -157,7 +158,7 @@ def test_reused_workspace_matches_fresh_kernel():
         assert dense == (params is corner)
         report, dx, dg = value_and_grad(params, grid, cfg, work)
         ref, rdx, rdg = value_and_grad(params, grid, cfg)
-        assert report == ref
+        assert_reports_equal(report, ref)
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
 
 
@@ -167,6 +168,53 @@ def test_no_fallback_for_spread_sites_below_one_cell():
         params = init_sites(12, grid, seed)
         cfg = EntropicConfig(0.5 * grid.spacing[0])
         assert isinstance(chi_kernel(params, grid, cfg), SeparableChi)
+
+
+def test_dense_chi_equals_distance_matrix_softmax():
+    # dense_chi takes its logits from the per-axis offsets it keeps for the
+    # moments; they must give the distance-matrix softmax bit for bit
+    grid = grid_with("tilted")
+    h = grid.spacing[0]
+    rng = np.random.default_rng(41)
+    outside = DiagramParams(
+        sites=[(-0.5, 1.0), (2.7, -0.3), (1.0, 1.0), (0.2, 2.4)], weights=rng.normal(size=4)
+    )
+    far = DiagramParams(sites=[(0.1, 0.1), (30.0, -4.0)], weights=[0.0, 0.1])
+    cases = [
+        (init_sites(n, grid, int(rng.integers(2**31))), eps_cells)
+        for n, eps_cells in itertools.product((1, 2, 12), (5.0, 0.25))
+    ]
+    cases += [(outside, 1.0), (DiagramParams(sites=[(3.0, -1.0)], weights=[0.5]), 1.0), (far, 0.25)]
+    for params, eps_cells in cases:
+        cfg = EntropicConfig(eps_cells * h)
+        d2 = sq_dists(params.sites, grid.centers)
+        ref = _softmax_cols((params.weights[:, None] - d2) / cfg.epsilon)
+        assert np.array_equal(dense_chi(params, grid, cfg).chi, ref)
+    # the last case is one where chi_kernel itself falls back to the dense kernel
+    fallback = chi_kernel(far, grid, cfg)
+    assert isinstance(fallback, DenseChi) and np.array_equal(fallback.chi, ref)
+
+
+@pytest.mark.parametrize("payoff", sorted(PAYOFFS))
+def test_report_does_not_alias_reused_workspace(payoff):
+    # a report holds the evaluation's arrays, not copies: later calls on the
+    # same workspace (other diagrams, other n, the dense fallback) must leave
+    # an earlier report as it was
+    grid = grid_with("holed")
+    h = grid.spacing[0]
+    model = PAYOFFS[payoff][0]
+    work = np.full((3, RES, RES), np.nan)
+    cfg = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(2.0 * h), payoff=model)
+    start = init_sites(12, grid, 1)
+    first = value_and_grad(start, grid, cfg, work)[0]
+    corner = DiagramParams(sites=[(0.05, 0.05)], weights=[0.0])
+    for params, eps_cells in ((init_sites(12, grid, 2), 2.0), (init_sites(5, grid, 3), 1.0),
+                              (corner, 0.25), (init_sites(12, grid, 4), 5.0)):
+        later = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(eps_cells * h), payoff=model)
+        value_and_grad(params, grid, later, work)
+    for array in (first.cells.masses, first.cells.barycenters, first.payoffs):
+        assert not np.shares_memory(array, work)
+    assert_reports_equal(first, value_and_grad(start, grid, cfg)[0])
 
 
 def _stats_from_chi(chi, grid, sites):
@@ -233,7 +281,9 @@ def reference_value_and_grad(params, grid, cfg):
             diff = sites[:, None, :] - sites[None, :, :]
             rep_x = -4.0 * ((m[:, None] * m[None, :] / sep2**2)[:, :, None] * diff).sum(axis=1)
         dx = dx - eta * (quant_x + rep_x)
-    return ObjectiveReport.build(eta, m, b, phis, penalty), dx, dg
+    payoff_term = float(m @ phis)
+    report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, stats, phis)
+    return report, dx, dg
 
 
 @pytest.mark.parametrize("payoff", sorted(PAYOFFS))
@@ -246,4 +296,5 @@ def test_adjoint_matches_dense_reference(payoff):
         cfg = ObjectiveConfig(eta=eta, entropic=EntropicConfig(2.0 * grid.spacing[0]), payoff=model)
         reference = reference_value_and_grad(params, grid, cfg)
         assert_close(value_and_grad(params, grid, cfg), reference, tol)
-        assert soft_objective(params, grid, cfg) == value_and_grad(params, grid, cfg)[0]
+        soft = soft_objective(params, grid, cfg)
+        assert_reports_equal(soft, value_and_grad(params, grid, cfg)[0])

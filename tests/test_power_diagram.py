@@ -12,7 +12,7 @@ from persuade_ot import (
     lloyd_solve,
     lloyd_step,
 )
-from persuade_ot.power_diagram import sq_dists
+from reference import sq_dists
 
 
 def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:

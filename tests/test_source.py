@@ -16,3 +16,15 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert paths and not found, found
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its definition went breaks star imports
+    import persuade_ot
+
+    missing = [name for name in persuade_ot.__all__ if not hasattr(persuade_ot, name)]
+    assert not missing, missing
+    assert len(set(persuade_ot.__all__)) == len(persuade_ot.__all__)
+    namespace: dict = {}
+    exec("from persuade_ot import *", namespace)
+    assert set(persuade_ot.__all__) <= set(namespace)

@@ -42,6 +42,9 @@ SWEEPABLE = {
 
 PAYOFF_KINDS = {"concave-bowl": ConcaveBowl, "tri-modal": TriModal, "monopolist": Monopolist}
 
+# restarts whose hard values differ by less than this, relative to the best, are tied
+RESTART_TIE_RTOL = 1e-12
+
 # command-line flag -> (config key it overrides, argument type, help text)
 OVERRIDES = {
     "--seed": ("optimizer.seed", int, "override optimizer.seed"),
@@ -328,18 +331,22 @@ def solve_scenario(
 ) -> tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]:
     """Best-of-restarts optimizer run; returns the winner by hard value.
 
+    Hard values within RESTART_TIE_RTOL of the best, relative to it, are
+    tied, and a tie goes to the fewest effective cells, then the lowest seed.
     The winner's seed is its ``seed_used``; the returned objective and
     optimizer settings are in absolute epsilon units.
     """
     grid, payoff, obj, opt = build_scenario(cfg)
-    best: Optional[OptResult] = None
-    best_hard = -np.inf
+    runs = []
     for k in range(cfg.restarts):
         seed = opt.seed + k
         result = optimize(init_sites(opt.n_init, grid, seed), grid, obj, replace(opt, seed=seed))
-        hard = hard_objective(result.params, grid, payoff)
-        if best is None or hard > best_hard:
-            best, best_hard = result, hard
+        runs.append((hard_objective(result.params, grid, payoff), result))
+    top = max(hard for hard, _ in runs)
+    best_hard, best = min(
+        (run for run in runs if run[0] >= top - RESTART_TIE_RTOL * abs(top)),
+        key=lambda run: (run[1].effective_n, run[1].seed_used),
+    )
     return best, float(best_hard), grid, obj, opt
 
 

@@ -1,24 +1,23 @@
 """Sender payoffs: synthetic test surfaces and monopolist revenue.
 
 Every payoff is a PayoffModel with a value and an exact gradient on a batch
-of points. The monopolist revenue comes from exact purchase-region areas:
-every region boundary is linear in the valuation pair (v1, v2), so regions
-are convex polygons obtained by clipping the unit valuation square with
-half-planes (Sutherland-Hodgman), and areas are exact by the shoelace
-formula. One batched clip serves every caller: each (region, quality pair)
-is a column of fixed-width vertex arrays, and each half-plane is one array
-step over all columns, in the floating-point order of clipping one polygon
-at a time. The revenue gradient follows from the areas and the regions'
-lengths along the square's far edges by a scaling identity (Monopolist).
+of points. The monopolist revenue comes from purchase probabilities in
+closed form: with valuations uniform on the unit square, the buyer's net
+utilities from the two goods are independent uniforms, and each purchase
+region's probability is an expectation over one of them of the other's
+survival function, a product of survivals plus a difference of its
+piecewise-quadratic integral. Every step is elementwise over the batch.
+The revenue gradient follows from the probabilities and the regions'
+lengths along the valuation square's far edges by a scaling identity
+(Monopolist).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .errors import NumericFailure
 TRI_MODES = np.array([(0.5, 0.25), (0.75, 0.75), (0.25, 0.75)])
 TRI_SIGMA = 0.12
 BOWL_CENTER = np.array([0.5, 0.5])
-
-# quality pairs per clip pass: bounds the work arrays at a few MiB
-BLOCK = 1024
-# the unit valuation square, CCW from the origin, as (x, y) rows of a closed ring
-_SQUARE = np.array([[0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,6 @@ class PurchaseBreakdown:
     c1: float
     c2: float
     c3: float
-    region_polygons: dict = field(default_factory=dict)
 
 
 def _region_table(market: MarketConfig) -> dict[str, list[tuple[float, float, float]]]:
@@ -97,162 +90,101 @@ def _region_table(market: MarketConfig) -> dict[str, list[tuple[float, float, fl
     }
 
 
-class _ClipWork:
-    """Work arrays for the float and index steps of _clip_regions.
+def _survival(lo, hi, inv, x: float) -> np.ndarray:
+    """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo where inv = 0."""
+    out = np.maximum(lo, x)
+    np.subtract(hi, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= inv
+    np.copyto(out, 1.0, where=x <= lo)
+    return out
 
-    They are views of one allocation that every half-plane step, and every
-    block of a batch, reuses: reserve(rows, width) makes room for a step on
-    rows columns of polygons with at most width edges. The boolean masks are
-    an eighth of the size and are allocated per step.
+
+def _shares(q: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.ndarray:
+    """Purchase probabilities of good 1, good 2, the bundle (additive demand)
+    and, if asked, nothing: (regions, k) at quality pairs q (k, 2).
+
+    With v uniform on the unit square, the net utilities X = q1 v1 - p1 and
+    Y = q2 v2 - p2 are independent uniforms, a point mass at -p_i where q_i = 0.
+    The regions are symmetric in the goods, so each pair is first ordered to
+    make Y the wider. With d the bundle surcharge (+inf under unit demand),
+    each region is P(A >= s, B >= t, A + B >= r) for A = +-X and B = +-Y:
+    good1 (X, -Y; 0, -d, 0), good2 (-X, Y; -d, 0, 0), bundle (X, Y; d, d, d)
+    and none (-X, -Y; 0, 0, max(-d, 0)), whose last bound is implied when
+    d >= 0. That is E_B[1{B >= t} S_A(max(s, r - B))] with S_A(x) = P(A >= x):
+    the part B >= r - s is a product of survivals, and the part t <= B <= r - s
+    is a difference of J(u), the integral of S_A from u on, divided by B's
+    width. Bounds are inclusive, as in _region_table, and every step is
+    elementwise, so a pair's value does not depend on its batch.
     """
-
-    # units of (width + 2) * rows 8-byte words per array
-    UNITS = {"s": 1, "tmp": 1, "edge": 2, "cand": 4, "rank": 2, "packed": 2}
-    START = dict(zip(UNITS, itertools.accumulate(UNITS.values(), initial=0)))
-
-    def __init__(self):
-        self._buf = np.empty(0)
-        self._unit = 0
-        self._start: dict[str, int] = {}
-
-    def reserve(self, rows: int, width: int) -> None:
-        unit = (width + 2) * rows
-        if unit > self._unit:
-            self._buf = np.empty(sum(self.UNITS.values()) * unit)
-            self._unit = unit
-            self._start = {name: k * unit for name, k in self.START.items()}
-
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        """A C-contiguous float view of the named array's prefix, in the given shape."""
-        start = self._start[name]
-        return self._buf[start : start + math.prod(shape)].reshape(shape)
-
-
-def _clip_regions(
-    q: np.ndarray, market: MarketConfig, names, work: _ClipWork | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clip the unit square to each named region at every quality pair in q (k, 2).
-
-    Returns (poly, count): column r * k + i holds region names[r] at q[i],
-    with poly[:, j, col] its j-th vertex (x, y) for j < count[col], the first
-    vertex again at j = count[col] and zeros after it. Each half-plane step
-    follows the polygon-at-a-time rule exactly: an edge (v1, v2) with signed
-    distances s1, s2 emits v1 when s1 <= 0, then the crossing point when
-    s1 <= 0 < s2 or s1 > 0 > s2; the emitted points are then packed in order.
-    A zero normal needs no special case: every s is -c, so all or nothing
-    is kept. Every step writes into ``work``; poly is a view of it, valid
-    until the next call with the same work.
-    """
-    table = _region_table(market)
-    cons = np.array([table[name] for name in names], dtype=float)  # (regions, m, 3)
-    rows = len(names) * len(q)
-    normals = (cons[:, :, None, :2] * q).transpose(1, 3, 0, 2).reshape(-1, 2, rows)
-    offsets = np.repeat(cons[:, :, 2].T, len(q), axis=1)
-    col = np.arange(rows)
-    work = _ClipWork() if work is None else work
-    # each cut adds at most one vertex to a convex polygon; a polygon dented
-    # by rounded crossings can gain more, and the step then makes more room
-    work.reserve(rows, 4 + len(offsets))
-    poly = _SQUARE[:, :, None]
-    count = 4
-    # padded slots and dead edges divide 0/0; their results are never kept
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for (nx, ny), b in zip(normals, offsets):
-            width = poly.shape[1] - 1
-            s = np.multiply(poly[0], nx, out=work.take("s", width + 1, rows))
-            s += np.multiply(poly[1], ny, out=work.take("tmp", width + 1, rows))
-            s -= b
-            le, lt, gt = s <= 0.0, s < 0.0, s > 0.0
-            keep = np.empty((width, 2, rows), dtype=bool)
-            keep[:, 0] = le[:-1]
-            keep[:, 1] = (le[:-1] & gt[1:]) | (gt[:-1] & lt[1:])
-            keep &= (np.arange(width)[:, None] < count)[:, None]  # real edges only
-            p1 = poly[:, :-1]
-            t = np.subtract(s[:-1], s[1:], out=work.take("tmp", width, rows))
-            np.divide(s[:-1], t, out=t)
-            edge = np.subtract(poly[:, 1:], p1, out=work.take("edge", 2, width, rows))
-            np.multiply(t, edge, out=edge)
-            np.add(p1, edge, out=edge)
-            cand = work.take("cand", 2, width, 2, rows)
-            cand[:, :, 0] = p1
-            cand[:, :, 1] = edge
-            keep = keep.reshape(2 * width, rows)
-            rank = work.take("rank", 2 * width, rows).view(np.int64)
-            np.cumsum(keep, axis=0, dtype=np.int64, out=rank)
-            count = rank[-1].copy()
-            width = int(count.max(initial=0))
-            work.reserve(rows, width)
-            # kept points go to slot rank - 1, the rest to the last (dump) slot;
-            # slot count repeats the first vertex to close the ring
-            dest = np.multiply(rank, keep, out=rank)
-            dest -= 1
-            dest *= rows
-            dest += col
-            close = count * rows + col
-            # poly's points are all in cand by now, so poly's array is free
-            packed = work.take("packed", 2, width + 2, rows)
-            packed.fill(0.0)
-            for xy in range(2):
-                flat = packed[xy].reshape(-1)
-                flat[dest] = cand[xy].reshape(-1, rows)
-                flat[close] = packed[xy, 0]
-            poly = packed[:, : width + 1]
-            if width == 0:
-                break
-    return poly, count
-
-
-def _areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Shoelace areas of clipped polygons; fewer than 3 vertices give 0.
-
-    Terms are summed slot by slot, the order of a vertex-by-vertex loop;
-    the zero padding adds exact zeros.
-    """
-    x, y = poly
-    terms = x[:-1] * y[1:] - x[1:] * y[:-1]
-    acc = np.zeros(len(count))
-    for term in terms:
-        acc = acc + term
-    return np.where(count >= 3, np.abs(acc) * 0.5, 0.0)
+    d = market.delta if market.demand == "additive" else math.inf
+    table = [(1, -1, 0.0, -d, 0.0), (-1, 1, -d, 0.0, 0.0)]
+    table += [(1, 1, d, d, d)] if market.demand == "additive" else []
+    table += [(-1, -1, 0.0, 0.0, max(-d, 0.0))] if with_none else []
+    # one allocation for the supports, the result and the loop's rows: it
+    # outsizes the call's other temporaries, so the allocator keeps their
+    # pages for the next call instead of returning them and faulting them in
+    work = np.empty((len(table) + 11, len(q)))
+    lo, hi, inv, half = work[0:2], work[2:4], work[4:6], work[6]
+    out, u, tri = work[7 : 7 + len(table)], work[-4:-2], work[-2:]
+    swap = np.abs(q[:, 0]) > np.abs(q[:, 1])
+    np.copyto(lo, q.T)
+    np.copyto(lo, q[:, ::-1].T, where=swap)
+    ps = np.where(swap, [[market.p2], [market.p1]], [[market.p1], [market.p2]])
+    np.maximum(lo, 0.0, out=hi)
+    hi -= ps
+    np.minimum(lo, 0.0, out=lo)
+    lo -= ps
+    np.subtract(hi, lo, out=inv)
+    np.divide(1.0, inv, out=inv, where=inv > 0.0)
+    np.multiply(inv[0], 0.5, out=half)
+    for row, (sign_a, sign_b, s, t, r) in zip(out, table):
+        a_lo, a_hi = (lo[0], hi[0]) if sign_a > 0 else (-hi[0], -lo[0])
+        b_lo, b_hi = (lo[1], hi[1]) if sign_b > 0 else (-hi[1], -lo[1])
+        # B's part [min(max(b_lo, t), b_hi), b_hi] splits at the cut r - s:
+        # above it S_A(max(s, r - B)) = S_A(s); below it, the integral of S_A
+        # over u = r - B is a difference of J(u), the integral of S_A from u
+        # on: the length of [u, a_lo], where S_A = 1, plus S_A's triangle past u
+        np.maximum(b_lo, t, out=u[1])
+        np.minimum(u[1], b_hi, out=u[1])
+        np.minimum(b_hi, r - s, out=u[0])
+        np.maximum(u[0], u[1], out=u[0])
+        np.subtract(b_hi, u[0], out=row)
+        row *= _survival(a_lo, a_hi, inv[0], s)
+        np.subtract(r, u, out=u)
+        np.maximum(u, a_lo, out=tri)
+        np.minimum(tri, a_hi, out=tri)
+        np.subtract(a_hi, tri, out=tri)
+        np.square(tri, out=tri)
+        tri *= half
+        np.subtract(a_lo, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        u += tri
+        np.subtract(u[0], u[1], out=u[0])
+        row += u[0]
+        row *= inv[1]
+    out[:2] = np.where(swap, out[1::-1], out[:2])
+    if with_none:
+        # where both qualities are zero, B is a point mass and every row reads 0:
+        # right for the goods and the bundle, as X = -p1, Y = -p2 and
+        # X + Y = d - p3 < d, but then nothing is bought for sure
+        out[-1] = np.where(inv[1] > 0.0, out[-1], 1.0)
+    return out
 
 
 def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
-    """Exact purchase probabilities at quality pair q, with region polygons."""
-    names = list(_region_table(market))
-    poly, count = _clip_regions(np.asarray(q, dtype=float).reshape(1, 2), market, names)
-    areas = dict(zip(names, _areas(poly, count).tolist()))
-    polys = {
-        name: [(float(x), float(y)) for x, y in poly[:, :c, r].T]
-        for r, (name, c) in enumerate(zip(names, count))
-    }
-    polys.setdefault("bundle", [])
-    return PurchaseBreakdown(
-        c0=areas["none"],
-        c1=areas["good1"],
-        c2=areas["good2"],
-        c3=areas.get("bundle", 0.0),
-        region_polygons=polys,
-    )
+    """Exact purchase probabilities at quality pair q."""
+    shares = _shares(np.asarray(q, dtype=float).reshape(1, 2), market, with_none=True)[:, 0].tolist()
+    c3 = shares[2] if market.demand == "additive" else 0.0
+    return PurchaseBreakdown(c0=shares[-1], c1=shares[0], c2=shares[1], c3=c3)
 
 
 def revenue(q, market: MarketConfig) -> float | np.ndarray:
-    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2).
-
-    A batch is clipped BLOCK pairs at a time; every value equals the one the
-    pair gets on its own.
-    """
+    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2)."""
     pts = np.asarray(q, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 2)
-    names = ["good1", "good2"] + (["bundle"] if market.demand == "additive" else [])
-    prices = [market.p1, market.p2, market.p3]
-    out = np.empty(len(pts))
-    work = _ClipWork()
-    for start in range(0, len(pts), BLOCK):
-        block = pts[start : start + BLOCK]
-        areas = _areas(*_clip_regions(block, market, names, work)).reshape(len(names), -1)
-        out[start : start + BLOCK] = sum(price * area for price, area in zip(prices, areas))
-    return float(out[0]) if single else out
+    shares = _shares(pts.reshape(-1, 2), market)
+    out = sum(price * share for price, share in zip((market.p1, market.p2, market.p3), shares))
+    return float(out[0]) if pts.ndim == 1 else out
 
 
 def _edge_sections(q: np.ndarray, market: MarketConfig) -> np.ndarray:
@@ -306,10 +238,17 @@ def _tri_modal_weights() -> np.ndarray:
 class TriModal(PayoffModel):
     """Gaussian mixture with three equal-height modes of value 1 each."""
 
-    def value_and_grad(self, pts):
+    @staticmethod
+    def _terms(pts):
         diff = pts[:, None, :] - TRI_MODES[None, :, :]
+        return diff, np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2)) * _tri_modal_weights()
+
+    def value(self, pts):
         # a row sum, not a BLAS product, so a point's value is the same in any batch
-        ew = np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2)) * _tri_modal_weights()
+        return self._terms(pts)[1].sum(axis=1)
+
+    def value_and_grad(self, pts):
+        diff, ew = self._terms(pts)
         return ew.sum(axis=1), -(ew[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
 
 

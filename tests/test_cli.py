@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,6 +371,29 @@ def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):
     dump = json.loads((out / "failure.json").read_text())
     assert dump["iteration"] == 7
     assert len(dump["sites"]) == 4
+
+
+@pytest.mark.parametrize(
+    "hards, cells, winner",
+    [
+        # the table1 p2=2 tie: values 3e-17 apart, the fewest cells win
+        ([0.1715728591160221, 0.17157285911602213, 0.17], [7, 6, 5], 1),
+        # equal cells: the lowest seed wins, though a later one is 3e-17 higher
+        ([0.1715728591160221, 0.17157285911602213, 0.17], [6, 6, 5], 0),
+        # 1e-9 higher is no tie: the most cells still win
+        ([0.1715728601160221, 0.1715728591160221, 0.1715728591160221], [9, 4, 4], 0),
+    ],
+)
+def test_restart_ties_go_to_fewest_cells_then_lowest_seed(tmp_path, monkeypatch, hards, cells, winner):
+    cfg = parse_config(tiny_market_config(tmp_path / "run", restarts=3))
+
+    def fake_optimize(init, grid, obj, opt):
+        return SimpleNamespace(params=opt.seed, effective_n=cells[opt.seed], seed_used=opt.seed)
+
+    monkeypatch.setattr(cli, "optimize", fake_optimize)
+    monkeypatch.setattr(cli, "hard_objective", lambda params, grid, payoff: hards[params])
+    result, hard, *_ = cli.solve_scenario(cfg)
+    assert result.seed_used == winner and hard == hards[winner]
 
 
 def test_coincident_sites_stop_early(tmp_path):

@@ -18,14 +18,7 @@ from persuade_ot import (
     revenue,
     tri_modal,
 )
-from persuade_ot.payoffs import (
-    BLOCK,
-    TRI_MODES,
-    _ClipWork,
-    _clip_regions,
-    _edge_sections,
-    _region_table,
-)
+from persuade_ot.payoffs import TRI_MODES, _edge_sections, _region_table
 
 # Scalar reference for the batched revenue: one polygon clipped by one
 # half-plane at a time (Sutherland-Hodgman), as plain Python floats.
@@ -336,9 +329,26 @@ def test_phi_batch_shapes():
     assert grads.shape == (3, 2)
 
 
+def random_markets(seed, count):
+    """Seeded random markets of both demands. Half of the additive ones put
+    the surcharge at -p1 or -p2, where the bundle ties with a good on a
+    zero-quality axis, and a quarter below -min(p1, p2)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p1, p2 = rng.uniform(0.2, 2.0, size=2)
+        if rng.random() < 0.5:
+            yield MarketConfig(p1=p1, p2=p2, q_min=0.0, q_max=2.0)
+            continue
+        floor = -0.999 * (p1 + p2)
+        delta = rng.choice([rng.uniform(floor, 1.5), -p1, -p2, rng.uniform(floor, -min(p1, p2))])
+        yield MarketConfig(p1=p1, p2=p2, q_min=0.0, q_max=2.0, delta=max(delta, floor),
+                           demand="additive")
+
+
 def test_batch_revenue_matches_scalar_reference():
     # difference shifts leave [q_min, q_max] (q_min = 0 gives negative q),
-    # the lattice holds exact ties, and a zero component zeroes a normal
+    # the lattice and its negation hold exact ties, and a zero component
+    # makes that axis a point mass
     rng = np.random.default_rng(41)
     markets = list(table_markets())
     assert len(markets) == 25
@@ -350,75 +360,51 @@ def test_batch_revenue_matches_scalar_reference():
         ])
         want = np.array([reference_revenue(p, market) for p in q])
         got = revenue(q, market)
-        assert np.max(np.abs(got - want)) <= 1e-12
-        assert np.array_equal(got, want)
-        assert all(revenue(p, market) == w for p, w in zip(q[::50], want[::50]))
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert all(revenue(p, market) == g for p, g in zip(q[::50], got[::50]))
+    # a quality near zero makes its utility's range narrow
+    narrow = [[0.5, -1e-3], [-1e-3, 0.5], [1.5, 2e-3], [2e-3, -1.25], [1e-3, 2e-3]]
+    for market in random_markets(42, 200):
+        q = np.vstack([rng.uniform(-2.1, 2.1, size=(60, 2)), TIE_LATTICE, -TIE_LATTICE, narrow])
+        want = np.array([reference_revenue(p, market) for p in q])
+        assert np.max(np.abs(revenue(q, market) - want)) <= 1e-14
 
 
-def test_batch_revenue_block_edges():
+def test_batch_revenue_equals_point_calls():
     rng = np.random.default_rng(43)
     for market in (MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0),
                    MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=-0.5, demand="additive")):
-        q = rng.uniform(-0.1, 2.1, size=(BLOCK + 1, 2))
+        q = np.vstack([rng.uniform(-0.1, 2.1, size=(1025 - len(TIE_LATTICE), 2)), TIE_LATTICE])
         one_by_one = np.array([revenue(p, market) for p in q])
-        for k in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1):
+        for k in (0, 1, 2, 1023, 1025):
             got = revenue(q[:k], market)
             assert got.shape == (k,)
             assert np.array_equal(got, one_by_one[:k])
 
 
-class GrowingWork(_ClipWork):
-    """Reserves room for the square alone up front, so that every step that
-    gains vertices grows the arrays in the middle of the clip."""
-
-    def __init__(self):
-        super().__init__()
-        self.grown = 0
-
-    def reserve(self, rows, width):
-        if self._unit == 0:
-            width = 4
-        elif (width + 2) * rows > self._unit:
-            self.grown += 1
-        super().reserve(rows, width)
-
-
 def test_consecutive_calls_match_fresh():
-    # batches of alternating markets and sizes across the block edges, by
-    # revenue and by one clip work object shared as the blocks of a batch
-    # share it; and clips whose work arrays grow between steps
+    # batches of alternating markets and sizes against single-pair calls
     rng = np.random.default_rng(49)
     unit = MarketConfig(p1=1.0, p2=1.5, q_min=0.0, q_max=2.0)
     additive = MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=0.25, demand="additive")
-    q = rng.uniform(-0.1, 2.1, size=(BLOCK + 1, 2))
+    q = rng.uniform(-0.1, 2.1, size=(1025, 2))
     one_by_one = {m: np.array([revenue(p, m) for p in q]) for m in (unit, additive)}
-    calls = [(unit, BLOCK + 1), (additive, BLOCK - 1), (unit, BLOCK), (additive, BLOCK + 1),
-             (unit, 3), (additive, BLOCK), (unit, BLOCK - 1)]
+    calls = [(unit, 1025), (additive, 1023), (unit, 1024), (additive, 1025),
+             (unit, 3), (additive, 1024), (unit, 1023)]
     for market, k in calls:
         assert np.array_equal(revenue(q[:k], market), one_by_one[market][:k])
-    work = _ClipWork()
-    grown = 0
-    for market, k in calls:
-        names = list(_region_table(market))
-        poly, count = _clip_regions(q[:k], market, names, work)
-        want_poly, want_count = _clip_regions(q[:k], market, names)
-        assert np.array_equal(poly, want_poly) and np.array_equal(count, want_count)
-        growing = GrowingWork()
-        poly, count = _clip_regions(q[:k], market, names, growing)
-        grown += growing.grown
-        assert np.array_equal(poly, want_poly) and np.array_equal(count, want_count)
-    assert grown > 0
 
 
 def test_breakdown_polygons_match_scalar_reference():
+    # c0..c3 against the areas of the scalar clip's region polygons
     rng = np.random.default_rng(45)
-    for market in table_markets():
-        for q in np.vstack([TIE_LATTICE[::5], rng.uniform(-0.1, 2.1, size=(20, 2))]):
+    markets = itertools.chain(table_markets(), random_markets(46, 200))
+    for market in markets:
+        for q in np.vstack([TIE_LATTICE[::5], -TIE_LATTICE[::7], rng.uniform(-2.1, 2.1, size=(20, 2))]):
             b = purchase_breakdown(q, market)
             want = reference_polygons(q, market)
-            assert b.region_polygons == want
-            assert (b.c0, b.c1, b.c2, b.c3) == tuple(
-                polygon_area(want[name]) for name in ("none", "good1", "good2", "bundle"))
+            areas = [polygon_area(want[name]) for name in ("none", "good1", "good2", "bundle")]
+            assert np.max(np.abs(np.subtract((b.c0, b.c1, b.c2, b.c3), areas))) <= 1e-14
 
 
 def test_payoff_batch_equals_point_calls():
@@ -487,7 +473,7 @@ def test_zero_quality_gradient_raises():
     with pytest.raises(NumericFailure, match=re.escape("(0.0, 1.3)")):
         model.value_and_grad(np.array([[0.5, 0.7], [0.0, 1.3]]))
     # the value needs no division and stays defined there
-    assert phi_eval(model, (0.0, 1.3)) == reference_revenue((0.0, 1.3), market)
+    assert abs(phi_eval(model, (0.0, 1.3)) - reference_revenue((0.0, 1.3), market)) <= 1e-14
 
 
 def test_payoffs_compare_and_hash_by_value():

@@ -549,6 +549,9 @@ def _baselines(
 def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.sweep_parameter is None:
         raise ConfigError("table mode needs a sweep section", "sweep")
+    if cfg.optimizer.n_init > cfg.resolution**2:
+        # pruning can keep every cell, and Lloyd needs one grid point per cell
+        raise ConfigError(f"exceeds the grid's {cfg.resolution**2} points", "optimizer.n_init")
     rows = []
     summaries = []
     lloyd_solves: dict = {}

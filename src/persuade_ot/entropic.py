@@ -211,10 +211,13 @@ def sinkhorn_dual_solve(
     n = sites.shape[0]
     if targets.shape != (n,):
         raise ValueError("one target mass per site required")
-    if np.any(targets <= 0.0):
+    # negated comparisons, so that NaN fails them too
+    if not np.all(targets > 0.0):
         raise ValueError("target masses must be positive")
-    if abs(targets.sum() - 1.0) > 1e-9:
+    if not abs(targets.sum() - 1.0) <= 1e-9:
         raise ValueError("target masses must sum to one")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
 
     log_targets = np.log(targets)
     g = np.zeros(n)

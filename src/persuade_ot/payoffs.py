@@ -7,9 +7,9 @@ utilities from the two goods are independent uniforms, and each purchase
 region's probability is an expectation over one of them of the other's
 survival function, a product of survivals plus a difference of its
 piecewise-quadratic integral. Every step is elementwise over the batch.
-The revenue gradient follows from the probabilities and the regions'
-lengths along the valuation square's far edges by a scaling identity
-(Monopolist).
+The revenue gradient comes from the same closed form by a scaling identity:
+dR/dq_i = (R(q | v_i = 1) - R(q)) / q_i, where fixing good i's valuation at
+one makes its utility a point mass (Monopolist).
 """
 
 from __future__ import annotations
@@ -64,32 +64,6 @@ class PurchaseBreakdown:
     c3: float
 
 
-def _region_table(market: MarketConfig) -> dict[str, list[tuple[float, float, float]]]:
-    """Half-plane systems defining each purchase region.
-
-    An entry (a, b, c) is the constraint a q1 v1 + b q2 v2 <= c, i.e. the
-    normal (a q1, b q2) and the offset c. Buyer utilities: s1 = q1 v1 - p1,
-    s2 = q2 v2 - p2, and under additive demand s12 = q1 v1 + q2 v2 - p3.
-    Each region is where one option weakly dominates the rest; ties have
-    measure zero. Unit demand has no bundle region.
-    """
-    p1, p2 = market.p1, market.p2
-    if market.demand == "unit":
-        return {
-            "none": [(1, 0, p1), (0, 1, p2)],
-            "good1": [(-1, 0, -p1), (-1, 1, p2 - p1)],
-            "good2": [(0, -1, -p2), (1, -1, p1 - p2)],
-        }
-    p3 = market.p3
-    d = market.delta
-    return {
-        "none": [(1, 0, p1), (0, 1, p2), (1, 1, p3)],
-        "good1": [(-1, 0, -p1), (-1, 1, p2 - p1), (0, 1, p2 + d)],
-        "good2": [(0, -1, -p2), (1, -1, p1 - p2), (1, 0, p1 + d)],
-        "bundle": [(-1, -1, -p3), (0, -1, -(p2 + d)), (-1, 0, -(p1 + d))],
-    }
-
-
 def _survival(lo, hi, inv, x: float) -> np.ndarray:
     """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo where inv = 0."""
     out = np.maximum(lo, x)
@@ -100,12 +74,13 @@ def _survival(lo, hi, inv, x: float) -> np.ndarray:
     return out
 
 
-def _shares(q: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.ndarray:
+def _shares(a: np.ndarray, c: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.ndarray:
     """Purchase probabilities of good 1, good 2, the bundle (additive demand)
-    and, if asked, nothing: (regions, k) at quality pairs q (k, 2).
+    and, if asked, nothing: (regions, k) for net utilities X = a0 v1 + c0 and
+    Y = a1 v2 + c1, with slopes a (2, k) and offsets c that broadcast to it.
 
-    With v uniform on the unit square, the net utilities X = q1 v1 - p1 and
-    Y = q2 v2 - p2 are independent uniforms, a point mass at -p_i where q_i = 0.
+    With v uniform on the unit square, X and Y are independent uniforms, a
+    point mass at c_i where a_i = 0; quality pairs q give a = q and c = -p.
     The regions are symmetric in the goods, so each pair is first ordered to
     make Y the wider. With d the bundle surcharge (+inf under unit demand),
     each region is P(A >= s, B >= t, A + B >= r) for A = +-X and B = +-Y:
@@ -114,8 +89,8 @@ def _shares(q: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.
     d >= 0. That is E_B[1{B >= t} S_A(max(s, r - B))] with S_A(x) = P(A >= x):
     the part B >= r - s is a product of survivals, and the part t <= B <= r - s
     is a difference of J(u), the integral of S_A from u on, divided by B's
-    width. Bounds are inclusive, as in _region_table, and every step is
-    elementwise, so a pair's value does not depend on its batch.
+    width. Bounds are inclusive, and every step is elementwise, so a pair's
+    value does not depend on its batch.
     """
     d = market.delta if market.demand == "additive" else math.inf
     table = [(1, -1, 0.0, -d, 0.0), (-1, 1, -d, 0.0, 0.0)]
@@ -124,17 +99,17 @@ def _shares(q: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.
     # one allocation for the supports, the result and the loop's rows: it
     # outsizes the call's other temporaries, so the allocator keeps their
     # pages for the next call instead of returning them and faulting them in
-    work = np.empty((len(table) + 11, len(q)))
+    work = np.empty((len(table) + 11, a.shape[1]))
     lo, hi, inv, half = work[0:2], work[2:4], work[4:6], work[6]
     out, u, tri = work[7 : 7 + len(table)], work[-4:-2], work[-2:]
-    swap = np.abs(q[:, 0]) > np.abs(q[:, 1])
-    np.copyto(lo, q.T)
-    np.copyto(lo, q[:, ::-1].T, where=swap)
-    ps = np.where(swap, [[market.p2], [market.p1]], [[market.p1], [market.p2]])
+    swap = np.abs(a[0]) > np.abs(a[1])
+    np.copyto(lo, a)
+    np.copyto(lo, a[::-1], where=swap)
+    c = np.where(swap, c[::-1], c)
     np.maximum(lo, 0.0, out=hi)
-    hi -= ps
+    hi += c
     np.minimum(lo, 0.0, out=lo)
-    lo -= ps
+    lo += c
     np.subtract(hi, lo, out=inv)
     np.divide(1.0, inv, out=inv, where=inv > 0.0)
     np.multiply(inv[0], 0.5, out=half)
@@ -165,16 +140,17 @@ def _shares(q: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.
         row *= inv[1]
     out[:2] = np.where(swap, out[1::-1], out[:2])
     if with_none:
-        # where both qualities are zero, B is a point mass and every row reads 0:
-        # right for the goods and the bundle, as X = -p1, Y = -p2 and
-        # X + Y = d - p3 < d, but then nothing is bought for sure
+        # where both slopes are zero, B is a point mass and every row reads 0:
+        # at q = 0, where c = -p, that is right for the goods and the bundle,
+        # as X = -p1, Y = -p2 and X + Y = d - p3 < d, but nothing is bought
         out[-1] = np.where(inv[1] > 0.0, out[-1], 1.0)
     return out
 
 
 def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
     """Exact purchase probabilities at quality pair q."""
-    shares = _shares(np.asarray(q, dtype=float).reshape(1, 2), market, with_none=True)[:, 0].tolist()
+    a = np.asarray(q, dtype=float).reshape(2, 1)
+    shares = _shares(a, _offsets(market), market, with_none=True)[:, 0].tolist()
     c3 = shares[2] if market.demand == "additive" else 0.0
     return PurchaseBreakdown(c0=shares[-1], c1=shares[0], c2=shares[1], c3=c3)
 
@@ -182,26 +158,19 @@ def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
 def revenue(q, market: MarketConfig) -> float | np.ndarray:
     """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2)."""
     pts = np.asarray(q, dtype=float)
-    shares = _shares(pts.reshape(-1, 2), market)
-    out = sum(price * share for price, share in zip((market.p1, market.p2, market.p3), shares))
+    out = _revenue(pts.reshape(-1, 2).T, _offsets(market), market)
     return float(out[0]) if pts.ndim == 1 else out
 
 
-def _edge_sections(q: np.ndarray, market: MarketConfig) -> np.ndarray:
-    """Lengths (regions, k, 2) of the _region_table regions along the square's far edges.
+def _offsets(market: MarketConfig) -> np.ndarray:
+    """The offsets c = -p (2, 1) of _shares at quality pairs, broadcast over the batch."""
+    return -np.array([[market.p1], [market.p2]])
 
-    [r, i, a] is region r at q[i] on v_a = 1, where each constraint bounds the other
-    valuation t by slope * t <= rhs; a zero slope keeps all of [0, 1] or nothing.
-    """
-    cons = np.array(list(_region_table(market).values()), dtype=float)[:, :, None, :]
-    slope = cons[..., 1::-1] * q[:, ::-1]  # (regions, m, k, edge)
-    rhs = cons[..., 2:] - cons[..., :2] * q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = rhs / slope
-    hi = np.where(slope > 0.0, bound, np.inf).min(axis=1)
-    lo = np.where(slope < 0.0, bound, -np.inf).max(axis=1)
-    live = ((slope != 0.0) | (rhs >= 0.0)).all(axis=1)
-    return np.where(live, np.maximum(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0), 0.0)
+
+def _revenue(a: np.ndarray, c, market: MarketConfig) -> np.ndarray:
+    """p1 c1 + p2 c2 + p3 c3 (k,) from the _shares at slopes a (2, k) and offsets c."""
+    shares = _shares(a, c, market)
+    return sum(price * share for price, share in zip((market.p1, market.p2, market.p3), shares))
 
 
 class PayoffModel(ABC):
@@ -257,8 +226,10 @@ class Monopolist(PayoffModel):
     """Phi = expected revenue in the market, with its exact gradient.
 
     Region k is {v in [0,1]^2: (q1 v1, q2 v2) in P_k} for a polygon P_k set by
-    the prices, so for q_i != 0: dR/dq_i = (sum_k p_k l_k^(i) - R) / q_i,
-    where l_k^(i) is the region's length along the edge v_i = 1.
+    the prices, so substituting u_i = q_i v_i gives for q_i != 0:
+    dR/dq_i = (R(q | v_i = 1) - R(q)) / q_i, with R(q | v_i = 1) the revenue
+    when good i's valuation is one: the same closed form with good i's utility
+    the point mass q_i - p_i.
     """
 
     market: MarketConfig
@@ -270,11 +241,17 @@ class Monopolist(PayoffModel):
         if not pts.all():
             point = tuple(pts[~pts.all(axis=1)][0].tolist())
             raise NumericFailure(f"no revenue gradient at q = {point}: a quality is zero")
-        m = self.market
-        rev = revenue(pts, m)
-        # region prices in _region_table order: none, good1, good2, bundle
-        sections = zip((0.0, m.p1, m.p2, m.p3), _edge_sections(pts, m))
-        return rev, (sum(price * section for price, section in sections) - rev[:, None]) / pts
+        m, k = self.market, len(pts)
+        # one closed form over 3k columns: the square, then the edge v1 = 1 and
+        # the edge v2 = 1, where good i's utility has slope 0 and offset q_i - p_i
+        a = np.tile(pts.T, 3)
+        c = np.tile(_offsets(m), 3 * k)
+        for i in range(2):
+            edge = slice((i + 1) * k, (i + 2) * k)
+            c[i, edge] += a[i, edge]
+            a[i, edge] = 0.0
+        rev, *edges = _revenue(a, c, m).reshape(3, k)
+        return rev, (np.transpose(edges) - rev[:, None]) / pts
 
 
 # the public constructors: concave_bowl(), tri_modal(), monopolist_payoff(market)

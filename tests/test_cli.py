@@ -517,18 +517,21 @@ def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
     assert (out / "benchmark.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("bench, command", [
-    ({"lloyd_tries": 0}, "solve"),
-    ({"lloyd_n": 0}, "solve"),
-    ({"lloyd_n": 16 * 16 + 1}, "benchmark"),
-], ids=["lloyd_tries-zero", "lloyd_n-zero", "lloyd_n-above-grid"])
-def test_invalid_lloyd_settings_exit_two(tmp_path, capsys, bench, command):
-    data = tiny_market_config(tmp_path / "out")
+@pytest.mark.parametrize("key, value, command", [
+    ("benchmark.lloyd_tries", 0, "solve"),
+    ("benchmark.lloyd_n", 0, "solve"),
+    ("benchmark.lloyd_n", 16 * 16 + 1, "benchmark"),
+    # pruning can keep all n_init cells, and the Lloyd baseline needs a grid point per cell
+    ("optimizer.n_init", 16 * 16 + 1, "table"),
+], ids=["lloyd_tries-zero", "lloyd_n-zero", "lloyd_n-above-grid", "n_init-above-grid"])
+def test_invalid_lloyd_settings_exit_two(tmp_path, capsys, key, value, command):
+    data = tiny_market_config(tmp_path / "out", sweep={"parameter": "payoff.market.p2", "values": [1.0]})
     data["grid"]["resolution"] = 16
-    data["benchmark"] = bench
+    section, name = key.split(".")
+    data[section][name] = value
     assert run_experiment(write_config(tmp_path, data), command) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"benchmark.{next(iter(bench))}" in err
+    assert "config error" in err and key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -261,6 +261,20 @@ def test_sinkhorn_budget_exceeded():
                             tol=1e-14, max_iters=3)
 
 
+@pytest.mark.parametrize("targets, tol, match", [
+    ([0.5, np.nan], 1e-8, "positive"),
+    ([1.2, -0.2], 1e-8, "positive"),
+    ([1.0], 1e-8, "one target mass per site"),
+    ([0.5, 0.4], 1e-8, "sum to one"),
+    ([0.5, 0.5], 0.0, "tol"),
+    ([0.5, 0.5], np.nan, "tol"),
+], ids=["nan-target", "negative-target", "wrong-shape", "sum-not-one", "tol-zero", "tol-nan"])
+def test_sinkhorn_rejects_bad_input(targets, tol, match):
+    sites = np.array([(0.25, 0.5), (0.75, 0.5)])
+    with pytest.raises(ValueError, match=match):
+        sinkhorn_dual_solve(sites, np.array(targets), unit_grid(8), EntropicConfig(0.05), tol=tol, max_iters=3)
+
+
 def test_dual_value_maximized_at_solution():
     # the solved weights should beat nearby perturbations in the dual
     grid = unit_grid(32)

@@ -18,7 +18,7 @@ from persuade_ot import (
     revenue,
     tri_modal,
 )
-from persuade_ot.payoffs import TRI_MODES, _edge_sections, _region_table
+from persuade_ot.payoffs import TRI_MODES
 
 # Scalar reference for the batched revenue: one polygon clipped by one
 # half-plane at a time (Sutherland-Hodgman), as plain Python floats.
@@ -449,19 +449,23 @@ def test_revenue_gradient_matches_richardson_reference():
     assert checked >= 0.95 * total
 
 
-def test_edge_sections_match_scalar_reference():
-    # a reference polygon's vertices on the edge v_a = 1 have v_a == 1.0
-    # exactly: they are the square's corners or crossings along that edge
+def test_edge_revenue_matches_scalar_reference():
+    # R + q_a dR/dq_a is the revenue along the edge v_a = 1: the reference
+    # polygons' price-weighted lengths there. Their vertices on that edge have
+    # v_a == 1.0 exactly: they are the square's corners or crossings along it
     rng = np.random.default_rng(55)
     for market in table_markets():
         q = np.vstack([rng.uniform(-2.1, 2.1, size=(40, 2)), TIE_LATTICE, -TIE_LATTICE])
         q = q[np.all(q != 0.0, axis=1)]
-        for p, sections in zip(q, _edge_sections(q, market).transpose(1, 0, 2)):
+        vals, grads = monopolist_payoff(market).value_and_grad(q)
+        for p, got in zip(q, vals[:, None] + q * grads):
             polys = reference_polygons(p, market)
-            for name, lengths in zip(_region_table(market), sections):
-                for edge in range(2):
+            for edge in range(2):
+                want = 0.0
+                for name, price in (("good1", market.p1), ("good2", market.p2), ("bundle", market.p3)):
                     on = [v[1 - edge] for v in polys[name] if v[edge] == 1.0]
-                    assert abs(lengths[edge] - (max(on) - min(on) if on else 0.0)) <= 1e-12
+                    want += price * (max(on) - min(on) if on else 0.0)
+                assert abs(got[edge] - want) <= 1e-12
 
 
 def test_zero_quality_gradient_raises():

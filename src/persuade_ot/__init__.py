@@ -55,7 +55,6 @@ from .power_diagram import (
     hard_assign,
     hard_cell_stats,
     lloyd_solve,
-    lloyd_step,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "init_sites",
     "lloyd_revenue",
     "lloyd_solve",
-    "lloyd_step",
     "monopolist_payoff",
     "no_info_revenue",
     "optimize",

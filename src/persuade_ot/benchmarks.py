@@ -13,11 +13,10 @@ from .power_diagram import lloyd_solve
 
 @dataclass
 class BenchmarkRow:
-    """One table column: a market scenario and its revenue summary."""
+    """One table column: a swept parameter value and its revenue summary."""
 
     param_name: str
     param_value: float
-    market: MarketConfig
     r_opt: float
     r_noinfo: float
     r_lloyd: float

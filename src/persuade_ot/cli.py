@@ -62,9 +62,14 @@ PALETTE = [
 ]
 
 
-def _finite(value: int | float) -> bool:
+def _number(val: Any, key: str) -> float:
+    """A finite int or float config value as a float; bools and strings are rejected."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"expected a number, got {val!r}", key)
     # false for nan, +-inf and integers beyond the float range
-    return abs(value) <= sys.float_info.max
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"expected a finite number, got {val!r}", key)
+    return float(val)
 
 
 class _Section:
@@ -91,11 +96,7 @@ class _Section:
                 raise ConfigError(f"expected an integer, got {val!r}", full)
             return val
         if kind == "float":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"expected a number, got {val!r}", full)
-            if not _finite(val):
-                raise ConfigError(f"expected a finite number, got {val!r}", full)
-            return float(val)
+            return _number(val, full)
         if kind == "str":
             if not isinstance(val, str):
                 raise ConfigError(f"expected a string, got {val!r}", full)
@@ -142,11 +143,10 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if b is not None:
         try:
             (a1, b1), (a2, b2) = b
-            bounds = ((float(a1), float(b1)), (float(a2), float(b2)))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise ConfigError("expected [[a1, b1], [a2, b2]]", "grid.bounds") from None
-        if not all(_finite(v) for pair in bounds for v in pair):
-            raise ConfigError(f"bounds must be finite, got {b!r}", "grid.bounds")
+        a1, b1, a2, b2 = (_number(v, "grid.bounds") for v in (a1, b1, a2, b2))
+        bounds = ((a1, b1), (a2, b2))
     resolution = grid_sec.take("resolution", "int", 256)
     grid_sec.finish()
 
@@ -229,8 +229,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         if not sweep_values:
             raise ConfigError("needs at least one value", "sweep.values")
         for v in sweep_values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-                raise ConfigError(f"values must be finite numbers, got {v!r}", "sweep.values")
+            _number(v, "sweep.values")
         labels = [f"{v:g}" for v in sweep_values]
         if len(set(labels)) < len(labels):
             # each value names its table row and diagram files by this label
@@ -278,16 +277,18 @@ def load_raw_config(path: str) -> dict:
 
 
 def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
-    """Return a copy of the raw config with the dotted key set to value."""
+    """Return a copy of the raw config with the dotted key set to value.
+
+    Missing or null sections on the path become mappings; any other value there is an error."""
     out = copy.deepcopy(raw)
     node = out
     parts = dotted.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
+    for i, part in enumerate(parts[:-1]):
+        if node.get(part) is None:
+            node[part] = {}
+        elif not isinstance(node[part], dict):
+            raise ConfigError("must be a mapping", ".".join(parts[: i + 1]))
+        node = node[part]
     node[parts[-1]] = value
     return out
 
@@ -563,7 +564,6 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
         row = BenchmarkRow(
             param_name=name,
             param_value=float(value),
-            market=row_cfg.market,
             r_opt=r_opt,
             r_noinfo=r_noinfo,
             r_lloyd=r_lloyd,

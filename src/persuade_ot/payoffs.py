@@ -164,7 +164,7 @@ def revenue(q, market: MarketConfig) -> float | np.ndarray:
 
 def _offsets(market: MarketConfig) -> np.ndarray:
     """The offsets c = -p (2, 1) of _shares at quality pairs, broadcast over the batch."""
-    return -np.array([[market.p1], [market.p2]])
+    return -np.array([[market.p1], [market.p2]], dtype=float)
 
 
 def _revenue(a: np.ndarray, c, market: MarketConfig) -> np.ndarray:

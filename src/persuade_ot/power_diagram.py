@@ -145,61 +145,19 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     return CellStats(masses=masses, barycenters=barycenters, support=support)
 
 
-def _resolve_empty_cells(sites: np.ndarray, grid: GridMeasure) -> tuple[np.ndarray, CellStats]:
-    """Reseed empty Voronoi cells until every cell has mass.
-
-    Walks empty cells in index order; each is re-sited at the highest-mass
-    grid point of the currently largest cell (skipping points occupied by
-    other sites), then the assignment is recomputed. Deterministic.
-    """
-    sites = np.array(sites, dtype=float)
-    n = sites.shape[0]
-    zeros = np.zeros(n)
-    for _ in range(4 * n):
-        assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
-        stats = hard_cell_stats(assignment, grid)
-        if stats.support.all():
-            return sites, stats
-        empty = int(np.flatnonzero(~stats.support)[0])
-        largest = int(np.argmax(stats.masses))
-        in_cell = np.flatnonzero(assignment.labels == largest)
-        order = in_cell[np.argsort(-grid.masses[in_cell], kind="stable")]
-        for alpha in order:
-            candidate = grid.centers[alpha]
-            if not np.any(np.all(sites == candidate, axis=1)):
-                sites[empty] = candidate
-                break
-        else:
-            raise RuntimeError("could not reseed an empty cell")
-    raise RuntimeError("empty-cell reseeding did not terminate")
-
-
-def lloyd_step(sites: np.ndarray, grid: GridMeasure) -> tuple[np.ndarray, float]:
-    """One Lloyd iteration: move each site to its Voronoi cell barycenter.
-
-    Returns the new sites and the largest site displacement. Empty cells
-    are reseeded (deterministically) before the move.
-    """
-    sites, stats = _resolve_empty_cells(sites, grid)
-    new_sites = stats.barycenters.copy()
-    shift = float(np.max(np.linalg.norm(new_sites - sites, axis=1)))
-    return new_sites, shift
-
-
 def lloyd_solve(
-    n: int,
-    grid: GridMeasure,
-    seed: int,
-    max_iters: int = 200,
-    tol: float = 1e-9,
+    n: int, grid: GridMeasure, seed: int, max_iters: int = 200
 ) -> tuple[DiagramParams, CellStats]:
     """Centroidal Voronoi diagram by Lloyd's fixed-point iteration.
 
-    Sites initialize at n distinct grid points drawn with probability
-    proportional to the grid masses (seeded); weights stay zero. Iterates
-    until the largest site-to-barycenter distance drops below ``tol`` or
-    ``max_iters`` is reached. Every returned cell has mass: empty cells are
-    reseeded, and a RuntimeError is raised where that fails.
+    Sites start at n distinct grid points drawn with probability
+    proportional to the grid masses (seeded); weights stay zero. Each pass
+    labels the grid. An empty cell's site (the lowest such index) moves to
+    the highest-mass grid point, free of other sites, of the largest cell,
+    and the grid is labelled again; a RuntimeError is raised where that
+    fails. Otherwise the sites stop when each equals its cell's barycenter,
+    the exact fixed point a finite grid reaches, or after ``max_iters``
+    moves; else each moves to its barycenter. Every returned cell has mass.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -207,11 +165,24 @@ def lloyd_solve(
     if n > p:
         raise ValueError(f"cannot place {n} distinct sites on {p} grid points")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(p, size=n, replace=False, p=grid.masses)
-    sites = grid.centers[idx].copy()
-    for _ in range(max_iters):
-        sites, shift = lloyd_step(sites, grid)
-        if shift < tol:
-            break
-    sites, stats = _resolve_empty_cells(sites, grid)
-    return DiagramParams(sites, np.zeros(n)), stats
+    sites = grid.centers[rng.choice(p, size=n, replace=False, p=grid.masses)]
+    zeros = np.zeros(n)
+    moves = 0
+    for _ in range(4 * n * (max(max_iters, 0) + 1)):  # up to 4n labellings per move
+        assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
+        stats = hard_cell_stats(assignment, grid)
+        if not stats.support.all():
+            empty = int(np.flatnonzero(~stats.support)[0])
+            in_cell = np.flatnonzero(assignment.labels == np.argmax(stats.masses))
+            for alpha in in_cell[np.argsort(-grid.masses[in_cell], kind="stable")]:
+                if not np.any(np.all(sites == grid.centers[alpha], axis=1)):
+                    sites[empty] = grid.centers[alpha]
+                    break
+            else:
+                raise RuntimeError("could not reseed an empty cell")
+        elif moves >= max_iters or np.array_equal(stats.barycenters, sites):
+            return DiagramParams(sites, zeros), stats
+        else:
+            sites = stats.barycenters
+            moves += 1
+    raise RuntimeError("empty-cell reseeding did not terminate")

@@ -100,11 +100,35 @@ def test_lloyd_revenue_equals_hard_objective_on_table_markets():
     assert columns == 25
 
 
+def test_committed_tables_reproduce_their_baselines():
+    # the no-information, Lloyd and full-information columns of out/table*/table.csv,
+    # recomputed from configs/ with each column's committed effective_n
+    columns = 0
+    for path in sorted(CONFIGS.glob("table*.yaml")):
+        raw = load_raw_config(str(path))
+        sweep = parse_config(raw)
+        committed = (CONFIGS.parent / sweep.output_dir / "table.csv").read_text().splitlines()[1:]
+        assert len(committed) == len(sweep.sweep_values)
+        solves: dict = {}
+        for value, line in zip(sweep.sweep_values, committed):
+            cfg = parse_config(set_config_path(raw, sweep.sweep_parameter, value))
+            grid = build_scenario(cfg)[0]
+            _, _, r_noinfo, r_lloyd, r_fullinfo, _, effective_n, _ = line.split(",")
+            lloyd = best_lloyd_revenue(
+                int(effective_n), cfg.market, grid,
+                seed=cfg.optimizer.seed, tries=cfg.lloyd_tries, solves=solves,
+            )
+            assert f"{no_info_revenue(cfg.market, grid):.4f}" == r_noinfo, line
+            assert f"{lloyd:.4f}" == r_lloyd, line
+            assert f"{full_info_revenue(cfg.market, grid):.4f}" == r_fullinfo, line
+            columns += 1
+    assert columns == 25
+
+
 def row(r_opt, r_fullinfo, name="p2", value=1.0):
     return BenchmarkRow(
         param_name=name,
         param_value=value,
-        market=UNIT_11,
         r_opt=r_opt,
         r_noinfo=0.0,
         r_lloyd=0.0,

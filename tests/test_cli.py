@@ -140,6 +140,12 @@ def test_parse_bad_bounds_and_kind():
             parse_config({"grid": {"bounds": [[0, edge], [0, 1]]},
                           "payoff": {"kind": "concave-bowl"}})
         assert exc.value.key == "grid.bounds"
+    # strings and booleans are not numbers here, as everywhere else in the config
+    for first in (["0", "1"], [False, True], [0, "1e0"]):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"grid": {"bounds": [first, [0, 1]]},
+                          "payoff": {"kind": "concave-bowl"}})
+        assert exc.value.key == "grid.bounds"
     with pytest.raises(ConfigError) as exc:
         parse_config({"payoff": {"kind": "parabola"}})
     assert exc.value.key == "payoff.kind"
@@ -356,6 +362,20 @@ def test_cli_overrides_reach_result(tmp_path):
     assert data["eta"] == 0.001
     # grid units: epsilon 3 at spacing 2/16
     assert abs(data["epsilon"] - 3.0 * (2.0 / 16.0)) < 1e-12
+
+
+@pytest.mark.parametrize("section, value, flag, arg", [
+    ("objective", 5, "--epsilon", "2"),
+    ("objective", 5, "--eta", "0.5"),
+    ("optimizer", 3, "--seed", "1"),
+    ("grid", [1, 2], "--resolution", "8"),
+], ids=["objective-epsilon", "objective-eta", "optimizer-seed", "grid-resolution"])
+def test_override_onto_non_mapping_section_exits_two(tmp_path, capsys, section, value, flag, arg):
+    out = tmp_path / "out"
+    data = {"payoff": {"kind": "concave-bowl"}, section: value, "output_dir": str(out)}
+    assert main(["solve", "--config", write_config(tmp_path, data), flag, arg]) == 2
+    assert f"{section}: must be a mapping" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):

@@ -489,3 +489,16 @@ def test_payoffs_compare_and_hash_by_value():
         assert one == two and hash(one) == hash(two)
     assert concave_bowl() != tri_modal()
     assert monopolist_payoff(market) != monopolist_payoff(replace(market, p2=1.5))
+
+
+@pytest.mark.parametrize("ints", [
+    dict(p1=1, p2=1, q_min=0, q_max=2),
+    dict(p1=1, p2=2, q_min=0, q_max=2, delta=-1, demand="additive"),
+], ids=["unit", "additive"])
+def test_integer_market_matches_float_twin(ints):
+    floats = {k: float(v) if isinstance(v, int) else v for k, v in ints.items()}
+    pts = np.random.default_rng(11).uniform(0.05, 2.0, size=(12, 2))
+    pts[0] = (1.0, 1.5)
+    value, grad = monopolist_payoff(MarketConfig(**ints)).value_and_grad(pts)
+    ref_value, ref_grad = monopolist_payoff(MarketConfig(**floats)).value_and_grad(pts)
+    assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)

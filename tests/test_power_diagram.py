@@ -10,7 +10,6 @@ from persuade_ot import (
     hard_assign,
     hard_cell_stats,
     lloyd_solve,
-    lloyd_step,
 )
 from reference import sq_dists
 
@@ -182,7 +181,7 @@ def test_lloyd_single_cell():
 
 def test_lloyd_two_cells_reflection():
     grid = unit_grid(64)
-    params, stats = lloyd_solve(2, grid, seed=1, tol=1e-10)
+    params, stats = lloyd_solve(2, grid, seed=1)
     mid = params.sites.mean(axis=0)
     assert np.allclose(mid, (0.5, 0.5), atol=1e-6)
     # converged: sites sit on their cell barycenters
@@ -190,23 +189,46 @@ def test_lloyd_two_cells_reflection():
 
 
 def test_lloyd_block_fixed_point():
+    # one Lloyd move sends each site to the barycenter of its Voronoi cell
     grid = unit_grid(64)
     blocks = np.array([(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)])
-    moved, shift = lloyd_step(blocks, grid)
-    assert shift < 1e-12
-    assert np.allclose(moved, blocks)
+    moved = hard_cell_stats(hard_assign(DiagramParams(blocks, np.zeros(4)), grid), grid).barycenters
+    assert np.max(np.linalg.norm(moved - blocks, axis=1)) < 1e-12
 
 
 def test_lloyd_energy_decreases():
     grid = unit_grid(32)
-    rng = np.random.default_rng(9)
-    sites = rng.uniform(0, 1, size=(5, 2))
-    energies = [quantization_energy(DiagramParams(sites=sites, weights=np.zeros(5)), grid)]
-    for _ in range(15):
-        sites, _ = lloyd_step(sites, grid)
-        energies.append(quantization_energy(DiagramParams(sites=sites, weights=np.zeros(5)), grid))
+    energies = [
+        quantization_energy(lloyd_solve(5, grid, seed=9, max_iters=k)[0], grid) for k in range(16)
+    ]
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12)
+
+
+def test_lloyd_reseeds_an_empty_cell(monkeypatch):
+    import persuade_ot.power_diagram as power_diagram
+
+    base = build_grid(((0.0, 1.0), (0.0, 1.0)), 4)
+    masses = np.zeros(16)
+    masses[[2, 3, 4, 5, 7, 8, 9]] = np.array([7, 5, 8, 2, 3, 7, 3]) / 35
+    grid = GridMeasure(base.bounds, 4, base.centers, masses)
+    supports = []
+    real = power_diagram.hard_cell_stats
+
+    def spy(assignment, grid):
+        stats = real(assignment, grid)
+        supports.append(bool(stats.support.all()))
+        return stats
+
+    monkeypatch.setattr(power_diagram, "hard_cell_stats", spy)
+    params, stats = lloyd_solve(3, grid, seed=0)
+    # the first move empties a cell, and exactly one labelling sees it empty
+    assert supports.count(False) == 1
+    assert stats.support.all()
+    assert np.array_equal(params.sites, stats.barycenters)
+    expected = np.array([(15, 59), (91, 21), (45, 63)]) / 120
+    assert np.allclose(params.sites, expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(stats.masses, np.array([3, 3, 1]) / 7, rtol=0.0, atol=1e-12)
 
 
 def test_lloyd_deterministic():
@@ -214,3 +236,6 @@ def test_lloyd_deterministic():
     p1, _ = lloyd_solve(4, grid, seed=42)
     p2, _ = lloyd_solve(4, grid, seed=42)
     assert np.array_equal(p1.sites, p2.sites)
+    # a negative move budget makes no move, like a budget of zero
+    start, _ = lloyd_solve(4, grid, seed=42, max_iters=0)
+    assert np.array_equal(lloyd_solve(4, grid, seed=42, max_iters=-1)[0].sites, start.sites)

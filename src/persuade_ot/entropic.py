@@ -140,7 +140,9 @@ class DenseChi:
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
         cw = self.chi * (self._nu if w is None else self._nu * w)
         ux, uy = self._ux, self._uy
-        return np.stack([(cw * f).sum(axis=1) for f in (1.0, ux, uy, ux * ux, ux * uy, uy * uy)])
+        cu1, cu2 = cw * ux, cw * uy
+        second = ((cu1 * ux).sum(axis=1), (cu1 * uy).sum(axis=1), (cu2 * uy).sum(axis=1))
+        return np.stack([cw.sum(axis=1), cu1.sum(axis=1), cu2.sum(axis=1), *second])
 
     def average(self, coef: np.ndarray) -> np.ndarray:
         psi = coef[0][:, None] + coef[1][:, None] * self._ux + coef[2][:, None] * self._uy

@@ -84,14 +84,12 @@ def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel
     return float(stats.masses[stats.support] @ phis)
 
 
-def _penalty_terms(
-    mom: np.ndarray, params: DiagramParams, grad: bool
-) -> tuple[float, np.ndarray | float, np.ndarray | float]:
-    """Penalty R, and with grad the adjoint's per-cell r and R's explicit dR/dX.
+def _penalty_terms(mom: np.ndarray, params: DiagramParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """Penalty R, the adjoint's per-cell r and R's explicit dR/dX.
 
     All three read one separation matrix, params.separation_sq, whose inf
     diagonal makes the i = j repulsion terms exact zeros, so one site needs
-    no special case. Without grad, r and dR/dX are 0.0.
+    no special case.
     """
     m = mom[0]
     sep2 = params.separation_sq
@@ -99,8 +97,6 @@ def _penalty_terms(
     total = float((mom[3] + mom[5]).sum()) + float((mm / sep2).sum())
     if not np.isfinite(total):
         raise SingularPenaltyError("sites too close: repulsion term is not finite")
-    if not grad:
-        return total, 0.0, 0.0
     # r_j = dR/dm_j of the repulsion; dR/dX with chi held fixed
     r = 2.0 * (m[None, :] / sep2).sum(axis=1)
     sites = params.sites
@@ -110,25 +106,20 @@ def _penalty_terms(
 
 
 def _evaluate(
-    kernel: SeparableChi | DenseChi, params: DiagramParams, cfg: ObjectiveConfig, grad: bool
-) -> tuple[ObjectiveReport, np.ndarray | None, np.ndarray | None]:
-    """Report, and with grad also (dF/dX, dF/dg), from one soft-membership kernel."""
+    kernel: SeparableChi | DenseChi, params: DiagramParams, cfg: ObjectiveConfig
+) -> tuple[ObjectiveReport, np.ndarray, np.ndarray]:
+    """The objective's one evaluation: report and (dF/dX, dF/dg) from one kernel."""
     eps = cfg.entropic.epsilon
     eta = cfg.eta
     sites = params.sites
     mom = kernel.moments()
     stats = soft_cell_stats(mom, sites)
     m, b = stats.masses, stats.barycenters
-    if grad:
-        phis, gphis = cfg.payoff.value_and_grad(b)
-    else:
-        phis = cfg.payoff.value(b)
+    phis, gphis = cfg.payoff.value_and_grad(b)
     # the report carries the penalty value even when eta = 0
-    penalty, r, penalty_x = _penalty_terms(mom, params, grad and eta > 0.0)
+    penalty, r, penalty_x = _penalty_terms(mom, params)
     payoff_term = float(m @ phis)
     report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, stats, phis)
-    if not grad:
-        return report, None, None
 
     # Payoff adjoint Psi_ja = c_j + G_j . y_a - eta (|y_a - x_j|^2 + r_j), with
     # G = grad Phi(b) and c = Phi(b) - G . b, reproduces d(m_j Phi(b_j))/dchi_ja
@@ -153,18 +144,18 @@ def _evaluate(
         coef[0] * mom[2] + mom[4] * coef[1] + mom[5] * coef[2] - pm[2],
     ], axis=1)
     dg = row_sum / eps
-    dx = (2.0 / eps) * core_u
-    if eta > 0.0:
-        dx = dx - eta * penalty_x
+    dx = (2.0 / eps) * core_u - eta * penalty_x
     return report, dx, dg
 
 
 def soft_objective(
     params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
 ) -> ObjectiveReport:
-    """Penalized soft objective F - eta*R with its per-cell decomposition."""
-    kernel = chi_kernel(params, grid, cfg.entropic)
-    return _evaluate(kernel, params, cfg, grad=False)[0]
+    """Penalized soft objective F - eta*R with its per-cell decomposition.
+
+    It makes value_and_grad's one evaluation, gradient included, and keeps the report.
+    """
+    return _evaluate(chi_kernel(params, grid, cfg.entropic), params, cfg)[0]
 
 
 def value_and_grad(
@@ -179,4 +170,4 @@ def value_and_grad(
     entropic.chi_kernel); the results do not depend on it.
     """
     kernel = chi_kernel(params, grid, cfg.entropic, work)
-    return _evaluate(kernel, params, cfg, grad=True)
+    return _evaluate(kernel, params, cfg)

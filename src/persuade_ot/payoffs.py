@@ -1,7 +1,9 @@
 """Sender payoffs: synthetic test surfaces and monopolist revenue.
 
-Every payoff is a PayoffModel with a value and an exact gradient on a batch
-of points. The monopolist revenue comes from purchase probabilities in
+Every payoff is a PayoffModel whose value_and_grad gives the value and an
+exact gradient on a batch of points. Monopolist.value is the one value-only
+path: full_info_revenue prices every grid point, at a quarter of the cost of
+value_and_grad. The monopolist revenue comes from purchase probabilities in
 closed form: with valuations uniform on the unit square, the buyer's net
 utilities from the two goods are independent uniforms, and each purchase
 region's probability is an expectation over one of them of the other's
@@ -207,17 +209,10 @@ def _tri_modal_weights() -> np.ndarray:
 class TriModal(PayoffModel):
     """Gaussian mixture with three equal-height modes of value 1 each."""
 
-    @staticmethod
-    def _terms(pts):
-        diff = pts[:, None, :] - TRI_MODES[None, :, :]
-        return diff, np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2)) * _tri_modal_weights()
-
-    def value(self, pts):
-        # a row sum, not a BLAS product, so a point's value is the same in any batch
-        return self._terms(pts)[1].sum(axis=1)
-
     def value_and_grad(self, pts):
-        diff, ew = self._terms(pts)
+        diff = pts[:, None, :] - TRI_MODES[None, :, :]
+        ew = np.exp(-(diff**2).sum(-1) / (2.0 * TRI_SIGMA**2)) * _tri_modal_weights()
+        # a row sum, not a BLAS product, so a point's value is the same in any batch
         return ew.sum(axis=1), -(ew[:, :, None] * diff).sum(axis=1) / TRI_SIGMA**2
 
 

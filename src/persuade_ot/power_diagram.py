@@ -161,11 +161,11 @@ def lloyd_solve(
     """
     if n < 1:
         raise ValueError("need at least one cell")
-    p = grid.centers.shape[0]
-    if n > p:
-        raise ValueError(f"cannot place {n} distinct sites on {p} grid points")
+    support = np.count_nonzero(grid.masses)
+    if n > support:
+        raise ValueError(f"cannot place {n} distinct sites on {support} grid points with mass")
     rng = np.random.default_rng(seed)
-    sites = grid.centers[rng.choice(p, size=n, replace=False, p=grid.masses)]
+    sites = grid.centers[rng.choice(len(grid.masses), size=n, replace=False, p=grid.masses)]
     zeros = np.zeros(n)
     moves = 0
     for _ in range(4 * n * (max(max_iters, 0) + 1)):  # up to 4n labellings per move

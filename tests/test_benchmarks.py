@@ -16,7 +16,9 @@ from persuade_ot import (
     lloyd_solve,
     no_info_revenue,
 )
-from persuade_ot.cli import build_scenario, load_raw_config, parse_config, set_config_path
+from persuade_ot.cli import (
+    build_scenario, load_raw_config, parse_config, run_experiment, set_config_path,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -123,6 +125,18 @@ def test_committed_tables_reproduce_their_baselines():
             assert f"{full_info_revenue(cfg.market, grid):.4f}" == r_fullinfo, line
             columns += 1
     assert columns == 25
+
+
+def test_committed_table_reproduces_an_optimised_column(tmp_path):
+    # table2's q_min=0.25 column end to end: 3 restarts x 1,200 Adam steps at 128^2,
+    # pruned from 12 cells to 6, against its committed table.csv row and diagram
+    committed = CONFIGS.parent / "out" / "table2"
+    overrides = {"sweep.values": [0.25], "output_dir": str(tmp_path)}
+    assert run_experiment(str(CONFIGS / "table2.yaml"), "table", overrides) == 0
+    table = (tmp_path / "table.csv").read_text().splitlines()
+    assert table == (committed / "table.csv").read_text().splitlines()[:2]
+    name = "diagram_q_min=0.25.json"
+    assert (tmp_path / name).read_bytes() == (committed / name).read_bytes()
 
 
 def row(r_opt, r_fullinfo, name="p2", value=1.0):

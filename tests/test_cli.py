@@ -498,7 +498,10 @@ def test_solve_bytes_identical_across_blas_threads(tmp_path):
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     data = tiny_market_config(tmp_path / "unused")
-    data["optimizer"]["max_iters"] = 30
+    # at 256^2 with 12 sites the kernel's (M, M) @ (M, 3n) products are large
+    # enough for OpenBLAS to split them over two threads; at 32^2 they stay on one
+    data["grid"]["resolution"] = 256
+    data["optimizer"].update(n_init=12, max_iters=10)
     path = write_config(tmp_path, data)
     blobs = []
     for threads in ("1", "2"):

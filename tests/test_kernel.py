@@ -76,8 +76,8 @@ def both_paths(params, grid, cfg):
     assert isinstance(sep, SeparableChi)
     dense = dense_chi(params, grid, cfg.entropic)
     return (
-        _evaluate(sep, params, cfg, grad=True),
-        _evaluate(dense, params, cfg, grad=True),
+        _evaluate(sep, params, cfg),
+        _evaluate(dense, params, cfg),
     )
 
 
@@ -131,7 +131,7 @@ def test_fallback_where_factors_underflow():
         assert isinstance(chi_kernel(params, grid, cfg.entropic), DenseChi)
         report, dx, dg = value_and_grad(params, grid, cfg)
         dense = dense_chi(params, grid, cfg.entropic)
-        ref, rdx, rdg = _evaluate(dense, params, cfg, grad=True)
+        ref, rdx, rdg = _evaluate(dense, params, cfg)
         assert_reports_equal(report, ref)
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
         assert np.isfinite(report.value) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))

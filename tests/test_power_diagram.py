@@ -231,6 +231,26 @@ def test_lloyd_reseeds_an_empty_cell(monkeypatch):
     assert np.allclose(stats.masses, np.array([3, 3, 1]) / 7, rtol=0.0, atol=1e-12)
 
 
+def three_point_prior():
+    # a 4x4 unit grid with mass 1/3 on points 1, 5 and 9 only
+    base = build_grid(((0.0, 1.0), (0.0, 1.0)), 4)
+    masses = np.zeros(16)
+    masses[[1, 5, 9]] = 1.0 / 3.0
+    return GridMeasure(base.bounds, 4, base.centers, masses)
+
+
+def test_lloyd_rejects_more_sites_than_points_with_mass():
+    with pytest.raises(ValueError, match="cannot place 4 distinct sites on 3 grid points"):
+        lloyd_solve(4, three_point_prior(), seed=0)
+
+
+def test_lloyd_fills_every_point_with_mass():
+    grid = three_point_prior()
+    params, stats = lloyd_solve(3, grid, seed=0)
+    assert stats.support.all() and np.allclose(stats.masses, 1.0 / 3.0, rtol=0.0, atol=1e-15)
+    assert sorted(map(tuple, params.sites)) == sorted(map(tuple, grid.centers[[1, 5, 9]]))
+
+
 def test_lloyd_deterministic():
     grid = unit_grid(32)
     p1, _ = lloyd_solve(4, grid, seed=42)

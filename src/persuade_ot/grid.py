@@ -7,7 +7,7 @@ quadrature of a density and are normalized to total mass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,12 +32,22 @@ class GridMeasure:
         fastest: index alpha = iy*M + ix.
     masses : ndarray, shape (M*M,)
         Nonnegative cell masses, summing to one for discretized measures.
+    first_moments : (ndarray, ndarray), each shape (M*M,)
+        Read-only nu_alpha * x_alpha and nu_alpha * y_alpha, formed once here
+        for every hard cell statistic taken on the grid.
     """
 
     bounds: Bounds
     resolution: int
     centers: np.ndarray
     masses: np.ndarray
+    first_moments: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        moments = (self.masses * self.centers[:, 0], self.masses * self.centers[:, 1])
+        for moment in moments:
+            moment.flags.writeable = False
+        object.__setattr__(self, "first_moments", moments)
 
     @property
     def spacing(self) -> tuple[float, float]:

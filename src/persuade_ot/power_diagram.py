@@ -10,6 +10,13 @@ so hard_assign keeps a running minimum over sites of one (M, M) cost array
 built from (n, M) offsets, and never forms the (n, M^2) cost matrix. These
 are the floating-point operations of the dense squared-distance argmin that
 the tests use as the reference, so the labels equal its labels bit for bit.
+
+Lloyd's passes skip even that labelling: a Voronoi cell meets each grid row
+in one interval whose ends are affine in the row's coordinate, so per-row
+prefix sums of the masses and first moments give its sums in O(n^2 M)
+work. The dense labelling decides the first pass (and the one after a
+reseed), takes any pass the ranges cannot settle exactly, and confirms the
+fixed point, so the iteration returns the dense loop's result bit for bit.
 """
 
 from __future__ import annotations
@@ -136,13 +143,76 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     labels = assignment.labels
     nu = grid.masses
     masses = np.bincount(labels, weights=nu, minlength=n)
-    sx = np.bincount(labels, weights=nu * grid.centers[:, 0], minlength=n)
-    sy = np.bincount(labels, weights=nu * grid.centers[:, 1], minlength=n)
+    sx = np.bincount(labels, weights=grid.first_moments[0], minlength=n)
+    sy = np.bincount(labels, weights=grid.first_moments[1], minlength=n)
     support = masses > 0.0
     barycenters = np.full((n, 2), np.nan)
     barycenters[support, 0] = sx[support] / masses[support]
     barycenters[support, 1] = sy[support] / masses[support]
     return CellStats(masses=masses, barycenters=barycenters, support=support)
+
+
+def _row_prefix_sums(grid: GridMeasure) -> np.ndarray:
+    """(3, M, M + 1) prefix sums along each grid row of nu, nu*x and nu*y, from 0."""
+    m = grid.resolution
+    prefix = np.zeros((3, m, m + 1))
+    for k, weights in enumerate((grid.masses, *grid.first_moments)):
+        np.cumsum(weights.reshape(m, m), axis=1, out=prefix[k, :, 1:])
+    return prefix
+
+
+def _range_cell_sums(sites: np.ndarray, grid: GridMeasure, prefix: np.ndarray):
+    """(3, n) masses and first moments of the Voronoi cells, from per-row ranges.
+
+    Site i beats site j on row y on one side of the abscissa
+    t_ij(y) = (|s_j|^2 - |s_i|^2 - 2y(b_j - b_i)) / (2(a_j - a_i)), where
+    s_j = (a_j, b_j), so cell i meets the row in the columns between the
+    largest t over the sites left of it and the smallest over those right
+    of it; its sums are differences of ``prefix`` (``_row_prefix_sums``),
+    O(n^2 M) work in all. Along a range, i's cost margin over j is
+    2|a_j - a_i| times the distance to t_ij, smallest at the range's end
+    columns. Returns None, for the dense labelling to decide, where the
+    ranges might differ from hard_assign's labels or leave a cell empty:
+    two sites with (nearly) equal abscissae, an end-column margin below
+    1e-9 of the squared scale (box half-width or farthest site), or ranges
+    that do not tile the grid.
+    """
+    m = grid.resolution
+    (x0, x1), (y0, y1) = grid.bounds
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    s = sites - (cx, cy)  # box-centred, so the tolerances scale with the box, not its offset
+    scale = max(np.abs(s).max(), (x1 - x0) / 2, (y1 - y0) / 2)
+    a, b = s[:, 0], s[:, 1]
+    da = a[:, None] - a  # [j, i]: a_j - a_i
+    apart = np.abs(da)
+    np.fill_diagonal(apart, np.inf)
+    apart = apart.min(axis=0)  # from each abscissa to the nearest other
+    if apart.min() <= 1e-9 * scale:
+        return None
+    left, right = (da < 0.0)[:, :, None], (da > 0.0)[:, :, None]
+    np.fill_diagonal(da, 1.0)  # a site against itself: masked off by left and right
+    sq = a * a + b * b
+    hx = (x1 - x0) / m
+    # t[j, i, y]: t_ij on row y, in columns from the first grid column
+    c0 = ((sq[:, None] - sq) / (2.0 * da) - (grid.centers[0, 0] - cx)) / hx
+    c1 = (b[:, None] - b) / (da * hx)
+    t = c0[:, :, None] - c1[:, :, None] * (grid.centers[::m, 1] - cy)
+    lo = np.where(left, t, -np.inf).max(axis=0)
+    ends = np.stack([lo, np.where(right, t, np.inf).min(axis=0)])
+    np.clip(ends, -0.5, m - 0.5, out=ends)
+    cols = np.ceil(ends).astype(np.intp)  # first column of each range, and one past its last
+    count = cols[1] - cols[0]
+    live = count > 0
+    near = np.abs(ends - np.rint(ends)).min(axis=0)
+    if 2.0 * hx * np.min(near * apart[:, None], where=live, initial=np.inf) <= 1e-9 * scale**2:
+        return None
+    if count.sum(where=live) != m * m:
+        return None
+    np.maximum(cols[1], cols[0], out=cols[1])
+    cols += np.arange(0, m * (m + 1), m + 1)
+    ranged = prefix.reshape(3, -1).take(cols, axis=1)
+    sums = (ranged[:, 1] - ranged[:, 0]).sum(axis=2)
+    return sums if np.all(sums[0] > 0.0) else None
 
 
 def lloyd_solve(
@@ -152,12 +222,18 @@ def lloyd_solve(
 
     Sites start at n distinct grid points drawn with probability
     proportional to the grid masses (seeded); weights stay zero. Each pass
-    labels the grid. An empty cell's site (the lowest such index) moves to
-    the highest-mass grid point, free of other sites, of the largest cell,
-    and the grid is labelled again; a RuntimeError is raised where that
-    fails. Otherwise the sites stop when each equals its cell's barycenter,
-    the exact fixed point a finite grid reaches, or after ``max_iters``
-    moves; else each moves to its barycenter. Every returned cell has mass.
+    moves every site to its cell's barycenter, the cell sums taken over
+    per-row ranges (``_range_cell_sums``). The dense labelling takes the
+    first pass and the one after a reseed, where sites sit on grid points,
+    and any pass the ranges leave to it. There an empty cell's site (the
+    lowest such index) moves to the highest-mass grid point, free of other
+    sites, of the largest cell; a RuntimeError is raised where that fails.
+    Once the range barycenters equal the sites, or ``max_iters`` moves are
+    spent, the last range move is redone densely and dense passes run on
+    until each site equals its cell's barycenter, the exact fixed point a
+    finite grid reaches, or the budget is spent. The ranges give the dense
+    labels, so the result is the dense iteration's bit for bit. Every
+    returned cell has mass.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -167,8 +243,24 @@ def lloyd_solve(
     rng = np.random.default_rng(seed)
     sites = grid.centers[rng.choice(len(grid.masses), size=n, replace=False, p=grid.masses)]
     zeros = np.zeros(n)
+    prefix = _row_prefix_sums(grid)
     moves = 0
-    for _ in range(4 * n * (max(max_iters, 0) + 1)):  # up to 4n labellings per move
+    on_grid, finishing, undo = True, False, None  # undo: (sites, moves) before a range move
+    # up to 4n labellings, and as many range passes, per move
+    for _ in range(8 * n * (max(max_iters, 0) + 1)):
+        if not (on_grid or finishing):
+            sums = _range_cell_sums(sites, grid, prefix) if moves < max_iters else None
+            if sums is not None:
+                barycenters = (sums[1:] / sums[0]).T
+                if not np.array_equal(barycenters, sites):
+                    undo = sites, moves
+                    sites, moves = barycenters, moves + 1
+                    continue
+            finishing = sums is not None or moves >= max_iters
+            if undo is not None:
+                # the dense pass redoes the last range move, so the sites it
+                # hands on are dense barycenters
+                (sites, moves), undo = undo, None
         assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
         stats = hard_cell_stats(assignment, grid)
         if not stats.support.all():
@@ -180,9 +272,11 @@ def lloyd_solve(
                     break
             else:
                 raise RuntimeError("could not reseed an empty cell")
+            on_grid = True
         elif moves >= max_iters or np.array_equal(stats.barycenters, sites):
             return DiagramParams(sites, zeros), stats
         else:
             sites = stats.barycenters
             moves += 1
+            on_grid = False
     raise RuntimeError("empty-cell reseeding did not terminate")

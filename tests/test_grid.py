@@ -88,3 +88,12 @@ def test_subrectangle_mass_refinement():
         errs.append(abs(grid.masses[inside].sum() - 0.3))
     assert errs[-1] <= errs[0]
     assert errs[-1] < 1.0 / 128
+
+
+def test_first_moments_formed_once_and_read_only():
+    spec = DensitySpec("callable", lambda p: 1.0 + p[:, 0] * p[:, 1])
+    grid = discretize_density(spec, build_grid(((-1.0, 2.0), (0.5, 1.25)), 7))
+    nu_x, nu_y = grid.first_moments
+    assert not (nu_x.flags.writeable or nu_y.flags.writeable)
+    assert np.array_equal(nu_x, grid.masses * grid.centers[:, 0])
+    assert np.array_equal(nu_y, grid.masses * grid.centers[:, 1])

@@ -11,7 +11,8 @@ from persuade_ot import (
     hard_cell_stats,
     lloyd_solve,
 )
-from reference import sq_dists
+from persuade_ot.power_diagram import _range_cell_sums, _row_prefix_sums
+from reference import dense_lloyd, sq_dists
 
 
 def quantization_energy(params: DiagramParams, grid: GridMeasure) -> float:
@@ -229,6 +230,107 @@ def test_lloyd_reseeds_an_empty_cell(monkeypatch):
     expected = np.array([(15, 59), (91, 21), (45, 63)]) / 120
     assert np.allclose(params.sites, expected, rtol=0.0, atol=1e-12)
     assert np.allclose(stats.masses, np.array([3, 3, 1]) / 7, rtol=0.0, atol=1e-12)
+
+
+def empty_cell_prior():
+    # the 4x4 prior of test_lloyd_reseeds_an_empty_cell: zero mass off 7 points
+    base = build_grid(((0.0, 1.0), (0.0, 1.0)), 4)
+    masses = np.zeros(16)
+    masses[[2, 3, 4, 5, 7, 8, 9]] = np.array([7, 5, 8, 2, 3, 7, 3]) / 35
+    return GridMeasure(base.bounds, 4, base.centers, masses)
+
+
+def assert_same_solve(got, ref, context):
+    (params, stats), (ref_params, ref_stats) = got, ref
+    assert np.array_equal(params.sites, ref_params.sites), context
+    assert np.array_equal(stats.masses, ref_stats.masses), context
+    assert np.array_equal(stats.barycenters, ref_stats.barycenters), context
+
+
+def test_lloyd_equals_dense_reference_bit_for_bit():
+    # the range passes change the cost of a solve, never its result: every
+    # move budget 0..15 (and the default) on odd and even grids, both table
+    # boxes, n = 1..12, and the zero-mass prior whose first move empties a cell
+    grids = [(empty_cell_prior(), range(1, 8), (0, 1))]
+    for m in (7, 16):
+        for lo in (0.0, 0.25):
+            grids.append((build_grid(((lo, 2.0), (lo, 2.0)), m), range(1, 13), (0,)))
+    for grid, ns, seeds in grids:
+        for n in ns:
+            for seed in seeds:
+                for budget in [*range(16), 200]:
+                    assert_same_solve(
+                        lloyd_solve(n, grid, seed, max_iters=budget),
+                        dense_lloyd(n, grid, seed, max_iters=budget),
+                        (grid.resolution, grid.bounds, n, seed, budget),
+                    )
+    for m in (128, 144):
+        for lo in (0.0, 0.25):
+            grid = build_grid(((lo, 2.0), (lo, 2.0)), m)
+            for n, seed in ((1, 0), (4, 1), (8, 2), (12, 3)):
+                for budget in (0, 1, 2, 7, 15, 200):
+                    assert_same_solve(
+                        lloyd_solve(n, grid, seed, max_iters=budget),
+                        dense_lloyd(n, grid, seed, max_iters=budget),
+                        (m, lo, n, seed, budget),
+                    )
+
+
+def test_range_sums_match_dense_cell_stats():
+    # masses and first moments from per-row ranges against the full-grid
+    # labelling, on random Voronoi diagrams with sites in and around the box
+    rng = np.random.default_rng(31)
+    boxes = [((0.0, 2.0), (0.0, 2.0)), ((-1.0, 2.0), (0.5, 1.25)), ((0.25, 2.0), (0.25, 2.0))]
+    tilted = DensitySpec("callable", lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1] ** 2)
+    ranged = empty = 0
+    for trial in range(180):
+        bounds = boxes[trial % 3]
+        grid = build_grid(bounds, int(rng.integers(5, 60)))
+        if trial % 2:
+            grid = discretize_density(tilted, grid)
+        (a1, b1), (a2, b2) = bounds
+        w, h = b1 - a1, b2 - a2
+        n = 1 + trial % 12
+        if trial % 4 < 2:
+            sites = rng.uniform((a1, a2), (b1, b2), size=(n, 2))
+        else:
+            sites = rng.uniform((a1 - w, a2 - h), (b1 + w, b2 + h), size=(n, 2))
+        stats = hard_cell_stats(hard_assign(DiagramParams(sites, np.zeros(n)), grid), grid)
+        sums = _range_cell_sums(sites, grid, _row_prefix_sums(grid))
+        if not stats.support.all():
+            assert sums is None, trial
+            empty += 1
+            continue
+        assert sums is not None, trial
+        moments = stats.masses[:, None] * stats.barycenters
+        assert np.allclose(sums[0], stats.masses, rtol=1e-12, atol=0.0), trial
+        assert np.allclose(sums[1:].T, moments, rtol=1e-12, atol=1e-12 * np.abs(moments).max())
+        ranged += 1
+    assert ranged >= 90 and empty >= 40
+
+
+def test_range_pass_leaves_sites_on_one_column_to_the_dense_labelling():
+    grid = unit_grid(16)
+    sites = np.array([(0.40625, 0.25), (0.40625, 0.75), (0.8, 0.5)])
+    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    sites[1, 0] += 1e-6
+    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is not None
+
+
+def test_range_pass_leaves_an_exact_tie_to_the_dense_labelling():
+    # the bisector of the first two sites runs through the grid points in
+    # columns 4, 3, 2 of rows 0, 3, 6 exactly: each of those rows holds a tie
+    grid = unit_grid(8)
+    sites = np.array([(1 / 16, 5 / 16), (13 / 16, 9 / 16), (0.9, 0.95)])
+    costs = sq_dists(sites, grid.centers)
+    assert np.count_nonzero(costs[0] == costs[1]) == 3
+    assert not np.any(costs[2] == costs[:2])
+    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    # so is a near tie, where rounding might give the dense labelling the other side
+    sites[0] += (1e-13, 0.0)
+    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    sites[0] += (1e-4, 0.0)
+    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is not None
 
 
 def three_point_prior():

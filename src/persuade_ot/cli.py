@@ -8,7 +8,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -30,7 +30,9 @@ from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 _REQUIRED = object()
 
-SWEEPABLE = {
+PAYOFF_KINDS = {"concave-bowl": ConcaveBowl, "tri-modal": TriModal, "monopolist": Monopolist}
+
+SWEEPABLE = (
     "payoff.market.p1",
     "payoff.market.p2",
     "payoff.market.delta",
@@ -38,21 +40,66 @@ SWEEPABLE = {
     "payoff.market.q_max",
     "objective.epsilon",
     "objective.eta",
+)
+
+
+class _Key(NamedTuple):
+    """How one config key is read: its type, its default and the values it may take."""
+
+    kind: type  # int, float, str or list
+    default: Any = _REQUIRED
+    least: Optional[int] = None  # the smallest allowed value
+    positive: bool = False  # the value must exceed 0
+    choices: tuple = ()  # the allowed values
+
+
+# every config key by its dotted path; a section's keys are read in this order
+KEYS = {
+    "grid.bounds": _Key(list, None),
+    "grid.resolution": _Key(int, 256, least=1),
+    "payoff.kind": _Key(str, choices=tuple(PAYOFF_KINDS)),
+    "payoff.market.p1": _Key(float, positive=True),
+    "payoff.market.p2": _Key(float, positive=True),
+    "payoff.market.q_min": _Key(float),
+    "payoff.market.q_max": _Key(float),
+    "payoff.market.delta": _Key(float, 0.0),
+    "payoff.market.demand": _Key(str, "unit", choices=("unit", "additive")),
+    "objective.epsilon": _Key(float, 5.0, positive=True),
+    "objective.epsilon_units": _Key(str, "grid", choices=("grid", "absolute")),
+    "objective.eta": _Key(float, 0.0, least=0),
+    "optimizer.n_init": _Key(int, 12, least=1),
+    "optimizer.max_iters": _Key(int, 1000, least=1),
+    "optimizer.learning_rate": _Key(float, 1e-2, positive=True),
+    "optimizer.seed": _Key(int, 0, least=0),
+    "optimizer.epsilon_final": _Key(float, None, positive=True),
+    "optimizer.restarts": _Key(int, 1, least=1),
+    "benchmark.lloyd_tries": _Key(int, 5, least=1),
+    "benchmark.lloyd_n": _Key(int, 4, least=1),
+    "sweep.parameter": _Key(str, choices=SWEEPABLE),
+    "sweep.values": _Key(list),
+    "output_dir": _Key(str, "out"),
 }
 
-PAYOFF_KINDS = {"concave-bowl": ConcaveBowl, "tri-modal": TriModal, "monopolist": Monopolist}
+# section path ("" for the root) -> the keys directly in it, in table order
+_SECTIONS = {
+    path: [key for key in KEYS if key.rpartition(".")[0] == path]
+    for path in dict.fromkeys(key.rpartition(".")[0] for key in KEYS)
+}
+
+# how a type error names the expected kind; floats are checked by _number
+_NOUNS = {int: "an integer", str: "a string", list: "a list"}
 
 # restarts whose hard values differ by less than this, relative to the best, are tied
 RESTART_TIE_RTOL = 1e-12
 
-# command-line flag -> (config key it overrides, argument type, help text)
+# command-line flag -> (config key it overrides, help text); the flag takes the key's kind
 OVERRIDES = {
-    "--seed": ("optimizer.seed", int, "override optimizer.seed"),
-    "--out-dir": ("output_dir", str, "override output_dir"),
-    "--resolution": ("grid.resolution", int, "override grid.resolution"),
-    "--epsilon": ("objective.epsilon", float,
+    "--seed": ("optimizer.seed", "override optimizer.seed"),
+    "--out-dir": ("output_dir", "override output_dir"),
+    "--resolution": ("grid.resolution", "override grid.resolution"),
+    "--epsilon": ("objective.epsilon",
                   "override objective.epsilon (in the config's epsilon_units)"),
-    "--eta": ("objective.eta", float, "override objective.eta"),
+    "--eta": ("objective.eta", "override objective.eta"),
 }
 
 PALETTE = [
@@ -72,48 +119,55 @@ def _number(val: Any, key: str) -> float:
     return float(val)
 
 
-class _Section:
-    """Mapping reader that tracks its key path and rejects unknown keys."""
+def key_rule(spec: _Key) -> Optional[str]:
+    """The values a key may take, in the words of its error message and docs/config.md."""
+    if spec.choices:
+        return "one of " + " | ".join(spec.choices)
+    if spec.positive:
+        return "positive"
+    if spec.least is not None:
+        return f"at least {spec.least}"
+    return None
 
-    def __init__(self, data: Any, path: str):
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError("must be a mapping", path or "<root>")
-        self.data = dict(data)
-        self.path = path
 
-    def take(self, key: str, kind: str, default: Any = _REQUIRED) -> Any:
-        full = f"{self.path}.{key}" if self.path else key
-        if key not in self.data:
-            if default is _REQUIRED:
-                raise ConfigError("missing required key", full)
-            if kind != "mapping":
-                return default
-        val = self.data.pop(key, default)
-        if kind == "int":
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"expected an integer, got {val!r}", full)
-            return val
-        if kind == "float":
-            return _number(val, full)
-        if kind == "str":
-            if not isinstance(val, str):
-                raise ConfigError(f"expected a string, got {val!r}", full)
-            return val
-        if kind == "list":
-            if not isinstance(val, list):
-                raise ConfigError(f"expected a list, got {val!r}", full)
-            return val
-        if kind == "mapping":
-            return _Section(val, full)
-        raise AssertionError(kind)
+def _value(section: dict, key: str) -> Any:
+    """The section's value for a key, typed and checked, or the key's default."""
+    spec = KEYS[key]
+    name = key.rpartition(".")[2]
+    if name not in section:
+        if spec.default is _REQUIRED:
+            raise ConfigError("missing required key", key)
+        return spec.default
+    val = section[name]
+    if spec.kind is float:
+        val = _number(val, key)
+    elif isinstance(val, bool) or not isinstance(val, spec.kind):
+        raise ConfigError(f"expected {_NOUNS[spec.kind]}, got {val!r}", key)
+    if (
+        (spec.choices and val not in spec.choices)
+        or (spec.positive and not val > 0)
+        or (spec.least is not None and val < spec.least)
+    ):
+        raise ConfigError(f"must be {key_rule(spec)}, got {section[name]!r}", key)
+    return val
 
-    def finish(self) -> None:
-        if self.data:
-            raise ConfigError(
-                f"unknown key(s) {sorted(self.data)}", self.path or "<root>"
-            )
+
+def _read(data: Any, path: str) -> dict:
+    """The section at a dotted path ("" for the root), a null section read as an empty one.
+
+    Each key of the section is read by _value, and each subsection comes back as the config
+    gives it, and only when the config has it. Any other name is an error.
+    """
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError("must be a mapping", path or "<root>")
+    out = {key.rpartition(".")[2]: _value(data, key) for key in _SECTIONS[path]}
+    prefix = f"{path}." if path else ""
+    unknown = [name for name in data if name not in out and prefix + name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)}", path or "<root>")
+    return {**data, **out}
 
 
 @dataclass
@@ -135,97 +189,45 @@ class ExperimentConfig:
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
-    root = _Section(raw, "")
-
-    grid_sec = root.take("grid", "mapping", {})
+    """The experiment a raw config mapping describes; ConfigError names the first bad key."""
+    root = _read(raw, "")
+    grid = _read(root.get("grid"), "grid")
     bounds = None
-    b = grid_sec.take("bounds", "list", None)
-    if b is not None:
+    if grid["bounds"] is not None:
         try:
-            (a1, b1), (a2, b2) = b
+            (a1, b1), (a2, b2) = grid["bounds"]
         except (TypeError, ValueError):
             raise ConfigError("expected [[a1, b1], [a2, b2]]", "grid.bounds") from None
         a1, b1, a2, b2 = (_number(v, "grid.bounds") for v in (a1, b1, a2, b2))
+        if not (a1 < b1 and a2 < b2):
+            raise ConfigError(f"expected a1 < b1 and a2 < b2, got {grid['bounds']}", "grid.bounds")
         bounds = ((a1, b1), (a2, b2))
-    resolution = grid_sec.take("resolution", "int", 256)
-    grid_sec.finish()
 
-    payoff_sec = root.take("payoff", "mapping")
-    kind = payoff_sec.take("kind", "str")
-    if kind not in PAYOFF_KINDS:
-        raise ConfigError(f"unknown payoff kind {kind!r}", "payoff.kind")
+    if "payoff" not in root:
+        raise ConfigError("missing required key", "payoff")
+    payoff = _read(root["payoff"], "payoff")
     market = None
-    if PAYOFF_KINDS[kind] is Monopolist:
-        m = payoff_sec.take("market", "mapping")
-        fields = {
-            "p1": m.take("p1", "float"),
-            "p2": m.take("p2", "float"),
-            "q_min": m.take("q_min", "float"),
-            "q_max": m.take("q_max", "float"),
-            "delta": m.take("delta", "float", 0.0),
-            "demand": m.take("demand", "str", "unit"),
-        }
+    if PAYOFF_KINDS[payoff["kind"]] is Monopolist:
+        if "market" not in payoff:
+            raise ConfigError("missing required key", "payoff.market")
+        fields = _read(payoff["market"], "payoff.market")
         try:
             market = MarketConfig(**fields)
         except ValueError as exc:
             raise ConfigError(str(exc), "payoff.market") from None
-        m.finish()
-    payoff_sec.finish()
+    elif "market" in payoff:
+        raise ConfigError("unknown key(s) ['market']", "payoff")
 
-    obj_sec = root.take("objective", "mapping", {})
-    epsilon = obj_sec.take("epsilon", "float", 5.0)
-    epsilon_units = obj_sec.take("epsilon_units", "str", "grid")
-    if epsilon_units not in ("grid", "absolute"):
-        raise ConfigError(
-            f"expected 'grid' or 'absolute', got {epsilon_units!r}",
-            "objective.epsilon_units",
-        )
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive", "objective.epsilon")
-    eta = obj_sec.take("eta", "float", 0.0)
-    if eta < 0:
-        raise ConfigError("eta must be nonnegative", "objective.eta")
-    obj_sec.finish()
-
-    opt_sec = root.take("optimizer", "mapping", {})
-    restarts = opt_sec.take("restarts", "int", 1)
-    if restarts < 1:
-        raise ConfigError("restarts must be at least 1", "optimizer.restarts")
-    fields = {
-        "n_init": opt_sec.take("n_init", "int", 12),
-        "max_iters": opt_sec.take("max_iters", "int", 1000),
-        "learning_rate": opt_sec.take("learning_rate", "float", 1e-2),
-        "seed": opt_sec.take("seed", "int", 0),
-        "epsilon_final": opt_sec.take("epsilon_final", "float", None),
-    }
-    if fields["seed"] < 0:
-        raise ConfigError("seed must be nonnegative", "optimizer.seed")
-    try:
-        optimizer = OptimizerConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "optimizer") from None
-    opt_sec.finish()
-
-    bench_sec = root.take("benchmark", "mapping", {})
-    lloyd_tries = bench_sec.take("lloyd_tries", "int", 5)
-    if lloyd_tries < 1:
-        raise ConfigError("lloyd_tries must be at least 1", "benchmark.lloyd_tries")
-    lloyd_n = bench_sec.take("lloyd_n", "int", 4)
-    if lloyd_n < 1:
-        raise ConfigError("lloyd_n must be at least 1", "benchmark.lloyd_n")
-    bench_sec.finish()
+    objective = _read(root.get("objective"), "objective")
+    optimizer = _read(root.get("optimizer"), "optimizer")
+    restarts = optimizer.pop("restarts")
+    benchmark = _read(root.get("benchmark"), "benchmark")
 
     sweep_parameter = None
     sweep_values: list = []
-    if "sweep" in root.data:
-        sweep_sec = root.take("sweep", "mapping")
-        sweep_parameter = sweep_sec.take("parameter", "str")
-        if sweep_parameter not in SWEEPABLE:
-            raise ConfigError(
-                f"not sweepable (choose one of {sorted(SWEEPABLE)})",
-                "sweep.parameter",
-            )
-        sweep_values = sweep_sec.take("values", "list")
+    if "sweep" in root:
+        sweep = _read(root["sweep"], "sweep")
+        sweep_parameter, sweep_values = sweep["parameter"], sweep["values"]
         if not sweep_values:
             raise ConfigError("needs at least one value", "sweep.values")
         for v in sweep_values:
@@ -234,26 +236,19 @@ def parse_config(raw: Any) -> ExperimentConfig:
         if len(set(labels)) < len(labels):
             # each value names its table row and diagram files by this label
             raise ConfigError(f"values must have distinct labels, got {labels}", "sweep.values")
-        sweep_sec.finish()
-
-    output_dir = root.take("output_dir", "str", "out")
-    root.finish()
 
     return ExperimentConfig(
-        resolution=resolution,
+        resolution=grid["resolution"],
         bounds=bounds,
-        payoff_kind=kind,
+        payoff_kind=payoff["kind"],
         market=market,
-        epsilon=epsilon,
-        epsilon_units=epsilon_units,
-        eta=eta,
-        optimizer=optimizer,
+        **objective,
+        optimizer=OptimizerConfig(**optimizer),
         restarts=restarts,
-        lloyd_tries=lloyd_tries,
-        lloyd_n=lloyd_n,
+        **benchmark,
         sweep_parameter=sweep_parameter,
         sweep_values=list(sweep_values),
-        output_dir=output_dir,
+        output_dir=root["output_dir"],
     )
 
 
@@ -696,8 +691,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("command", choices=list(COMMANDS), help="what to run")
     parser.add_argument("--config", required=True, help="path to the YAML config")
     dests = {
-        key: parser.add_argument(flag, type=kind, help=help_text).dest
-        for flag, (key, kind, help_text) in OVERRIDES.items()
+        key: parser.add_argument(flag, type=KEYS[key].kind, help=help_text).dest
+        for flag, (key, help_text) in OVERRIDES.items()
     }
     args = vars(parser.parse_args(argv))
     overrides = {key: args[dest] for key, dest in dests.items() if args[dest] is not None}

@@ -38,10 +38,11 @@ class OptimizerConfig:
             raise ValueError("n_init must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.epsilon_final is not None and self.epsilon_final <= 0.0:
-            raise ValueError("epsilon_final must be positive when set")
+        # negated, so that nan fails too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate!r}")
+        if self.epsilon_final is not None and not 0.0 < self.epsilon_final < math.inf:
+            raise ValueError(f"epsilon_final must be a positive real, got {self.epsilon_final!r}")
 
 
 @dataclass(frozen=True)

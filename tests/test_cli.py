@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,12 +94,19 @@ def test_parse_error_names_offending_key(tmp_path, capsys):
         ("optimizer", "max_iters", -5),
         ("optimizer", "n_init", "abc"),
         ("optimizer", "seed", -1),
+        ("optimizer", "restarts", 0),
+        ("optimizer", "learning_rate", 0),
+        ("benchmark", "lloyd_tries", 0),
+        ("benchmark", "lloyd_n", 0),
+        ("grid", "resolution", 0),
+        ("grid", "resolution", -3),
+        ("objective", "epsilon_units", "cells"),
+        ("payoff", "kind", "parabola"),
     ]:
         with pytest.raises(ConfigError) as exc:
             parse_config({"payoff": {"kind": "concave-bowl"}, section: {key: value}})
-        # a bad type or a non-finite number names the key itself
-        expected = "optimizer" if key == "max_iters" else f"{section}.{key}"
-        assert exc.value.key == expected
+        # a bad type, a non-finite number or a value out of range names the key itself
+        assert exc.value.key == f"{section}.{key}"
         assert key in str(exc.value)
     with pytest.raises(ConfigError) as exc:
         parse_config({"payoff": {"kind": "monopolist", "market": {
@@ -111,6 +120,39 @@ def test_parse_error_names_offending_key(tmp_path, capsys):
     path = write_config(tmp_path, {"payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 8}})
     assert main(["solve", "--config", path, "--seed", "-1"]) == 2
     assert "optimizer.seed" in capsys.readouterr().err
+
+
+def _flatten(node, prefix=""):
+    """Dotted key -> value of every leaf of a nested mapping; a list is a leaf."""
+    out = {}
+    for name, value in node.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{name}."))
+        else:
+            out[f"{prefix}{name}"] = value
+    return out
+
+
+def test_docs_reference_config_matches_key_table():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
+    block = yaml.safe_load(re.search(r"```yaml\n(.*?)```", text, re.S).group(1))
+    parse_config(block)
+    shown = _flatten(block)
+    assert set(shown) == set(cli.KEYS)
+    for key, spec in cli.KEYS.items():
+        if spec.default is not None and spec.default is not cli._REQUIRED:
+            assert shown[key] == spec.default, key
+    # the bullet that describes a key states its bound or allowed values as errors do
+    sections = dict(re.findall(r"^## (\w+)\n(.*?)(?=^## |\Z)", text, re.M | re.S))
+    for key, spec in cli.KEYS.items():
+        rule = cli.key_rule(spec)
+        if rule is not None:
+            name = key.rsplit(".", 1)[-1]
+            bullets = re.findall(r"^ *- (.*?)(?=^ *- |^$|\Z)", sections[key.split(".")[0]], re.M | re.S)
+            (entry,) = [b for b in bullets if f"`{name}`" in b.split(":")[0]]
+            assert rule in " ".join(entry.replace("`", "").split()), key
+    assert all(key in cli.KEYS for key, _ in cli.OVERRIDES.values())
+    assert all(cli.KEYS[key].kind is float for key in cli.SWEEPABLE)
 
 
 def test_parse_rejects_unknown_section_keys():
@@ -135,7 +177,7 @@ def test_parse_bad_bounds_and_kind():
     with pytest.raises(ConfigError) as exc:
         parse_config({"grid": {"bounds": [0, 1]}, "payoff": {"kind": "concave-bowl"}})
     assert exc.value.key == "grid.bounds"
-    for edge in (float("inf"), float("nan"), 10**400):
+    for edge in (float("inf"), float("nan"), 10**400, 0, -1):
         with pytest.raises(ConfigError) as exc:
             parse_config({"grid": {"bounds": [[0, edge], [0, 1]]},
                           "payoff": {"kind": "concave-bowl"}})
@@ -546,7 +588,12 @@ def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
     ("benchmark.lloyd_n", 16 * 16 + 1, "benchmark"),
     # pruning can keep all n_init cells, and the Lloyd baseline needs a grid point per cell
     ("optimizer.n_init", 16 * 16 + 1, "table"),
-], ids=["lloyd_tries-zero", "lloyd_n-zero", "lloyd_n-above-grid", "n_init-above-grid"])
+    # a bad resolution names itself, not the n_init or lloyd_n it is compared with
+    ("grid.resolution", 0, "solve"),
+    ("grid.resolution", -3, "table"),
+    ("grid.resolution", 0, "benchmark"),
+], ids=["lloyd_tries-zero", "lloyd_n-zero", "lloyd_n-above-grid", "n_init-above-grid",
+        "resolution-zero-solve", "resolution-negative-table", "resolution-zero-benchmark"])
 def test_invalid_lloyd_settings_exit_two(tmp_path, capsys, key, value, command):
     data = tiny_market_config(tmp_path / "out", sweep={"parameter": "payoff.market.p2", "values": [1.0]})
     data["grid"]["resolution"] = 16

@@ -194,6 +194,12 @@ def test_optimizer_config_validation():
         OptimizerConfig(init_strategy="spiral")
     with pytest.raises(ValueError):
         OptimizerConfig(epsilon_final=-1.0)
+    # non-finite values fail here, not later as a misreported stopped_early
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OptimizerConfig(learning_rate=bad)
+        with pytest.raises(ValueError):
+            OptimizerConfig(epsilon_final=bad)
     with pytest.raises(TypeError):
         OptimizerConfig(grad_mode="monte-carlo", batch_size=0)
 

@@ -10,7 +10,6 @@ from .benchmarks import (
 )
 from .entropic import (
     EntropicConfig,
-    SoftCellStats,
     sinkhorn_dual_solve,
     soft_partition,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PayoffModel",
     "PurchaseBreakdown",
     "SingularPenaltyError",
-    "SoftCellStats",
     "best_lloyd_revenue",
     "build_grid",
     "concave_bowl",

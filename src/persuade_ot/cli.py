@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericFailure
 from .grid import Bounds, GridMeasure, build_grid
 from .objective import ObjectiveConfig, hard_objective
 from .optimizer import OptimizerConfig, OptResult, init_sites, optimize
-from .payoffs import ConcaveBowl, MarketConfig, Monopolist, PayoffModel, TriModal
+from .payoffs import ConcaveBowl, MarketConfig, Monopolist, TriModal
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
 _REQUIRED = object()
@@ -288,14 +288,13 @@ def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
     return out
 
 
-def build_scenario(
-    cfg: ExperimentConfig,
-) -> tuple[GridMeasure, PayoffModel, ObjectiveConfig, OptimizerConfig]:
-    """Grid, payoff, objective and optimizer settings for one scenario.
+def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, ObjectiveConfig, OptimizerConfig]:
+    """Grid, objective (with the payoff) and optimizer settings for one scenario.
 
     Converts objective.epsilon and optimizer.epsilon_final from
     epsilon_units to absolute units: with "grid" one unit is the grid
-    spacing.
+    spacing. A converted value that underflows or overflows is a
+    ConfigError naming its key.
     """
     if cfg.bounds is not None:
         bounds = cfg.bounds
@@ -313,13 +312,18 @@ def build_scenario(
     payoff_cls = PAYOFF_KINDS[cfg.payoff_kind]
     payoff = payoff_cls() if cfg.market is None else payoff_cls(cfg.market)
     unit = grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
-    obj = ObjectiveConfig(
-        eta=cfg.eta, entropic=EntropicConfig(cfg.epsilon * unit), payoff=payoff
-    )
+    try:
+        entropic = EntropicConfig(cfg.epsilon * unit)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in absolute units", "objective.epsilon") from None
+    obj = ObjectiveConfig(eta=cfg.eta, entropic=entropic, payoff=payoff)
     opt = cfg.optimizer
     if opt.epsilon_final is not None:
-        opt = replace(opt, epsilon_final=opt.epsilon_final * unit)
-    return grid, payoff, obj, opt
+        try:
+            opt = replace(opt, epsilon_final=opt.epsilon_final * unit)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} in absolute units", "optimizer.epsilon_final") from None
+    return grid, obj, opt
 
 
 def solve_scenario(
@@ -332,12 +336,12 @@ def solve_scenario(
     The winner's seed is its ``seed_used``; the returned objective and
     optimizer settings are in absolute epsilon units.
     """
-    grid, payoff, obj, opt = build_scenario(cfg)
+    grid, obj, opt = build_scenario(cfg)
     runs = []
     for k in range(cfg.restarts):
         seed = opt.seed + k
         result = optimize(init_sites(opt.n_init, grid, seed), grid, obj, replace(opt, seed=seed))
-        runs.append((hard_objective(result.params, grid, payoff), result))
+        runs.append((hard_objective(result.params, grid, obj.payoff), result))
     top = max(hard for hard, _ in runs)
     best_hard, best = min(
         (run for run in runs if run[0] >= top - RESTART_TIE_RTOL * abs(top)),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridMeasure
-from .power_diagram import DiagramParams
+from .power_diagram import CellStats, DiagramParams
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ class EntropicConfig:
             raise ValueError(f"epsilon must be a positive real, got {self.epsilon!r}")
 
 
-@dataclass(frozen=True)
-class SoftCellStats:
-    """Regularized masses and barycenters of the soft cells."""
-
-    masses: np.ndarray
-    barycenters: np.ndarray
-
-
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     # softmax over axis 0, stabilized by per-column max subtraction
     shifted = logits - logits.max(axis=0, keepdims=True)
@@ -61,7 +53,7 @@ def _softmax_cols(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> SoftCellStats:
+def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> CellStats:
     """Soft masses and barycenters from a kernel's moments() about the sites.
 
     A cell whose mass underflows to zero keeps its site as barycenter.
@@ -73,12 +65,12 @@ def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> SoftCellStats:
     dead = masses <= 0.0
     if np.any(dead):
         barycenters = np.where(dead[:, None], sites, barycenters)
-    return SoftCellStats(masses=masses, barycenters=barycenters)
+    return CellStats(masses=masses, barycenters=barycenters)
 
 
 def soft_partition(
     params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig
-) -> tuple[DenseChi, SoftCellStats]:
+) -> tuple[DenseChi, CellStats]:
     """The dense kernel (dense_chi) and the induced masses/barycenters.
 
     The kernel's chi[i, alpha] = softmax_i((g_i - |y_alpha - x_i|^2) / epsilon).

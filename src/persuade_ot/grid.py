@@ -7,6 +7,7 @@ quadrature of a density and are normalized to total mass one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,7 +108,8 @@ def build_grid(bounds: Bounds, resolution: int) -> GridMeasure:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     m = int(resolution)
     (a1, b1), (a2, b2) = bounds
-    if not (b1 > a1 and b2 > a2):
+    # negated, so that nan fails too; finite bounds can still overflow the width
+    if not (0.0 < b1 - a1 < math.inf and 0.0 < b2 - a2 < math.inf):
         raise ValueError(f"degenerate bounds {bounds!r}")
     hx = (b1 - a1) / m
     hy = (b2 - a2) / m

@@ -33,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic import (
-    DenseChi, EntropicConfig, SeparableChi, SoftCellStats, chi_kernel, soft_cell_stats,
+    DenseChi, EntropicConfig, SeparableChi, chi_kernel, soft_cell_stats,
 )
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel
-from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
+from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ObjectiveReport:
     value: float
     payoff_term: float
     penalty_term: float
-    cells: SoftCellStats
+    cells: CellStats
     payoffs: np.ndarray
 
     @property

@@ -11,11 +11,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropic import EntropicConfig, SoftCellStats
+from .entropic import EntropicConfig
 from .errors import NumericFailure
 from .grid import GridMeasure
 from .objective import ObjectiveConfig, ObjectiveReport, soft_objective, value_and_grad
-from .power_diagram import DiagramParams, hard_assign, hard_cell_stats, min_separation
+from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats, min_separation
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
 ADAM_BETA1 = 0.9
@@ -49,11 +49,15 @@ class OptimizerConfig:
 class OptResult:
     params: DiagramParams
     report: ObjectiveReport
-    effective_n: int
     trajectory: list  # (value, grad_norm) per iteration
     seed_used: int
     best_iteration: int
     stopped_early: int | None = None  # iteration whose step made two sites coincide
+
+    @property
+    def effective_n(self) -> int:
+        """Cells kept after pruning."""
+        return self.params.n
 
 
 def init_sites(
@@ -92,7 +96,7 @@ def init_sites(
 
 def prune_cells(
     params: DiagramParams,
-    stats: SoftCellStats,
+    stats: CellStats,
     mass_tol: float,
     grid: GridMeasure,
 ) -> DiagramParams:
@@ -214,7 +218,6 @@ def optimize(
     return OptResult(
         params=pruned,
         report=report_after,
-        effective_n=pruned.n,
         trajectory=trajectory,
         seed_used=opt.seed,
         best_iteration=best_iteration,

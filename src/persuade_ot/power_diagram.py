@@ -14,9 +14,9 @@ the tests use as the reference, so the labels equal its labels bit for bit.
 Lloyd's passes skip even that labelling: a Voronoi cell meets each grid row
 in one interval whose ends are affine in the row's coordinate, so per-row
 prefix sums of the masses and first moments give its sums in O(n^2 M)
-work. The dense labelling decides the first pass (and the one after a
-reseed), takes any pass the ranges cannot settle exactly, and confirms the
-fixed point, so the iteration returns the dense loop's result bit for bit.
+work. Each round of the iteration starts with a dense labelling, and
+range passes follow only a dense move; the last range move is redone
+densely, so the iteration returns the dense loop's result bit for bit.
 """
 
 from __future__ import annotations
@@ -91,15 +91,19 @@ class HardAssignment:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Masses and barycenters per cell.
+    """Masses and barycenters per cell, hard or soft.
 
-    Barycenter rows are NaN where the cell carries no mass; ``support``
-    flags the cells with positive mass.
+    The producer chooses a massless cell's barycenter: NaN for hard cells
+    (``hard_cell_stats``), the site for soft cells (``soft_cell_stats``).
     """
 
     masses: np.ndarray
     barycenters: np.ndarray
-    support: np.ndarray
+
+    @property
+    def support(self) -> np.ndarray:
+        """Flags the cells with positive mass."""
+        return self.masses > 0.0
 
 
 def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> np.ndarray:
@@ -149,7 +153,7 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     barycenters = np.full((n, 2), np.nan)
     barycenters[support, 0] = sx[support] / masses[support]
     barycenters[support, 1] = sy[support] / masses[support]
-    return CellStats(masses=masses, barycenters=barycenters, support=support)
+    return CellStats(masses=masses, barycenters=barycenters)
 
 
 def _row_prefix_sums(grid: GridMeasure) -> np.ndarray:
@@ -221,19 +225,15 @@ def lloyd_solve(
     """Centroidal Voronoi diagram by Lloyd's fixed-point iteration.
 
     Sites start at n distinct grid points drawn with probability
-    proportional to the grid masses (seeded); weights stay zero. Each pass
-    moves every site to its cell's barycenter, the cell sums taken over
-    per-row ranges (``_range_cell_sums``). The dense labelling takes the
-    first pass and the one after a reseed, where sites sit on grid points,
-    and any pass the ranges leave to it. There an empty cell's site (the
-    lowest such index) moves to the highest-mass grid point, free of other
-    sites, of the largest cell; a RuntimeError is raised where that fails.
-    Once the range barycenters equal the sites, or ``max_iters`` moves are
-    spent, the last range move is redone densely and dense passes run on
-    until each site equals its cell's barycenter, the exact fixed point a
-    finite grid reaches, or the budget is spent. The ranges give the dense
-    labels, so the result is the dense iteration's bit for bit. Every
-    returned cell has mass.
+    proportional to the grid masses (seeded); weights stay zero. Each round
+    labels the grid densely. An empty cell's site (the lowest such index)
+    moves to the highest-mass grid point, free of other sites, of the
+    largest cell, or a RuntimeError is raised. At the exact fixed point a
+    finite grid reaches, or after ``max_iters`` moves, it returns. Else the
+    sites move to the barycenters and range passes (``_range_cell_sums``)
+    go on until they fail, stop moving or spend the budget; the next round
+    redoes their last move densely, so the result is the dense iteration's
+    bit for bit. Every returned cell has mass.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -245,22 +245,8 @@ def lloyd_solve(
     zeros = np.zeros(n)
     prefix = _row_prefix_sums(grid)
     moves = 0
-    on_grid, finishing, undo = True, False, None  # undo: (sites, moves) before a range move
-    # up to 4n labellings, and as many range passes, per move
-    for _ in range(8 * n * (max(max_iters, 0) + 1)):
-        if not (on_grid or finishing):
-            sums = _range_cell_sums(sites, grid, prefix) if moves < max_iters else None
-            if sums is not None:
-                barycenters = (sums[1:] / sums[0]).T
-                if not np.array_equal(barycenters, sites):
-                    undo = sites, moves
-                    sites, moves = barycenters, moves + 1
-                    continue
-            finishing = sums is not None or moves >= max_iters
-            if undo is not None:
-                # the dense pass redoes the last range move, so the sites it
-                # hands on are dense barycenters
-                (sites, moves), undo = undo, None
+    # each round reseeds, returns or nets a move: up to 4n labellings per move
+    for _ in range(4 * n * (max(max_iters, 0) + 1)):
         assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
         stats = hard_cell_stats(assignment, grid)
         if not stats.support.all():
@@ -272,11 +258,23 @@ def lloyd_solve(
                     break
             else:
                 raise RuntimeError("could not reseed an empty cell")
-            on_grid = True
-        elif moves >= max_iters or np.array_equal(stats.barycenters, sites):
+            continue
+        if moves >= max_iters or np.array_equal(stats.barycenters, sites):
             return DiagramParams(sites, zeros), stats
-        else:
-            sites = stats.barycenters
-            moves += 1
-            on_grid = False
+        sites = stats.barycenters
+        moves += 1
+        undo = None  # (sites, moves) before the last range move
+        while moves < max_iters:
+            sums = _range_cell_sums(sites, grid, prefix)
+            if sums is None:
+                break
+            barycenters = (sums[1:] / sums[0]).T
+            if np.array_equal(barycenters, sites):
+                break
+            undo = sites, moves
+            sites, moves = barycenters, moves + 1
+        if undo is not None:
+            # the dense labelling redoes the last range move, so the sites it
+            # hands on are dense barycenters
+            sites, moves = undo
     raise RuntimeError("empty-cell reseeding did not terminate")

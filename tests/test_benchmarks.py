@@ -92,11 +92,11 @@ def test_lloyd_revenue_equals_hard_objective_on_table_markets():
         sweep = parse_config(raw)
         for value in sweep.sweep_values:
             cfg = parse_config(set_config_path(raw, sweep.sweep_parameter, value))
-            grid, payoff = build_scenario(cfg)[:2]
+            grid, obj, _ = build_scenario(cfg)
             for seed in (0, 1):
                 sites = lloyd_solve(4, grid, seed)[0]
                 assert lloyd_revenue(4, cfg.market, grid, seed) == hard_objective(
-                    sites, grid, payoff
+                    sites, grid, obj.payoff
                 )
             columns += 1
     assert columns == 25

@@ -201,8 +201,22 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 def test_nonfinite_config_value_exits_two(tmp_path, capsys):
     path = tmp_path / "nan.yaml"
-    path.write_text("payoff: {kind: concave-bowl}\nobjective: {epsilon: .nan}\n", encoding="utf-8")
+    market = "{p1: 1.0, p2: 1.0, q_min: -1.0e+308, q_max: 1.0e+308}"
+    for body, key in [
+        ("objective: {epsilon: .nan}", "objective.epsilon"),
+        # finite as given, but 0 or inf once scaled by the grid spacing or as a width
+        ("objective: {epsilon: 1.0e-323}", "objective.epsilon"),
+        ("optimizer: {epsilon_final: 1.0e-323}", "optimizer.epsilon_final"),
+        ("grid: {bounds: [[-1.0e+308, 1.0e+308], [0.0, 1.0]]}", "grid"),
+    ]:
+        path.write_text(f"payoff: {{kind: concave-bowl}}\n{body}\n", encoding="utf-8")
+        assert run_experiment(str(path), command="solve") == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+    path.write_text(f"payoff: {{kind: monopolist, market: {market}}}\n", encoding="utf-8")
     assert run_experiment(str(path), command="solve") == 2
+    assert "config error: grid:" in capsys.readouterr().err
+    path.write_text("payoff: {kind: concave-bowl}\n", encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--epsilon", "1e-323"]) == 2
     assert "objective.epsilon" in capsys.readouterr().err
 
 
@@ -526,8 +540,8 @@ def test_epsilon_final_uses_epsilon_units(tmp_path):
     h = 2.0 / 32.0
     assert result["epsilon"] == 5.0 * h
     assert result["epsilon_final"] == 0.5 * h
-    grid, payoff, _, _ = cli.build_scenario(parse_config(data))
-    final = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.5 * h), payoff=payoff)
+    grid, obj, _ = cli.build_scenario(parse_config(data))
+    final = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.5 * h), payoff=obj.payoff)
     params = DiagramParams(np.array(result["sites"]), np.array(result["weights"]))
     assert result["soft_value"] == soft_objective(params, grid, final).value
 

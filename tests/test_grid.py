@@ -36,6 +36,11 @@ def test_degenerate_bounds_rejected():
         build_grid(((0.5, 0.5), (0.0, 1.0)), 8)
     with pytest.raises(ValueError):
         build_grid(((0.0, 1.0), (1.0, 0.0)), 8)
+    # a width that is infinite, overflows or is nan
+    for bounds in [((-np.inf, 2.0), (0.0, 2.0)), ((-1e308, 1e308), (0.0, 1.0)),
+                   ((0.0, 1.0), (0.0, np.nan))]:
+        with pytest.raises(ValueError):
+            build_grid(bounds, 4)
 
 
 def test_uniform_discretization_equal_masses():

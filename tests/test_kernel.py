@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from persuade_ot import (
+    CellStats,
     DensitySpec,
     DiagramParams,
     EntropicConfig,
     MarketConfig,
     ObjectiveConfig,
-    SoftCellStats,
     build_grid,
     discretize_density,
     init_sites,
@@ -228,7 +228,7 @@ def _stats_from_chi(chi, grid, sites):
     dead = masses <= 0.0
     if np.any(dead):
         barycenters = np.where(dead[:, None], sites, barycenters)
-    return SoftCellStats(masses=masses, barycenters=barycenters)
+    return CellStats(masses=masses, barycenters=barycenters)
 
 
 @pytest.mark.parametrize("prior", ["uniform", "holed"])

@@ -11,6 +11,7 @@ from persuade_ot import (
     hard_cell_stats,
     lloyd_solve,
 )
+from persuade_ot import power_diagram
 from persuade_ot.power_diagram import _range_cell_sums, _row_prefix_sums
 from reference import dense_lloyd, sq_dists
 
@@ -274,6 +275,30 @@ def test_lloyd_equals_dense_reference_bit_for_bit():
                         dense_lloyd(n, grid, seed, max_iters=budget),
                         (m, lo, n, seed, budget),
                     )
+
+
+def test_lloyd_leaves_most_passes_to_the_ranges(monkeypatch):
+    # pass counts against those when the ranges came in: more dense
+    # labellings means work moved back to them, and more than 5 % more
+    # range passes means passes that move nothing
+    calls = {"dense": 0, "range": 0}
+    for name, key in (("_power_labels", "dense"), ("_range_cell_sums", "range")):
+        def counted(*args, _real=getattr(power_diagram, name), _key=key):
+            calls[_key] += 1
+            return _real(*args)
+        monkeypatch.setattr(power_diagram, name, counted)
+    # the table baselines at 144^2: n = 4, the six boxes of the tables, seeds 0-9
+    for lo in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25):
+        grid = build_grid(((lo, 2.0), (lo, 2.0)), 144)
+        for seed in range(10):
+            lloyd_solve(4, grid, seed)
+    assert calls["dense"] <= 187 and calls["range"] <= 1.05 * 1026
+    # solves whose range passes reach the fixed point, which the above never do
+    calls.update(dense=0, range=0)
+    grid = build_grid(((0.0, 2.0), (0.0, 2.0)), 128)
+    for seed in range(3):
+        lloyd_solve(3, grid, seed)
+    assert calls["dense"] <= 9 and calls["range"] <= 1.05 * 100
 
 
 def test_range_sums_match_dense_cell_stats():

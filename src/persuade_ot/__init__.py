@@ -33,6 +33,7 @@ from .optimizer import (
     OptResult,
     init_sites,
     optimize,
+    optimize_batch,
     prune_cells,
 )
 from .payoffs import (
@@ -93,6 +94,7 @@ __all__ = [
     "monopolist_payoff",
     "no_info_revenue",
     "optimize",
+    "optimize_batch",
     "phi_eval",
     "phi_grad",
     "prune_cells",

@@ -24,7 +24,7 @@ from .entropic import EntropicConfig
 from .errors import ConfigError, NumericFailure
 from .grid import Bounds, GridMeasure, build_grid
 from .objective import ObjectiveConfig, hard_objective
-from .optimizer import OptimizerConfig, OptResult, init_sites, optimize
+from .optimizer import OptimizerConfig, OptResult, init_sites, optimize_batch
 from .payoffs import ConcaveBowl, MarketConfig, Monopolist, TriModal
 from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
@@ -331,17 +331,16 @@ def solve_scenario(
 ) -> tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]:
     """Best-of-restarts optimizer run; returns the winner by hard value.
 
-    Hard values within RESTART_TIE_RTOL of the best, relative to it, are
-    tied, and a tie goes to the fewest effective cells, then the lowest seed.
+    The restarts advance together in one optimize_batch call. Hard values
+    within RESTART_TIE_RTOL of the best, relative to it, are tied, and a tie
+    goes to the fewest effective cells, then the lowest seed.
     The winner's seed is its ``seed_used``; the returned objective and
     optimizer settings are in absolute epsilon units.
     """
     grid, obj, opt = build_scenario(cfg)
-    runs = []
-    for k in range(cfg.restarts):
-        seed = opt.seed + k
-        result = optimize(init_sites(opt.n_init, grid, seed), grid, obj, replace(opt, seed=seed))
-        runs.append((hard_objective(result.params, grid, obj.payoff), result))
+    opts = [replace(opt, seed=opt.seed + k) for k in range(cfg.restarts)]
+    results = optimize_batch([init_sites(o.n_init, grid, o.seed) for o in opts], grid, obj, opts)
+    runs = [(hard_objective(result.params, grid, obj.payoff), result) for result in results]
     top = max(hard for hard, _ in runs)
     best_hard, best = min(
         (run for run in runs if run[0] >= top - RESTART_TIE_RTOL * abs(top)),

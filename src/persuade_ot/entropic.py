@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridMeasure
-from .power_diagram import CellStats, DiagramParams
+from .power_diagram import CellStats, DiagramParams, stacked
 
 
 @dataclass(frozen=True)
@@ -47,24 +47,25 @@ class EntropicConfig:
 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
-    # softmax over axis 0, stabilized by per-column max subtraction
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    # softmax over the cell axis (-2), stabilized by per-column max subtraction
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     w = np.exp(shifted)
-    return w / w.sum(axis=0, keepdims=True)
+    return w / w.sum(axis=-2, keepdims=True)
 
 
 def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> CellStats:
     """Soft masses and barycenters from a kernel's moments() about the sites.
 
     A cell whose mass underflows to zero keeps its site as barycenter.
+    Leading batch axes carry through.
     """
-    masses = mom[0]
+    masses = mom[..., 0, :]
     # masses are strictly positive in exact arithmetic; guard float underflow
     safe = np.maximum(masses, np.finfo(float).tiny)
-    barycenters = sites + mom[1:3].T / safe[:, None]
+    barycenters = sites + mom[..., 1:3, :].swapaxes(-1, -2) / safe[..., None]
     dead = masses <= 0.0
     if np.any(dead):
-        barycenters = np.where(dead[:, None], sites, barycenters)
+        barycenters = np.where(dead[..., None], sites, barycenters)
     return CellStats(masses=masses, barycenters=barycenters)
 
 
@@ -92,34 +93,39 @@ Z_FLOOR = 1e-250
 #   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
 # A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
 # for SeparableChi, (M^2,) for DenseChi; average() returns that layout.
+# A batch kernel puts a leading restart axis R on every array, its
+# arguments and its results; each restart's slice is computed with the
+# floating-point operations of that restart's own kernel.
 
 
 class SeparableChi:
     """Soft memberships on the tensor grid, kept as per-axis factors.
 
-    ``work`` is a (3, M, M) float array whose rows hold Z, nu / Z and the
-    result of average().
+    ``work`` is a (3, M, M) float array, (3, R, M, M) for a batch, whose
+    rows hold Z, nu / Z and the result of average().
     """
 
     def __init__(self, ex, sey, ux, uy, z, nu, work):
         # x factors as columns (M, 3n): Ex, Ex u1, Ex u1^2; y factors (3, n, M): s Ey u2^q
-        self._xs = np.concatenate([ex, ex * ux, ex * ux * ux]).T.copy()
-        self._ys = np.stack([sey, sey * uy, sey * uy * uy])
+        self._xs = np.concatenate([ex, ex * ux, ex * ux * ux], axis=-2).swapaxes(-1, -2).copy()
+        self._ys = np.stack([sey, sey * uy, sey * uy * uy], axis=-3)
         self._z = z
-        self._r = np.divide(nu.reshape(z.shape), z, out=work[1])
+        self._r = np.divide(nu.reshape(z.shape[-2:]), z, out=work[1])
         self._avg = work[2]
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
         """Weighted moments; a given w is overwritten with nu / Z * w."""
         weight = self._r if w is None else np.multiply(w, self._r, out=w)
-        t = (weight @ self._xs).reshape(weight.shape[0], 3, -1)  # [iy, p, i]
-        full = np.einsum("qiy,ypi->pqi", self._ys, t)
-        return full[[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]]
+        t = (weight @ self._xs).reshape(*weight.shape[:-1], 3, -1)  # [..., iy, p, i]
+        full = np.einsum("...qiy,...ypi->...pqi", self._ys, t)
+        # the (p, q) powers of (u1, u2) in moment order, as rows 3p + q of full
+        return full.reshape(*full.shape[:-3], 9, -1)[..., [0, 3, 1, 6, 4, 2], :]
 
     def average(self, coef: np.ndarray) -> np.ndarray:
-        sey, seyu = self._ys[0].T, self._ys[1].T
-        left = np.concatenate([sey * coef[0] + seyu * coef[2], sey * coef[1]], axis=1)
-        out = np.matmul(left, self._xs[:, : left.shape[1]].T, out=self._avg)
+        sey, seyu = self._ys[..., 0, :, :].swapaxes(-1, -2), self._ys[..., 1, :, :].swapaxes(-1, -2)
+        c0, c1, c2 = (coef[..., k, None, :] for k in range(3))
+        left = np.concatenate([sey * c0 + seyu * c2, sey * c1], axis=-1)
+        out = np.matmul(left, self._xs[..., : left.shape[-1]].swapaxes(-1, -2), out=self._avg)
         return np.divide(out, self._z, out=out)
 
 
@@ -130,56 +136,75 @@ class DenseChi:
         self.chi, self._ux, self._uy, self._nu = chi, ux, uy, nu
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
-        cw = self.chi * (self._nu if w is None else self._nu * w)
+        cw = self.chi * (self._nu if w is None else self._nu * w[..., None, :])
         ux, uy = self._ux, self._uy
         cu1, cu2 = cw * ux, cw * uy
-        second = ((cu1 * ux).sum(axis=1), (cu1 * uy).sum(axis=1), (cu2 * uy).sum(axis=1))
-        return np.stack([cw.sum(axis=1), cu1.sum(axis=1), cu2.sum(axis=1), *second])
+        second = ((cu1 * ux).sum(axis=-1), (cu1 * uy).sum(axis=-1), (cu2 * uy).sum(axis=-1))
+        return np.stack([cw.sum(axis=-1), cu1.sum(axis=-1), cu2.sum(axis=-1), *second], axis=-2)
 
     def average(self, coef: np.ndarray) -> np.ndarray:
-        psi = coef[0][:, None] + coef[1][:, None] * self._ux + coef[2][:, None] * self._uy
-        return np.einsum("ip,ip->p", self.chi, psi)
+        c0, c1, c2 = (coef[..., k, :, None] for k in range(3))
+        psi = c0 + c1 * self._ux + c2 * self._uy
+        return np.einsum("...ip,...ip->...p", self.chi, psi)
 
 
-def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
-    """Log-domain softmax over every grid point."""
+def dense_chi(params: DiagramParams | list, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
+    """Log-domain softmax over every grid point, for one diagram or a batch."""
     points = grid.centers
-    ux = points[:, 0][None, :] - params.sites[:, 0:1]
-    uy = points[:, 1][None, :] - params.sites[:, 1:2]
-    logits = (params.weights[:, None] - (ux * ux + uy * uy)) / cfg.epsilon
+    sites = stacked(params, "sites")
+    ux = points[:, 0] - sites[..., 0:1]
+    uy = points[:, 1] - sites[..., 1:2]
+    logits = (stacked(params, "weights")[..., None] - (ux * ux + uy * uy)) / cfg.epsilon
     return DenseChi(_softmax_cols(logits), ux, uy, grid.masses)
 
 
 def chi_kernel(
-    params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig,
+    params: DiagramParams | list, grid: GridMeasure, cfg: EntropicConfig,
     work: np.ndarray | None = None,
-) -> SeparableChi | DenseChi:
+):
     """Separable kernel on the grid, or the dense one where Z < Z_FLOOR.
 
     A (3, M, M) ``work`` array, if given, holds the separable kernel's
     (M, M) arrays; the kernel is valid until the next call with it.
     Without one a fresh array is allocated.
+
+    For a batch (a list of R diagrams with one n) ``work`` is (3, R, M, M)
+    and the result is a list of (rows, kernel) pairs that covers the batch:
+    one separable kernel with a leading axis over the restarts whose Z
+    passes the floor, and a dense kernel, batched over one restart, for
+    each other restart alone.
     """
     m = grid.resolution
+    sites = stacked(params, "sites")
+    weights = stacked(params, "weights")
     if work is None:
-        work = np.empty((3, m, m))
+        work = np.empty((3, *weights.shape[:-1], m, m))
     gx = grid.centers[:m, 0]
     gy = grid.centers[::m, 1]
     eps = cfg.epsilon
-    ux = gx[None, :] - params.sites[:, 0:1]
-    uy = gy[None, :] - params.sites[:, 1:2]
-    lx = (params.weights[:, None] - ux * ux) / eps
+    ux = gx - sites[..., 0:1]
+    uy = gy - sites[..., 1:2]
+    lx = (weights[..., None] - ux * ux) / eps
     ly = -(uy * uy) / eps
-    a = lx.max(axis=1)
-    b = ly.max(axis=1)
-    ex = np.exp(lx - a[:, None])
-    ey = np.exp(ly - b[:, None])
+    a = lx.max(axis=-1)
+    b = ly.max(axis=-1)
+    ex = np.exp(lx - a[..., None])
+    ey = np.exp(ly - b[..., None])
     shift = a + b
-    sey = np.exp(shift - shift.max())[:, None] * ey
-    z = np.matmul(sey.T, ex, out=work[0])
-    if z.min() < Z_FLOOR:
-        return dense_chi(params, grid, cfg)
-    return SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
+    sey = np.exp(shift - shift.max(axis=-1, keepdims=True))[..., None] * ey
+    z = np.matmul(sey.swapaxes(-1, -2), ex, out=work[0])
+    low = z.min(axis=(-2, -1)) < Z_FLOOR
+    if isinstance(params, DiagramParams):
+        return dense_chi(params, grid, cfg) if low else SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
+    if not low.any():
+        return [(np.arange(len(params)), SeparableChi(ex, sey, ux, uy, z, grid.masses, work))]
+    rows = np.flatnonzero(~low)
+    kernels = [([i], dense_chi([params[i]], grid, cfg)) for i in np.flatnonzero(low)]
+    if rows.size:
+        work = work[:, : rows.size]
+        np.copyto(work[0], z[rows])
+        kernels.append((rows, SeparableChi(ex[rows], sey[rows], ux[rows], uy[rows], work[0], grid.masses, work)))
+    return kernels
 
 
 def sinkhorn_dual_solve(

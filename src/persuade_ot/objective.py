@@ -24,6 +24,13 @@ order. They are taken from one kernel (entropic.chi_kernel): on the tensor
 grid the separable factors turn each into an (M, M) @ (M, 3n) matmul, with
 the dense log-domain softmax only where the factors underflow. No n x M^2
 array is built on the separable path.
+
+The evaluation also takes a batch: a list of R diagrams with one n. The
+kernel's arrays, the moments, the separation matrices (R, n, n) and the
+gradients then carry a leading restart axis, one payoff call covers all
+R n barycentres, and every reduction over cells is made per restart with
+the operations of a single diagram, so each restart's report and gradient
+equal its own evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .entropic import (
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel
-from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats
+from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats, stacked
 
 
 @dataclass(frozen=True)
@@ -84,42 +91,63 @@ def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel
     return float(stats.masses[stats.support] @ phis)
 
 
-def _penalty_terms(mom: np.ndarray, params: DiagramParams) -> tuple[float, np.ndarray, np.ndarray]:
+def _penalty_terms(
+    mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Penalty R, the adjoint's per-cell r and R's explicit dR/dX.
 
-    All three read one separation matrix, params.separation_sq, whose inf
-    diagonal makes the i = j repulsion terms exact zeros, so one site needs
-    no special case.
+    All three read the separation matrix sep2 (DiagramParams.separation_sq),
+    whose inf diagonal makes the i = j repulsion terms exact zeros, so one
+    site needs no special case. Leading batch axes carry through.
     """
-    m = mom[0]
-    sep2 = params.separation_sq
-    mm = m[:, None] * m[None, :]
-    total = float((mom[3] + mom[5]).sum()) + float((mm / sep2).sum())
-    if not np.isfinite(total):
+    m = mom[..., 0, :]
+    mm = m[..., :, None] * m[..., None, :]
+    total = (mom[..., 3, :] + mom[..., 5, :]).sum(axis=-1) + (mm / sep2).sum(axis=(-2, -1))
+    if not np.isfinite(total).all():
         raise SingularPenaltyError("sites too close: repulsion term is not finite")
     # r_j = dR/dm_j of the repulsion; dR/dX with chi held fixed
-    r = 2.0 * (m[None, :] / sep2).sum(axis=1)
-    sites = params.sites
-    diff = sites[:, None, :] - sites[None, :, :]
-    rep_x = -4.0 * ((mm / sep2**2)[:, :, None] * diff).sum(axis=1)
-    return total, r, -2.0 * mom[1:3].T + rep_x
+    r = 2.0 * (m[..., None, :] / sep2).sum(axis=-1)
+    diff = sites[..., :, None, :] - sites[..., None, :, :]
+    rep_x = -4.0 * ((mm / sep2**2)[..., None] * diff).sum(axis=-2)
+    return total, r, -2.0 * mom[..., 1:3, :].swapaxes(-1, -2) + rep_x
 
 
-def _evaluate(
-    kernel: SeparableChi | DenseChi, params: DiagramParams, cfg: ObjectiveConfig
-) -> tuple[ObjectiveReport, np.ndarray, np.ndarray]:
-    """The objective's one evaluation: report and (dF/dX, dF/dg) from one kernel."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b per restart, by the BLAS call of a single diagram's a @ b, for
+    a (..., n) and b (..., n) or (..., n, k)."""
+    if a.ndim == 1:
+        return a @ b
+    if a.ndim == b.ndim:
+        return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.matmul(a[..., None, :], b)[..., 0, :]
+
+
+def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list, cfg: ObjectiveConfig):
+    """The objective's one evaluation: report and (dF/dX, dF/dg) from one kernel.
+
+    For a batch kernel and a list of R diagrams it gives R reports and
+    (R, n, 2), (R, n) gradients.
+    """
     eps = cfg.entropic.epsilon
     eta = cfg.eta
-    sites = params.sites
+    sites = stacked(params, "sites")
     mom = kernel.moments()
     stats = soft_cell_stats(mom, sites)
     m, b = stats.masses, stats.barycenters
-    phis, gphis = cfg.payoff.value_and_grad(b)
+    phis, gphis = cfg.payoff.value_and_grad(b.reshape(-1, 2))
+    phis, gphis = phis.reshape(m.shape), gphis.reshape(b.shape)
     # the report carries the penalty value even when eta = 0
-    penalty, r, penalty_x = _penalty_terms(mom, params)
-    payoff_term = float(m @ phis)
-    report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, stats, phis)
+    penalty, r, penalty_x = _penalty_terms(mom, sites, stacked(params, "separation_sq"))
+    payoff_term = _dot(m, phis)
+    value = payoff_term - eta * penalty
+    if isinstance(params, DiagramParams):
+        report = ObjectiveReport(float(value), float(payoff_term), float(penalty), stats, phis)
+    else:
+        report = [
+            ObjectiveReport(float(value[k]), float(payoff_term[k]), float(penalty[k]),
+                            CellStats(m[k], b[k]), phis[k])
+            for k in range(len(params))
+        ]
 
     # Payoff adjoint Psi_ja = c_j + G_j . y_a - eta (|y_a - x_j|^2 + r_j), with
     # G = grad Phi(b) and c = Phi(b) - G . b, reproduces d(m_j Phi(b_j))/dchi_ja
@@ -128,21 +156,25 @@ def _evaluate(
     # mean cell's affine part, subtracted here so that the moment sums below do
     # not cancel in floating point (a single cell then gives exactly zero, as
     # the dense path does).
-    c = phis - np.einsum("jk,jk->j", gphis, b) - eta * (r + (sites * sites).sum(axis=1))
+    c = phis - np.einsum("...jk,...jk->...j", gphis, b) - eta * (r + (sites * sites).sum(axis=-1))
     lin = gphis + 2.0 * eta * sites
-    w = m / m.sum()
-    c = c - w @ c
-    lin = lin - w @ lin
+    w = m / m.sum(axis=-1, keepdims=True)
+    c = c - _dot(w, c)[..., None]
+    lin = lin - _dot(w, lin)[..., None, :]
     # rows: Psi_j about its site, c'_j + lin_j . x_j + lin_j . (y - x_j)
-    coef = np.vstack([c + np.einsum("jk,jk->j", lin, sites), lin.T])
+    coef = np.concatenate([
+        (c + np.einsum("...jk,...jk->...j", lin, sites))[..., None, :], lin.swapaxes(-1, -2)
+    ], axis=-2)
     # with D_ja = nu_a chi_ja (Psi_ja - Psibar_a): dF/dg_j = sum_a D_ja / eps and
     # dF/dx_j = (2/eps) sum_a D_ja (y_a - x_j), from the zeroth and first moments
     pm = kernel.moments(kernel.average(coef))
-    row_sum = coef[0] * m + np.einsum("kj,kj->j", coef[1:], mom[1:3]) - pm[0]
+    c0, c1, c2 = coef[..., 0, :], coef[..., 1, :], coef[..., 2, :]
+    m1, m2, m11, m12, m22 = (mom[..., k, :] for k in range(1, 6))
+    row_sum = c0 * m + np.einsum("...kj,...kj->...j", coef[..., 1:, :], mom[..., 1:3, :]) - pm[..., 0, :]
     core_u = np.stack([
-        coef[0] * mom[1] + mom[3] * coef[1] + mom[4] * coef[2] - pm[1],
-        coef[0] * mom[2] + mom[4] * coef[1] + mom[5] * coef[2] - pm[2],
-    ], axis=1)
+        c0 * m1 + m11 * c1 + m12 * c2 - pm[..., 1, :],
+        c0 * m2 + m12 * c1 + m22 * c2 - pm[..., 2, :],
+    ], axis=-1)
     dg = row_sum / eps
     dx = (2.0 / eps) * core_u - eta * penalty_x
     return report, dx, dg
@@ -159,15 +191,35 @@ def soft_objective(
 
 
 def value_and_grad(
-    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig,
+    params: DiagramParams | list, grid: GridMeasure, cfg: ObjectiveConfig,
     work: np.ndarray | None = None,
-) -> tuple[ObjectiveReport, np.ndarray, np.ndarray]:
+):
     """Objective report plus (dF/dX, dF/dg) in one pass.
 
     Shares the kernel between the value and the gradient; this is the
     workhorse the optimizer calls every iteration. ``work`` is an optional
     (3, M, M) float array the kernel reuses for its grid-sized arrays (see
     entropic.chi_kernel); the results do not depend on it.
+
+    For a batch (a list of R diagrams with one n, ``work`` (3, R, M, M)) it
+    returns R reports and the stacked (R, n, 2) and (R, n) gradients; each
+    restart's entries equal its own call bit for bit.
     """
+    if not isinstance(params, DiagramParams) and len(params) == 1:
+        # the unbatched path makes the same operations with less per-call cost
+        report, dx, dg = value_and_grad(params[0], grid, cfg, None if work is None else work[:, 0])
+        return [report], dx[None], dg[None]
     kernel = chi_kernel(params, grid, cfg.entropic, work)
-    return _evaluate(kernel, params, cfg)
+    if isinstance(params, DiagramParams):
+        return _evaluate(kernel, params, cfg)
+    if len(kernel) == 1:
+        return _evaluate(kernel[0][1], params, cfg)
+    # a restart whose Z fell below the floor took the dense path alone
+    reports = [None] * len(params)
+    dg = np.empty((len(params), params[0].n))
+    dx = np.empty((*dg.shape, 2))
+    for rows, part in kernel:
+        batch_reports, dx[rows], dg[rows] = _evaluate(part, [params[i] for i in rows], cfg)
+        for i, report in zip(rows, batch_reports):
+            reports[i] = report
+    return reports, dx, dg

@@ -2,6 +2,13 @@
 
 Adam on the concatenated vector (sites, weights) with the exact gradient,
 seeded initialization, and finalization pruning of dead cells.
+
+The restarts of a run advance together (optimize_batch): their Adam state
+is one (R, 3n) array with a leading restart axis, and each step makes one
+batched evaluation (objective.value_and_grad on a list of diagrams). Each
+restart's floating-point operations are those of its own run, so its
+result equals a one-restart run bit for bit; optimize is the R = 1 call.
+A restart whose sites meet or whose evaluation fails leaves the batch.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropic import EntropicConfig
-from .errors import NumericFailure
+from .errors import NumericFailure, SingularPenaltyError
 from .grid import GridMeasure
 from .objective import ObjectiveConfig, ObjectiveReport, soft_objective, value_and_grad
 from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats, min_separation
@@ -115,6 +122,27 @@ def prune_cells(
     return DiagramParams(params.sites[keep], params.weights[keep])
 
 
+class _Restart:
+    """One restart's record while its batch runs."""
+
+    def __init__(self, init: DiagramParams, theta: np.ndarray):
+        self.last_valid = init
+        self.best_theta = theta
+        self.trajectory: list[tuple[float, float]] = []  # (value, grad_norm) per iteration
+        self.best_value = -np.inf
+        self.best_iteration = 0
+        self.stopped_early: int | None = None
+        self.failure: NumericFailure | None = None
+
+    def fail(self, message: str, it: int) -> None:
+        self.failure = NumericFailure(
+            message,
+            last_params=self.last_valid,
+            last_value=self.best_value if np.isfinite(self.best_value) else None,
+            iteration=it,
+        )
+
+
 def optimize(
     init: DiagramParams,
     grid: GridMeasure,
@@ -127,11 +155,35 @@ def optimize(
     best-seen value is tracked separately and its iterate is what gets
     pruned and returned. A step that makes two sites coincide ends the run
     early: the best iterate so far is finalised and ``stopped_early``
-    records the iteration. NaN or infinite objective values abort with the
-    last valid state attached.
+    records the iteration. A non-finite objective or gradient, or a
+    repulsion term that is not finite, aborts with NumericFailure and the
+    last valid state attached. This is optimize_batch on one restart.
     """
-    n = init.n
-    theta = np.concatenate([init.sites.ravel(), init.weights])
+    return optimize_batch([init], grid, obj, [opt])[0]
+
+
+def optimize_batch(
+    inits: list[DiagramParams],
+    grid: GridMeasure,
+    obj: ObjectiveConfig,
+    opts: list[OptimizerConfig],
+) -> list[OptResult]:
+    """optimize for R restarts at once, one result per init.
+
+    The restarts share n and every setting but the seed. Each Adam step
+    advances all of them in one batched evaluation and one update on an
+    (R, 3n) state, and each restart's result equals its own optimize call
+    bit for bit. A restart that stops early or fails leaves the batch and
+    the others go on; when the batch ends, the first failed restart's
+    NumericFailure is raised, as a run of the restarts one by one would.
+    """
+    opt = opts[0]
+    n = inits[0].n
+    if len(inits) != len(opts) or any(replace(o, seed=opt.seed) != opt for o in opts):
+        raise ValueError("a batch needs one init per restart and settings that differ only in seed")
+    if any(init.n != n for init in inits):
+        raise ValueError("the restarts of a batch need one number of sites")
+    theta = np.stack([np.concatenate([init.sites.ravel(), init.weights]) for init in inits])
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
     lr = opt.learning_rate
@@ -147,42 +199,47 @@ def optimize(
     def at_epsilon(eps: float) -> ObjectiveConfig:
         return replace(obj, entropic=EntropicConfig(eps))
 
-    trajectory: list[tuple[float, float]] = []
-    best_value = -np.inf
-    best_theta = theta.copy()
-    best_iteration = 0
-    last_valid = unpack(theta)
-    stopped_early = None
+    runs = [_Restart(init, vec.copy()) for init, vec in zip(inits, theta)]
+    rows = runs  # the restart behind each row of theta, m1 and m2, in batch order
     cfg_t = obj
     m = grid.resolution
-    work = np.empty((3, m, m))  # the kernel's grid-sized arrays, reused every step
+    work = np.empty((3, len(runs), m, m))  # the kernel's grid-sized arrays, reused every step
 
     for it in range(opt.max_iters):
         if anneal != 1.0:
             cfg_t = at_epsilon(eps_run * anneal**it)
-        try:
-            params = unpack(theta)
-        except ValueError:
-            # an Adam step made two sites coincide; iteration 0 (the valid
-            # init) already gave a finite best iterate to finalise
-            stopped_early = it
-            break
-        report, dx, dg = value_and_grad(params, grid, cfg_t, work)
-        grad = np.concatenate([dx.ravel(), dg])
-        if not (np.isfinite(report.value) and np.all(np.isfinite(grad))):
-            raise NumericFailure(
-                f"objective became non-finite at iteration {it}",
-                last_params=last_valid,
-                last_value=best_value if np.isfinite(best_value) else None,
-                iteration=it,
-            )
-        last_valid = params
-        gnorm = float(np.max(np.abs(grad)))
-        trajectory.append((report.value, gnorm))
-        if report.value > best_value:
-            best_value = report.value
-            best_theta = theta.copy()
-            best_iteration = it
+        batch = []
+        for run, vec in zip(rows, theta):
+            try:
+                batch.append(unpack(vec))
+            except ValueError:
+                # an Adam step made two sites coincide; iteration 0 (the valid
+                # init) already gave a finite best iterate to finalise
+                run.stopped_early = it
+        if len(batch) < len(rows):
+            rows, theta, m1, m2 = _running(rows, theta, m1, m2)
+            if not rows:
+                break
+        reports, grad = _batch_value_and_grad(batch, rows, grid, cfg_t, work, it)
+        finite = np.isfinite(grad).all(axis=1)
+        gnorms = np.abs(grad).max(axis=1).tolist()
+        for run, params, report, ok, gnorm, vec in zip(rows, batch, reports, finite, gnorms, theta):
+            if report is None:
+                continue
+            if not (ok and math.isfinite(report.value)):
+                run.fail(f"objective became non-finite at iteration {it}", it)
+                continue
+            run.last_valid = params
+            run.trajectory.append((report.value, gnorm))
+            if report.value > run.best_value:
+                run.best_value = report.value
+                run.best_theta = vec.copy()
+                run.best_iteration = it
+        if any(run.failure is not None for run in rows):
+            rows, theta, m1, m2, grad = _running(rows, theta, m1, m2, grad)
+            # stop when no restart is left, or none whose outcome can change what is raised
+            if not rows or any(run.failure is not None for run in runs[: runs.index(rows[0])]):
+                break
         # ascent step
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
         m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
@@ -191,7 +248,38 @@ def optimize(
         theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
     final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
-    best_params = unpack(best_theta)
+    results = []
+    for run, o in zip(runs, opts):
+        if run.failure is not None:
+            raise run.failure
+        results.append(_finalise(run, unpack(run.best_theta), grid, final_cfg, o.seed))
+    return results
+
+
+def _running(rows: list, *arrays: np.ndarray) -> tuple:
+    """The restarts still running, and their rows of each array."""
+    keep = [j for j, run in enumerate(rows) if run.stopped_early is None and run.failure is None]
+    return [rows[j] for j in keep], *(a[keep] for a in arrays)
+
+
+def _batch_value_and_grad(batch, runs, grid, cfg, work, it):
+    """Reports and (R, 3n) gradients of a batch. A restart whose evaluation
+    fails gets None and the failure is recorded on its run."""
+    try:
+        reports, dx, dg = value_and_grad(batch, grid, cfg, work[:, : len(batch)])
+        return reports, np.concatenate([dx.reshape(len(batch), -1), dg], axis=1)
+    except (NumericFailure, SingularPenaltyError) as exc:
+        if len(batch) == 1:
+            runs[0].fail(str(exc), it)
+            return [None], np.full((1, 3 * batch[0].n), np.nan)
+    # one restart's failure must not end the others: evaluate each alone
+    parts = [_batch_value_and_grad([p], [run], grid, cfg, work, it) for p, run in zip(batch, runs)]
+    return [reports[0] for reports, _ in parts], np.concatenate([grad for _, grad in parts])
+
+
+def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
+              final_cfg: ObjectiveConfig, seed: int) -> OptResult:
+    """Prune the best iterate's dead cells and report the result at the final epsilon."""
     report_before = soft_objective(best_params, grid, final_cfg)
     pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid)
     report_after = report_before
@@ -212,15 +300,14 @@ def optimize(
                 f"pruning moved the objective by {delta:.3e} > bound {bound:.3e}",
                 last_params=best_params,
                 last_value=report_before.value,
-                iteration=best_iteration,
+                iteration=run.best_iteration,
             )
 
     return OptResult(
         params=pruned,
         report=report_after,
-        trajectory=trajectory,
-        seed_used=opt.seed,
-        best_iteration=best_iteration,
-        stopped_early=stopped_early,
+        trajectory=run.trajectory,
+        seed_used=seed,
+        best_iteration=run.best_iteration,
+        stopped_early=run.stopped_early,
     )
-

@@ -81,6 +81,14 @@ class DiagramParams:
         return self.sites.shape[0]
 
 
+def stacked(params: DiagramParams | list, name: str) -> np.ndarray:
+    """The named array of one diagram, or of a batch (a list of diagrams with
+    one n) stacked along a leading axis."""
+    if isinstance(params, DiagramParams):
+        return getattr(params, name)
+    return np.array([getattr(p, name) for p in params])
+
+
 @dataclass(frozen=True)
 class HardAssignment:
     """Per-grid-point cell labels (0-based argmin indices)."""

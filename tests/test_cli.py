@@ -438,10 +438,10 @@ def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     path = write_config(tmp_path, tiny_market_config(out))
 
-    def explode(init, grid, obj, opt):
-        raise NumericFailure("boom", last_params=init, last_value=-1.0, iteration=7)
+    def explode(inits, grid, obj, opts):
+        raise NumericFailure("boom", last_params=inits[0], last_value=-1.0, iteration=7)
 
-    monkeypatch.setattr(cli, "optimize", explode)
+    monkeypatch.setattr(cli, "optimize_batch", explode)
     assert run_experiment(path, command="solve") == 3
     assert "numeric failure" in capsys.readouterr().err
     dump = json.loads((out / "failure.json").read_text())
@@ -463,10 +463,13 @@ def test_numeric_failure_dumps_state(tmp_path, capsys, monkeypatch):
 def test_restart_ties_go_to_fewest_cells_then_lowest_seed(tmp_path, monkeypatch, hards, cells, winner):
     cfg = parse_config(tiny_market_config(tmp_path / "run", restarts=3))
 
-    def fake_optimize(init, grid, obj, opt):
-        return SimpleNamespace(params=opt.seed, effective_n=cells[opt.seed], seed_used=opt.seed)
+    def fake_optimize_batch(inits, grid, obj, opts):
+        return [
+            SimpleNamespace(params=opt.seed, effective_n=cells[opt.seed], seed_used=opt.seed)
+            for opt in opts
+        ]
 
-    monkeypatch.setattr(cli, "optimize", fake_optimize)
+    monkeypatch.setattr(cli, "optimize_batch", fake_optimize_batch)
     monkeypatch.setattr(cli, "hard_objective", lambda params, grid, payoff: hards[params])
     result, hard, *_ = cli.solve_scenario(cfg)
     assert result.seed_used == winner and hard == hards[winner]
@@ -546,18 +549,13 @@ def test_epsilon_final_uses_epsilon_units(tmp_path):
     assert result["soft_value"] == soft_objective(params, grid, final).value
 
 
-def test_solve_bytes_identical_across_blas_threads(tmp_path):
+def _outputs_under_blas_threads(tmp_path, command, data):
+    """The output files' bytes of one CLI run per OpenBLAS thread count (1, 2)."""
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
-    data = tiny_market_config(tmp_path / "unused")
-    # at 256^2 with 12 sites the kernel's (M, M) @ (M, 3n) products are large
-    # enough for OpenBLAS to split them over two threads; at 32^2 they stay on one
-    data["grid"]["resolution"] = 256
-    data["optimizer"].update(n_init=12, max_iters=10)
     path = write_config(tmp_path, data)
     blobs = []
     for threads in ("1", "2"):
@@ -565,11 +563,36 @@ def test_solve_bytes_identical_across_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run(
-            [sys.executable, "-m", "persuade_ot.cli", "solve", "--config", path,
+            [sys.executable, "-m", "persuade_ot.cli", command, "--config", path,
              "--out-dir", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
         )
-        blobs.append(((out / "result.json").read_bytes(), (out / "diagram.json").read_bytes()))
+        blobs.append({f.name: f.read_bytes() for f in sorted(out.glob("*.json")) + sorted(out.glob("*.csv"))})
+    return blobs
+
+
+def test_solve_bytes_identical_across_blas_threads(tmp_path):
+    data = tiny_market_config(tmp_path / "unused")
+    # at 256^2 with 12 sites the kernel's (M, M) @ (M, 3n) products are large
+    # enough for OpenBLAS to split them over two threads; at 32^2 they stay on one
+    data["grid"]["resolution"] = 256
+    data["optimizer"].update(n_init=12, max_iters=10)
+    blobs = _outputs_under_blas_threads(tmp_path, "solve", data)
+    assert set(blobs[0]) == {"result.json", "diagram.json"}
+    assert blobs[0] == blobs[1]
+
+
+def test_table_bytes_identical_across_blas_threads(tmp_path):
+    # two restarts advance as one batch: its stacked products must not depend
+    # on the thread count either
+    data = tiny_market_config(
+        tmp_path / "unused", sweep={"parameter": "payoff.market.p2", "values": [1.0, 1.5]},
+        restarts=2,
+    )
+    data["grid"]["resolution"] = 256
+    data["optimizer"].update(n_init=12, max_iters=10)
+    blobs = _outputs_under_blas_threads(tmp_path, "table", data)
+    assert {"table.csv", "result.json", "diagram_p2=1.json", "diagram_p2=1.5.json"} <= set(blobs[0])
     assert blobs[0] == blobs[1]
 
 

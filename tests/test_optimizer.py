@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,20 +12,24 @@ from persuade_ot import (
     NumericFailure,
     ObjectiveConfig,
     OptimizerConfig,
+    PayoffModel,
+    SingularPenaltyError,
     build_grid,
     concave_bowl,
     discretize_density,
     init_sites,
     monopolist_payoff,
     optimize,
+    optimize_batch,
     prune_cells,
     soft_objective,
     soft_partition,
     tri_modal,
     value_and_grad,
 )
+from persuade_ot.entropic import DenseChi, SeparableChi, chi_kernel
 from persuade_ot.power_diagram import min_separation
-from reference import assert_reports_equal
+from reference import assert_reports_equal, sequential_optimize
 
 
 def unit_grid(res):
@@ -162,16 +166,17 @@ def test_optimize_flags_nonfinite_objective(monkeypatch):
     real = optimizer_mod.value_and_grad
     calls = {"k": 0}
 
-    def poisoned(params, g, c, work=None):
+    def poisoned(batch, g, c, work=None):
+        # the optimizer evaluates its restarts as one batch
         calls["k"] += 1
         if calls["k"] > 3:
-            report = replace(
-                real(params, g, c, work)[0],
-                value=float("nan"), payoff_term=float("nan"), penalty_term=0.0,
-            )
-            n = params.n
-            return report, np.zeros((n, 2)), np.zeros(n)
-        return real(params, g, c, work)
+            reports = [
+                replace(report, value=float("nan"), payoff_term=float("nan"), penalty_term=0.0)
+                for report in real(batch, g, c, work)[0]
+            ]
+            r, n = len(batch), batch[0].n
+            return reports, np.zeros((r, n, 2)), np.zeros((r, n))
+        return real(batch, g, c, work)
 
     monkeypatch.setattr(optimizer_mod, "value_and_grad", poisoned)
     with pytest.raises(NumericFailure) as exc:
@@ -249,3 +254,153 @@ def test_final_report_is_soft_objective_of_result(monkeypatch, prunes):
     assert result.effective_n == (2 if prunes else 3)
     assert calls == ([3, 2] if prunes else [3])
     assert_reports_equal(result.report, real(result.params, grid, bowl_cfg(eps=0.02)))
+
+
+BATCH_PAYOFFS = {
+    "unit": (
+        monopolist_payoff(MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0)),
+        ((0.0, 2.0), (0.0, 2.0)),
+    ),
+    "additive": (
+        monopolist_payoff(
+            MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=-0.5, demand="additive")
+        ),
+        ((0.0, 2.0), (0.0, 2.0)),
+    ),
+    "tri-modal": (tri_modal(), ((0.0, 1.0), (0.0, 1.0))),
+}
+
+
+def assert_results_equal(result, ref):
+    assert result.trajectory == ref.trajectory
+    assert (result.best_iteration, result.stopped_early, result.seed_used) == (
+        ref.best_iteration, ref.stopped_early, ref.seed_used
+    )
+    assert np.array_equal(result.params.sites, ref.params.sites)
+    assert np.array_equal(result.params.weights, ref.params.weights)
+    assert_reports_equal(result.report, ref.report)
+
+
+def run_batch(inits, grid, obj, opts):
+    """optimize_batch, checked restart by restart against the one-restart loop."""
+    results = optimize_batch(inits, grid, obj, opts)
+    assert len(results) == len(inits)
+    for init, opt, result in zip(inits, opts, results):
+        assert_results_equal(result, sequential_optimize(init, grid, obj, opt))
+    return results
+
+
+@pytest.mark.parametrize("anneal", [False, True], ids=["fixed", "annealed"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+@pytest.mark.parametrize("payoff", sorted(BATCH_PAYOFFS))
+@pytest.mark.parametrize("restarts", [1, 2, 3, 5])
+def test_batch_restarts_equal_sequential_runs(monkeypatch, restarts, payoff, eta, anneal):
+    sizes = []
+    real = optimizer_mod.value_and_grad
+
+    def counted(batch, g, c, work=None):
+        sizes.append(len(batch))
+        return real(batch, g, c, work)
+
+    monkeypatch.setattr(optimizer_mod, "value_and_grad", counted)
+    model, bounds = BATCH_PAYOFFS[payoff]
+    grid = discretize_density(DensitySpec("uniform"), build_grid(bounds, 24))
+    h = grid.spacing[0]
+    obj = ObjectiveConfig(eta=eta, entropic=EntropicConfig(3.0 * h), payoff=model)
+    opt = OptimizerConfig(
+        n_init=6, max_iters=25, learning_rate=0.05, epsilon_final=0.5 * h if anneal else None
+    )
+    opts = [replace(opt, seed=seed) for seed in range(restarts)]
+    results = run_batch([init_sites(6, grid, o.seed) for o in opts], grid, obj, opts)
+    assert [r.seed_used for r in results] == list(range(restarts))
+    # one evaluation per step advanced every restart
+    assert sizes[:25] == [restarts] * 25
+
+
+def test_batch_restart_that_stops_early_leaves_the_others_running():
+    # the coarse bowl of test_coincident_sites_stop_early: seeds 0 and 4 drive
+    # two sites onto one point at iterations 628 and 595, seed 1 runs on
+    grid = unit_grid(8)
+    obj = bowl_cfg(eps=5 * grid.spacing[0])
+    opts = [OptimizerConfig(n_init=12, max_iters=640, seed=seed) for seed in (0, 1, 4)]
+    results = run_batch([init_sites(12, grid, o.seed) for o in opts], grid, obj, opts)
+    assert [r.stopped_early for r in results] == [628, None, 595]
+    assert len(results[1].trajectory) == 640
+
+
+def test_batch_restart_on_the_dense_path():
+    # a lone site near a corner at a quarter cell leaves Z below the floor
+    # far from it, so that restart takes the dense kernel alone
+    grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 2.0), (0.0, 2.0)), 48))
+    h = grid.spacing[0]
+    obj = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.25 * h), payoff=tri_modal())
+    far = DiagramParams(sites=[(0.1, 0.1), (30.0, -4.0)], weights=[0.0, 0.1])
+    inits = [init_sites(2, grid, 0), far, init_sites(2, grid, 2)]
+    (dense_rows, dense), (sep_rows, sep) = chi_kernel(inits, grid, obj.entropic)
+    assert list(dense_rows) == [1] and isinstance(dense, DenseChi)
+    assert list(sep_rows) == [0, 2] and isinstance(sep, SeparableChi)
+    opts = [OptimizerConfig(n_init=2, max_iters=15, learning_rate=0.05, seed=s) for s in range(3)]
+    run_batch(inits, grid, obj, opts)
+
+
+@dataclass(frozen=True)
+class NanBeyond(PayoffModel):
+    """|y - (0.5, 0.5)|^2, undefined (NaN) farther than sqrt(r2) from the centre."""
+
+    r2: float
+
+    def value_and_grad(self, pts):
+        d = pts - 0.5
+        v = (d * d).sum(axis=1)
+        return np.where(v > self.r2, np.nan, v), 2.0 * d
+
+
+def test_batch_raises_the_first_restarts_failure():
+    # as epsilon anneals, barycentres leave the disc: seed 3's at iteration 11,
+    # seed 1's at 12; one dominant central cell keeps restart 0's inside
+    grid = unit_grid(16)
+    obj = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(2.0), payoff=NanBeyond(0.02))
+    opt = OptimizerConfig(n_init=3, max_iters=60, learning_rate=0.02, epsilon_final=0.01)
+    central = DiagramParams(sites=[(0.5, 0.5), (0.55, 0.5), (0.5, 0.55)], weights=[50.0, 0.0, 0.0])
+    inits = [central, init_sites(3, grid, 1), init_sites(3, grid, 3)]
+    opts = [replace(opt, seed=seed) for seed in (0, 1, 3)]
+    assert optimize(central, grid, obj, opts[0]).effective_n == 1
+    with pytest.raises(NumericFailure) as later:
+        optimize(inits[2], grid, obj, opts[2])
+    assert later.value.iteration == 11
+    with pytest.raises(NumericFailure) as batch:
+        optimize_batch(inits, grid, obj, opts)
+    for run in (optimize, sequential_optimize):
+        with pytest.raises(NumericFailure) as alone:
+            run(inits[1], grid, obj, opts[1])
+        assert str(batch.value) == str(alone.value) == "objective became non-finite at iteration 12"
+        assert (batch.value.iteration, batch.value.last_value) == (12, alone.value.last_value)
+        assert np.array_equal(batch.value.last_params.sites, alone.value.last_params.sites)
+        assert np.array_equal(batch.value.last_params.weights, alone.value.last_params.weights)
+
+
+# the overflow is the failure under test; _penalty_terms detects it
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_singular_penalty_is_a_numeric_failure():
+    # 1e-155 apart the sites are distinct, but m_i m_j / |x_i - x_j|^2 overflows
+    grid = unit_grid(16)
+    init = DiagramParams(sites=[(0.0, 0.0), (1e-155, 0.0), (0.7, 0.7)], weights=np.zeros(3))
+    opt = OptimizerConfig(n_init=3, max_iters=5)
+    with pytest.raises(SingularPenaltyError):
+        sequential_optimize(init, grid, bowl_cfg(eps=0.05), opt)
+    with pytest.raises(NumericFailure, match="repulsion term is not finite") as exc:
+        optimize(init, grid, bowl_cfg(eps=0.05), opt)
+    assert exc.value.iteration == 0 and exc.value.last_value is None
+    assert np.array_equal(exc.value.last_params.sites, init.sites)
+
+
+def test_batch_needs_shared_settings_and_site_count():
+    grid = unit_grid(8)
+    inits = [init_sites(3, grid, seed) for seed in range(2)]
+    opts = [OptimizerConfig(n_init=3, seed=seed) for seed in range(2)]
+    with pytest.raises(ValueError, match="differ only in seed"):
+        optimize_batch(inits, grid, bowl_cfg(), [opts[0], replace(opts[1], learning_rate=0.1)])
+    with pytest.raises(ValueError, match="differ only in seed"):
+        optimize_batch(inits, grid, bowl_cfg(), opts[:1])
+    with pytest.raises(ValueError, match="one number of sites"):
+        optimize_batch([inits[0], init_sites(4, grid, 1)], grid, bowl_cfg(), opts)

@@ -47,10 +47,10 @@ class EntropicConfig:
 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
-    # softmax over the cell axis (-2), stabilized by per-column max subtraction
-    shifted = logits - logits.max(axis=-2, keepdims=True)
+    # softmax over axis 0, stabilized by per-column max subtraction
+    shifted = logits - logits.max(axis=0, keepdims=True)
     w = np.exp(shifted)
-    return w / w.sum(axis=-2, keepdims=True)
+    return w / w.sum(axis=0, keepdims=True)
 
 
 def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> CellStats:
@@ -64,7 +64,7 @@ def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> CellStats:
     safe = np.maximum(masses, np.finfo(float).tiny)
     barycenters = sites + mom[..., 1:3, :].swapaxes(-1, -2) / safe[..., None]
     dead = masses <= 0.0
-    if np.any(dead):
+    if dead.any():
         barycenters = np.where(dead[..., None], sites, barycenters)
     return CellStats(masses=masses, barycenters=barycenters)
 
@@ -84,6 +84,8 @@ def soft_partition(
 
 # Above this floor on Z every term lost to underflow is under 1e-58 of Z.
 Z_FLOOR = 1e-250
+# the (p, q) powers of (u1, u2) in moment order, as rows 3p + q of a (3, 3) table
+_MOMENT_ROWS = np.array([0, 3, 1, 6, 4, 2])
 
 # Both kernels answer the same two questions about the prior-weighted soft
 # memberships nu_alpha chi[i, alpha], with u = y_alpha - x_i the offset from
@@ -93,9 +95,9 @@ Z_FLOOR = 1e-250
 #   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
 # A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
 # for SeparableChi, (M^2,) for DenseChi; average() returns that layout.
-# A batch kernel puts a leading restart axis R on every array, its
-# arguments and its results; each restart's slice is computed with the
-# floating-point operations of that restart's own kernel.
+# The separable kernel of a batch puts a leading restart axis R on every
+# array, its arguments and its results; each restart's slice is computed
+# with the floating-point operations of that restart's own kernel.
 
 
 class SeparableChi:
@@ -118,12 +120,11 @@ class SeparableChi:
         weight = self._r if w is None else np.multiply(w, self._r, out=w)
         t = (weight @ self._xs).reshape(*weight.shape[:-1], 3, -1)  # [..., iy, p, i]
         full = np.einsum("...qiy,...ypi->...pqi", self._ys, t)
-        # the (p, q) powers of (u1, u2) in moment order, as rows 3p + q of full
-        return full.reshape(*full.shape[:-3], 9, -1)[..., [0, 3, 1, 6, 4, 2], :]
+        return full.reshape(*full.shape[:-3], 9, -1)[..., _MOMENT_ROWS, :]
 
     def average(self, coef: np.ndarray) -> np.ndarray:
         sey, seyu = self._ys[..., 0, :, :].swapaxes(-1, -2), self._ys[..., 1, :, :].swapaxes(-1, -2)
-        c0, c1, c2 = (coef[..., k, None, :] for k in range(3))
+        c0, c1, c2 = coef[..., 0, None, :], coef[..., 1, None, :], coef[..., 2, None, :]
         left = np.concatenate([sey * c0 + seyu * c2, sey * c1], axis=-1)
         out = np.matmul(left, self._xs[..., : left.shape[-1]].swapaxes(-1, -2), out=self._avg)
         return np.divide(out, self._z, out=out)
@@ -136,25 +137,23 @@ class DenseChi:
         self.chi, self._ux, self._uy, self._nu = chi, ux, uy, nu
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
-        cw = self.chi * (self._nu if w is None else self._nu * w[..., None, :])
+        cw = self.chi * (self._nu if w is None else self._nu * w)
         ux, uy = self._ux, self._uy
         cu1, cu2 = cw * ux, cw * uy
-        second = ((cu1 * ux).sum(axis=-1), (cu1 * uy).sum(axis=-1), (cu2 * uy).sum(axis=-1))
-        return np.stack([cw.sum(axis=-1), cu1.sum(axis=-1), cu2.sum(axis=-1), *second], axis=-2)
+        second = ((cu1 * ux).sum(axis=1), (cu1 * uy).sum(axis=1), (cu2 * uy).sum(axis=1))
+        return np.stack([cw.sum(axis=1), cu1.sum(axis=1), cu2.sum(axis=1), *second])
 
     def average(self, coef: np.ndarray) -> np.ndarray:
-        c0, c1, c2 = (coef[..., k, :, None] for k in range(3))
-        psi = c0 + c1 * self._ux + c2 * self._uy
-        return np.einsum("...ip,...ip->...p", self.chi, psi)
+        psi = coef[0][:, None] + coef[1][:, None] * self._ux + coef[2][:, None] * self._uy
+        return np.einsum("ip,ip->p", self.chi, psi)
 
 
-def dense_chi(params: DiagramParams | list, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
-    """Log-domain softmax over every grid point, for one diagram or a batch."""
+def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> DenseChi:
+    """Log-domain softmax over every grid point."""
     points = grid.centers
-    sites = stacked(params, "sites")
-    ux = points[:, 0] - sites[..., 0:1]
-    uy = points[:, 1] - sites[..., 1:2]
-    logits = (stacked(params, "weights")[..., None] - (ux * ux + uy * uy)) / cfg.epsilon
+    ux = points[:, 0][None, :] - params.sites[:, 0:1]
+    uy = points[:, 1][None, :] - params.sites[:, 1:2]
+    logits = (params.weights[:, None] - (ux * ux + uy * uy)) / cfg.epsilon
     return DenseChi(_softmax_cols(logits), ux, uy, grid.masses)
 
 
@@ -169,10 +168,9 @@ def chi_kernel(
     Without one a fresh array is allocated.
 
     For a batch (a list of R diagrams with one n) ``work`` is (3, R, M, M)
-    and the result is a list of (rows, kernel) pairs that covers the batch:
-    one separable kernel with a leading axis over the restarts whose Z
-    passes the floor, and a dense kernel, batched over one restart, for
-    each other restart alone.
+    and the separable kernel has a leading restart axis. The dense path is
+    per diagram: a batch in which some restart's Z falls below the floor
+    gets None, and its caller evaluates each restart alone.
     """
     m = grid.resolution
     sites = stacked(params, "sites")
@@ -193,18 +191,9 @@ def chi_kernel(
     shift = a + b
     sey = np.exp(shift - shift.max(axis=-1, keepdims=True))[..., None] * ey
     z = np.matmul(sey.swapaxes(-1, -2), ex, out=work[0])
-    low = z.min(axis=(-2, -1)) < Z_FLOOR
-    if isinstance(params, DiagramParams):
-        return dense_chi(params, grid, cfg) if low else SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
-    if not low.any():
-        return [(np.arange(len(params)), SeparableChi(ex, sey, ux, uy, z, grid.masses, work))]
-    rows = np.flatnonzero(~low)
-    kernels = [([i], dense_chi([params[i]], grid, cfg)) for i in np.flatnonzero(low)]
-    if rows.size:
-        work = work[:, : rows.size]
-        np.copyto(work[0], z[rows])
-        kernels.append((rows, SeparableChi(ex[rows], sey[rows], ux[rows], uy[rows], work[0], grid.masses, work)))
-    return kernels
+    if z.min() < Z_FLOOR:
+        return dense_chi(params, grid, cfg) if isinstance(params, DiagramParams) else None
+    return SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
 
 
 def sinkhorn_dual_solve(

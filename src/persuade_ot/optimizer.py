@@ -218,10 +218,10 @@ def optimize_batch(
                 run.stopped_early = it
         if len(batch) < len(rows):
             rows, theta, m1, m2 = _running(rows, theta, m1, m2)
-            if not rows:
+            if _settled(runs, rows):
                 break
         reports, grad = _batch_value_and_grad(batch, rows, grid, cfg_t, work, it)
-        finite = np.isfinite(grad).all(axis=1)
+        finite = np.isfinite(grad).all(axis=1).tolist()
         gnorms = np.abs(grad).max(axis=1).tolist()
         for run, params, report, ok, gnorm, vec in zip(rows, batch, reports, finite, gnorms, theta):
             if report is None:
@@ -237,8 +237,7 @@ def optimize_batch(
                 run.best_iteration = it
         if any(run.failure is not None for run in rows):
             rows, theta, m1, m2, grad = _running(rows, theta, m1, m2, grad)
-            # stop when no restart is left, or none whose outcome can change what is raised
-            if not rows or any(run.failure is not None for run in runs[: runs.index(rows[0])]):
+            if _settled(runs, rows):
                 break
         # ascent step
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
@@ -260,6 +259,13 @@ def _running(rows: list, *arrays: np.ndarray) -> tuple:
     """The restarts still running, and their rows of each array."""
     keep = [j for j, run in enumerate(rows) if run.stopped_early is None and run.failure is None]
     return [rows[j] for j in keep], *(a[keep] for a in arrays)
+
+
+def _settled(runs: list, rows: list) -> bool:
+    """No restart is left running, or none whose outcome can change what the
+    batch returns: a restart before the first one still running has failed,
+    and that failure (or an earlier one) is what is raised."""
+    return not rows or any(run.failure is not None for run in runs[: runs.index(rows[0])])
 
 
 def _batch_value_and_grad(batch, runs, grid, cfg, work, it):

@@ -32,7 +32,7 @@ def _separation_sq(sites: np.ndarray) -> np.ndarray:
     """(n, n) squared pairwise site distances, inf on the diagonal."""
     diff = sites[:, None, :] - sites[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
+    d2.flat[:: len(d2) + 1] = np.inf  # the diagonal
     return d2
 
 
@@ -68,7 +68,7 @@ class DiagramParams:
             raise ValueError(
                 f"weights shape {weights.shape} does not match {sites.shape[0]} sites"
             )
-        if not (np.all(np.isfinite(sites)) and np.all(np.isfinite(weights))):
+        if not (np.isfinite(sites).all() and np.isfinite(weights).all()):
             raise ValueError("sites and weights must be finite")
         sep2 = _separation_sq(sites)
         if sep2.min() <= 0.0:

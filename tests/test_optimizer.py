@@ -27,7 +27,7 @@ from persuade_ot import (
     tri_modal,
     value_and_grad,
 )
-from persuade_ot.entropic import DenseChi, SeparableChi, chi_kernel
+from persuade_ot.entropic import DenseChi, chi_kernel
 from persuade_ot.power_diagram import min_separation
 from reference import assert_reports_equal, sequential_optimize
 
@@ -336,9 +336,8 @@ def test_batch_restart_on_the_dense_path():
     obj = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.25 * h), payoff=tri_modal())
     far = DiagramParams(sites=[(0.1, 0.1), (30.0, -4.0)], weights=[0.0, 0.1])
     inits = [init_sites(2, grid, 0), far, init_sites(2, grid, 2)]
-    (dense_rows, dense), (sep_rows, sep) = chi_kernel(inits, grid, obj.entropic)
-    assert list(dense_rows) == [1] and isinstance(dense, DenseChi)
-    assert list(sep_rows) == [0, 2] and isinstance(sep, SeparableChi)
+    assert chi_kernel(inits, grid, obj.entropic) is None
+    assert isinstance(chi_kernel(far, grid, obj.entropic), DenseChi)
     opts = [OptimizerConfig(n_init=2, max_iters=15, learning_rate=0.05, seed=s) for s in range(3)]
     run_batch(inits, grid, obj, opts)
 
@@ -355,7 +354,9 @@ class NanBeyond(PayoffModel):
         return np.where(v > self.r2, np.nan, v), 2.0 * d
 
 
-def test_batch_raises_the_first_restarts_failure():
+# restart 1 of the second case fails on an overflow, which _penalty_terms detects
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_batch_raises_the_first_restarts_failure(monkeypatch):
     # as epsilon anneals, barycentres leave the disc: seed 3's at iteration 11,
     # seed 1's at 12; one dominant central cell keeps restart 0's inside
     grid = unit_grid(16)
@@ -377,6 +378,36 @@ def test_batch_raises_the_first_restarts_failure():
         assert (batch.value.iteration, batch.value.last_value) == (12, alone.value.last_value)
         assert np.array_equal(batch.value.last_params.sites, alone.value.last_params.sites)
         assert np.array_equal(batch.value.last_params.weights, alone.value.last_params.weights)
+
+    # the first restart stops early after a later one failed: restart 0 is seed 0
+    # of the coarse bowl, whose sites meet at iteration 628; restart 1 starts with
+    # two sites 1e-160 apart, so its repulsion term is not finite at iteration 0;
+    # restart 2 (seed 1's init) would run on to 640
+    sizes = []
+    real = optimizer_mod.value_and_grad
+
+    def counted(batch, g, c, work=None):
+        sizes.append(len(batch))
+        return real(batch, g, c, work)
+
+    grid = unit_grid(8)
+    obj = bowl_cfg(eps=5 * grid.spacing[0])
+    opts = [OptimizerConfig(n_init=12, max_iters=640, seed=seed) for seed in range(3)]
+    sites = init_sites(12, grid, 5).sites.copy()
+    sites[0, 0], sites[1] = 0.0, (1e-160, sites[0, 1])
+    close = DiagramParams(sites, np.zeros(12))
+    inits = [init_sites(12, grid, 0), close, init_sites(12, grid, 1)]
+    assert optimize(inits[0], grid, obj, opts[0]).stopped_early == 628
+    with pytest.raises(NumericFailure) as alone:
+        optimize(close, grid, obj, opts[1])
+    monkeypatch.setattr(optimizer_mod, "value_and_grad", counted)
+    with pytest.raises(NumericFailure) as batch:
+        optimize_batch(inits, grid, obj, opts)
+    assert str(batch.value) == str(alone.value) == "sites too close: repulsion term is not finite"
+    assert batch.value.iteration == alone.value.iteration == 0
+    # iteration 0 evaluates the batch, then each restart alone; restarts 0 and 2
+    # go on together, and nothing is evaluated once restart 0 has stopped
+    assert sizes == [3, 1, 1, 1] + [2] * 627
 
 
 # the overflow is the failure under test; _penalty_terms detects it

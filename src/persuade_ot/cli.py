@@ -1,4 +1,10 @@
-"""Config-driven experiment runner and diagram export."""
+"""Config-driven experiment runner and diagram export.
+
+A table's sweep columns that share the grid and every objective and
+optimizer setting but the market (a sweep over p1, p2 or delta) advance
+in one optimize_batch (solve_columns); the restart tie rule, the
+baselines and export stay per column.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import copy
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
@@ -23,10 +30,10 @@ from .benchmarks import (
 from .entropic import EntropicConfig
 from .errors import ConfigError, NumericFailure
 from .grid import Bounds, GridMeasure, build_grid
-from .objective import ObjectiveConfig, hard_objective
+from .objective import ObjectiveConfig
 from .optimizer import OptimizerConfig, OptResult, init_sites, optimize_batch
 from .payoffs import ConcaveBowl, MarketConfig, Monopolist, TriModal
-from .power_diagram import DiagramParams, hard_assign, hard_cell_stats
+from .power_diagram import DiagramParams, HardAssignment, hard_assign, hard_cell_stats
 
 _REQUIRED = object()
 
@@ -91,6 +98,9 @@ _NOUNS = {int: "an integer", str: "a string", list: "a list"}
 
 # restarts whose hard values differ by less than this, relative to the best, are tied
 RESTART_TIE_RTOL = 1e-12
+
+# libyaml's parser where PyYAML was built with it: ~10x faster, same documents
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 # command-line flag -> (config key it overrides, help text); the flag takes the key's kind
 OVERRIDES = {
@@ -259,7 +269,7 @@ def load_raw_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -326,31 +336,57 @@ def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, ObjectiveConfig,
     return grid, obj, opt
 
 
-def solve_scenario(
-    cfg: ExperimentConfig,
-) -> tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]:
+Solved = tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]
+
+
+def solve_scenario(cfg: ExperimentConfig) -> Solved:
     """Best-of-restarts optimizer run; returns the winner by hard value.
 
-    The restarts advance together in one optimize_batch call. Hard values
-    within RESTART_TIE_RTOL of the best, relative to it, are tied, and a tie
-    goes to the fewest effective cells, then the lowest seed.
+    The one-column case of solve_columns: (winner, its hard value, grid,
+    objective, optimizer settings).
+    """
+    return solve_columns([cfg])[0]
+
+
+def solve_columns(cfgs: list[ExperimentConfig]) -> list[Solved]:
+    """Best-of-restarts optimizer runs of scenarios, one result per config.
+
+    Consecutive scenarios that share the grid, the restart count and every
+    objective and optimizer setting but the payoff advance together: their
+    restarts, column by column, make one optimize_batch call. Each restart
+    equals its own run bit for bit, so a numeric failure is the one that a
+    column-by-column loop raises: the first failing column's lowest seed's.
+    Hard values within RESTART_TIE_RTOL of a column's best, relative to it, are tied,
+    and a tie goes to the fewest effective cells, then the lowest seed.
     The winner's seed is its ``seed_used``; the returned objective and
     optimizer settings are in absolute epsilon units.
     """
-    grid, obj, opt = build_scenario(cfg)
-    opts = [replace(opt, seed=opt.seed + k) for k in range(cfg.restarts)]
-    results = optimize_batch([init_sites(o.n_init, grid, o.seed) for o in opts], grid, obj, opts)
-    runs = [(hard_objective(result.params, grid, obj.payoff), result) for result in results]
-    top = max(hard for hard, _ in runs)
-    best_hard, best = min(
-        (run for run in runs if run[0] >= top - RESTART_TIE_RTOL * abs(top)),
-        key=lambda run: (run[1].effective_n, run[1].seed_used),
-    )
-    return best, float(best_hard), grid, obj, opt
+    scenarios = [build_scenario(cfg) for cfg in cfgs]
+
+    def shared(j: int) -> tuple:
+        grid, obj, opt = scenarios[j]
+        return grid.bounds, grid.resolution, cfgs[j].restarts, replace(obj, payoff=None), opt
+
+    solved = []
+    for _, group in groupby(range(len(cfgs)), key=shared):
+        cols = list(group)
+        grid, _, opt = scenarios[cols[0]]
+        opts = [replace(opt, seed=opt.seed + k) for k in range(cfgs[cols[0]].restarts)]
+        inits = [init_sites(o.n_init, grid, o.seed) for o in opts]
+        objs = [scenarios[j][1] for j in cols for _ in opts]
+        results = optimize_batch(inits * len(cols), grid, objs, opts * len(cols))
+        for k, j in enumerate(cols):
+            runs = results[k * len(opts) : (k + 1) * len(opts)]
+            top = max(run.hard_value for run in runs)
+            best = min(
+                (run for run in runs if run.hard_value >= top - RESTART_TIE_RTOL * abs(top)),
+                key=lambda run: (run.effective_n, run.seed_used),
+            )
+            solved.append((best, float(best.hard_value), *scenarios[j]))
+    return solved
 
 
-def _diagram_dict(params: DiagramParams, grid: GridMeasure) -> dict:
-    assignment = hard_assign(params, grid)
+def _diagram_dict(params: DiagramParams, grid: GridMeasure, assignment: HardAssignment) -> dict:
     stats = hard_cell_stats(assignment, grid)
     m = grid.resolution
     barys = [
@@ -370,7 +406,10 @@ def _diagram_dict(params: DiagramParams, grid: GridMeasure) -> dict:
 
 def render_svg(diagram: dict) -> str:
     """Static snapshot: cells colored by index, sites as circles (when inside
-    bounds), barycenters as triangles, weights listed in a side panel."""
+    bounds), barycenters as triangles, weights listed in a side panel.
+
+    ``label_grid`` is diagram.json's nested list or the (M, M) label array.
+    """
     (a1, b1), (a2, b2) = diagram["bounds"]
     m = diagram["resolution"]
     plot = 520.0
@@ -390,23 +429,23 @@ def render_svg(diagram: dict) -> str:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    # run-length merge within each grid row to keep the file small
-    grid_rows = diagram["label_grid"]
-    for iy, row in enumerate(grid_rows):
+    # run-length merge within each grid row to keep the file small: a run
+    # starts at a row's first column and wherever the label changes
+    labels = np.asarray(diagram["label_grid"])
+    starts = np.ones(labels.shape, dtype=bool)
+    np.not_equal(labels[:, 1:], labels[:, :-1], out=starts[:, 1:])
+    rows, cols = np.nonzero(starts)
+    ends = np.append(cols[1:], m)
+    ends[np.append(rows[1:] != rows[:-1], True)] = m
+    for iy, ix, run, label in zip(rows.tolist(), cols.tolist(), ends.tolist(),
+                                  labels[rows, cols].tolist()):
         y_px = pad + plot - (iy + 1) * cell_w
-        ix = 0
-        while ix < m:
-            label = row[ix]
-            run = ix
-            while run < m and row[run] == label:
-                run += 1
-            color = PALETTE[label % len(PALETTE)]
-            x_px = pad + ix * cell_w
-            parts.append(
-                f'<rect x="{x_px:.2f}" y="{y_px:.2f}" width="{(run - ix) * cell_w + 0.35:.2f}" '
-                f'height="{cell_w + 0.35:.2f}" fill="{color}"/>'
-            )
-            ix = run
+        color = PALETTE[label % len(PALETTE)]
+        x_px = pad + ix * cell_w
+        parts.append(
+            f'<rect x="{x_px:.2f}" y="{y_px:.2f}" width="{(run - ix) * cell_w + 0.35:.2f}" '
+            f'height="{cell_w + 0.35:.2f}" fill="{color}"/>'
+        )
     parts.append(
         f'<rect x="{pad:.1f}" y="{pad:.1f}" width="{plot:.1f}" height="{plot:.1f}" '
         'fill="none" stroke="black" stroke-width="1"/>'
@@ -448,17 +487,22 @@ def render_svg(diagram: dict) -> str:
 
 
 def export_diagram(
-    params: DiagramParams, grid: GridMeasure, path, stem: str = "diagram"
+    params: DiagramParams, grid: GridMeasure, path, stem: str = "diagram",
+    assignment: Optional[HardAssignment] = None,
 ) -> list[str]:
     """Write diagram.json and diagram.svg for a diagram into a directory.
 
-    Returns the paths written.
+    ``assignment`` is the diagram's hard_assign labelling, if the caller
+    has it. Returns the paths written.
     """
-    diagram = _diagram_dict(params, grid)
+    if assignment is None:
+        assignment = hard_assign(params, grid)
+    diagram = _diagram_dict(params, grid, assignment)
     json_path = Path(path) / f"{stem}.json"
     svg_path = Path(path) / f"{stem}.svg"
     _write(json_path, json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n")
-    _write(svg_path, render_svg(diagram))
+    labels = assignment.labels.reshape(grid.resolution, grid.resolution)
+    _write(svg_path, render_svg({**diagram, "label_grid": labels}))
     return [str(json_path), str(svg_path)]
 
 
@@ -501,7 +545,7 @@ def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     result, hard_value, grid, obj, opt = solve_scenario(cfg)
     summary = _result_summary(result, hard_value, cfg, obj, opt)
     _write_json(out_dir / "result.json", summary)
-    export_diagram(result.params, grid, out_dir)
+    export_diagram(result.params, grid, out_dir, assignment=result.assignment)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
         f"hard_value={hard_value:.6f} seed={result.seed_used}"
@@ -554,8 +598,9 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     summaries = []
     lloyd_solves: dict = {}
-    for name, value, row_cfg in _market_rows(raw, cfg, "table"):
-        result, r_opt, grid, obj, opt = solve_scenario(row_cfg)
+    columns = _market_rows(raw, cfg, "table")
+    solved = solve_columns([row_cfg for _, _, row_cfg in columns])
+    for (name, value, row_cfg), (result, r_opt, grid, obj, opt) in zip(columns, solved):
         r_noinfo, r_lloyd, r_fullinfo = _baselines(
             row_cfg, grid, result.effective_n, lloyd_solves
         )
@@ -570,7 +615,7 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
             seed=result.seed_used,
         )
         rows.append(row)
-        export_diagram(result.params, grid, out_dir, stem=f"diagram_{row.param}")
+        export_diagram(result.params, grid, out_dir, f"diagram_{row.param}", result.assignment)
         summary = _result_summary(result, r_opt, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)

@@ -44,8 +44,10 @@ from .entropic import (
 )
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
-from .payoffs import PayoffModel
-from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats, stacked
+from .payoffs import PayoffModel, stacked_value_and_grad
+from .power_diagram import (
+    CellStats, DiagramParams, HardAssignment, hard_assign, hard_cell_stats, stacked,
+)
 
 
 @dataclass(frozen=True)
@@ -84,27 +86,38 @@ class ObjectiveReport:
         ]
 
 
-def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
-    """sum over supported hard cells of m_i * Phi(b_i); empty cells contribute 0."""
-    stats = hard_cell_stats(hard_assign(params, grid), grid)
+def hard_objective(
+    params: DiagramParams, grid: GridMeasure, payoff: PayoffModel,
+    assignment: HardAssignment | None = None,
+) -> float:
+    """sum over supported hard cells of m_i * Phi(b_i); empty cells contribute 0.
+
+    ``assignment`` is the diagram's hard_assign labelling, if the caller has it.
+    """
+    if assignment is None:
+        assignment = hard_assign(params, grid)
+    stats = hard_cell_stats(assignment, grid)
     phis = payoff.value(stats.barycenters[stats.support])
     return float(stats.masses[stats.support] @ phis)
 
 
-def _penalty_terms(
-    mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _penalty_terms(mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray, eta: float) -> tuple:
     """Penalty R, the adjoint's per-cell r and R's explicit dR/dX.
 
     All three read the separation matrix sep2 (DiagramParams.separation_sq),
     whose inf diagonal makes the i = j repulsion terms exact zeros, so one
-    site needs no special case. Leading batch axes carry through.
+    site needs no special case. Leading batch axes carry through. At eta = 0
+    the gradient does not see the penalty, and r and dR/dX are 0.0.
     """
     m = mom[..., 0, :]
     mm = m[..., :, None] * m[..., None, :]
-    total = (mom[..., 3, :] + mom[..., 5, :]).sum(axis=-1) + (mm / sep2).sum(axis=(-2, -1))
+    # an overflow here is the failure reported below, not a warning
+    with np.errstate(over="ignore", divide="ignore"):
+        total = (mom[..., 3, :] + mom[..., 5, :]).sum(axis=-1) + (mm / sep2).sum(axis=(-2, -1))
     if not np.isfinite(total).all():
         raise SingularPenaltyError("sites too close: repulsion term is not finite")
+    if eta == 0.0:
+        return total, 0.0, 0.0
     # r_j = dR/dm_j of the repulsion; dR/dX with chi held fixed
     r = 2.0 * (m[..., None, :] / sep2).sum(axis=-1)
     diff = sites[..., :, None, :] - sites[..., None, :, :]
@@ -122,25 +135,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b)[..., 0, :]
 
 
-def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list, cfg: ObjectiveConfig):
+def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list,
+              cfg: ObjectiveConfig | list):
     """The objective's one evaluation: report and (dF/dX, dF/dg) from one kernel.
 
-    For a batch kernel and a list of R diagrams it gives R reports and
-    (R, n, 2), (R, n) gradients.
+    For a batch kernel, a list of R diagrams and a list of their R configs
+    it gives R reports and (R, n, 2), (R, n) gradients.
     """
-    eps = cfg.entropic.epsilon
-    eta = cfg.eta
+    single = isinstance(params, DiagramParams)
+    first = cfg if single else cfg[0]
+    eps, eta = first.entropic.epsilon, first.eta
     sites = stacked(params, "sites")
     mom = kernel.moments()
     stats = soft_cell_stats(mom, sites)
     m, b = stats.masses, stats.barycenters
-    phis, gphis = cfg.payoff.value_and_grad(b.reshape(-1, 2))
-    phis, gphis = phis.reshape(m.shape), gphis.reshape(b.shape)
+    if single:
+        phis, gphis = cfg.payoff.value_and_grad(b)
+    else:
+        phis, gphis = stacked_value_and_grad([c.payoff for c in cfg], b)
     # the report carries the penalty value even when eta = 0
-    penalty, r, penalty_x = _penalty_terms(mom, sites, stacked(params, "separation_sq"))
+    penalty, r, penalty_x = _penalty_terms(mom, sites, stacked(params, "separation_sq"), eta)
     payoff_term = _dot(m, phis)
     value = payoff_term - eta * penalty
-    if isinstance(params, DiagramParams):
+    if single:
         report = ObjectiveReport(float(value), float(payoff_term), float(penalty), stats, phis)
     else:
         report = [
@@ -191,7 +208,7 @@ def soft_objective(
 
 
 def value_and_grad(
-    params: DiagramParams | list, grid: GridMeasure, cfg: ObjectiveConfig,
+    params: DiagramParams | list, grid: GridMeasure, cfg: ObjectiveConfig | list,
     work: np.ndarray | None = None,
 ):
     """Objective report plus (dF/dX, dF/dg) in one pass.
@@ -203,17 +220,26 @@ def value_and_grad(
 
     For a batch (a list of R diagrams with one n, ``work`` (3, R, M, M)) it
     returns R reports and the stacked (R, n, 2) and (R, n) gradients; each
-    restart's entries equal its own call bit for bit.
+    restart's entries equal its own call bit for bit. ``cfg`` is then one
+    config for all, or a list of one per diagram that share eta and epsilon
+    and differ in the payoff (payoffs.stacked_value_and_grad).
     """
-    if not isinstance(params, DiagramParams) and len(params) == 1:
+    if isinstance(params, DiagramParams):
+        return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)
+    cfgs = cfg if isinstance(cfg, list) else [cfg] * len(params)
+    if len(cfgs) != len(params) or any(
+        (c.eta, c.entropic) != (cfgs[0].eta, cfgs[0].entropic) for c in cfgs
+    ):
+        raise ValueError("a batch needs one config per diagram, with one eta and epsilon")
+    if len(params) == 1:
         # the unbatched call makes the same operations: through the batched one a
         # single restart costs ~40 us more, +8 % at (M, n) = (128, 12) and +4 % at
         # (256, 12) (2-core VM, OPENBLAS_NUM_THREADS=1)
-        report, dx, dg = value_and_grad(params[0], grid, cfg, None if work is None else work[:, 0])
+        report, dx, dg = value_and_grad(params[0], grid, cfgs[0], None if work is None else work[:, 0])
         return [report], dx[None], dg[None]
-    kernel = chi_kernel(params, grid, cfg.entropic, work)
+    kernel = chi_kernel(params, grid, cfgs[0].entropic, work)
     if kernel is None:
         # a restart whose Z fell below the floor takes the dense path: each goes alone
-        reports, dx, dg = zip(*(value_and_grad(p, grid, cfg) for p in params))
+        reports, dx, dg = zip(*(value_and_grad(p, grid, c) for p, c in zip(params, cfgs)))
         return list(reports), np.stack(dx), np.stack(dg)
-    return _evaluate(kernel, params, cfg)
+    return _evaluate(kernel, params, cfgs)

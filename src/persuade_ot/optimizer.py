@@ -5,10 +5,15 @@ seeded initialization, and finalization pruning of dead cells.
 
 The restarts of a run advance together (optimize_batch): their Adam state
 is one (R, 3n) array with a leading restart axis, and each step makes one
-batched evaluation (objective.value_and_grad on a list of diagrams). Each
-restart's floating-point operations are those of its own run, so its
+batched evaluation (objective.value_and_grad on a list of diagrams). The
+restarts may carry objectives that differ in the payoff, such as the
+columns of a market sweep, and the evaluation still makes one payoff pass.
+Each restart's floating-point operations are those of its own run, so its
 result equals a one-restart run bit for bit; optimize is the R = 1 call.
 A restart whose sites meet or whose evaluation fails leaves the batch.
+Finalisation reuses what the run computed: at a fixed epsilon the best
+iterate's report from the loop, and pruning's hard labelling, which also
+gives the result's hard value.
 """
 
 from __future__ import annotations
@@ -21,8 +26,12 @@ import numpy as np
 from .entropic import EntropicConfig
 from .errors import NumericFailure, SingularPenaltyError
 from .grid import GridMeasure
-from .objective import ObjectiveConfig, ObjectiveReport, soft_objective, value_and_grad
-from .power_diagram import CellStats, DiagramParams, hard_assign, hard_cell_stats, min_separation
+from .objective import (
+    ObjectiveConfig, ObjectiveReport, hard_objective, soft_objective, value_and_grad,
+)
+from .power_diagram import (
+    CellStats, DiagramParams, HardAssignment, hard_assign, hard_cell_stats, min_separation,
+)
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
 ADAM_BETA1 = 0.9
@@ -59,6 +68,8 @@ class OptResult:
     trajectory: list  # (value, grad_norm) per iteration
     seed_used: int
     best_iteration: int
+    hard_value: float  # hard_objective of params
+    assignment: HardAssignment  # hard_assign of params
     stopped_early: int | None = None  # iteration whose step made two sites coincide
 
     @property
@@ -106,14 +117,18 @@ def prune_cells(
     stats: CellStats,
     mass_tol: float,
     grid: GridMeasure,
+    assignment: HardAssignment | None = None,
 ) -> DiagramParams:
     """Drop cells that are dead both softly and hardly.
 
     A cell is removed when its soft mass is below mass_tol AND its hard
     mass is exactly zero. Never removes every cell; survivors keep their
-    relative order.
+    relative order. ``assignment`` is the diagram's hard_assign labelling,
+    if the caller has it.
     """
-    hard = hard_cell_stats(hard_assign(params, grid), grid)
+    if assignment is None:
+        assignment = hard_assign(params, grid)
+    hard = hard_cell_stats(assignment, grid)
     keep = (stats.masses >= mass_tol) | (hard.masses > 0.0)
     if not np.any(keep):
         keep[int(np.argmax(stats.masses))] = True
@@ -125,9 +140,11 @@ def prune_cells(
 class _Restart:
     """One restart's record while its batch runs."""
 
-    def __init__(self, init: DiagramParams, theta: np.ndarray):
+    def __init__(self, init: DiagramParams, theta: np.ndarray, obj: ObjectiveConfig):
+        self.obj = obj
         self.last_valid = init
         self.best_theta = theta
+        self.best_report: ObjectiveReport | None = None
         self.trajectory: list[tuple[float, float]] = []  # (value, grad_norm) per iteration
         self.best_value = -np.inf
         self.best_iteration = 0
@@ -165,22 +182,33 @@ def optimize(
 def optimize_batch(
     inits: list[DiagramParams],
     grid: GridMeasure,
-    obj: ObjectiveConfig,
+    obj: ObjectiveConfig | list[ObjectiveConfig],
     opts: list[OptimizerConfig],
 ) -> list[OptResult]:
     """optimize for R restarts at once, one result per init.
 
-    The restarts share n and every setting but the seed. Each Adam step
-    advances all of them in one batched evaluation and one update on an
-    (R, 3n) state, and each restart's result equals its own optimize call
-    bit for bit. A restart that stops early or fails leaves the batch and
-    the others go on; when the batch ends, the first failed restart's
-    NumericFailure is raised, as a run of the restarts one by one would.
+    The restarts share n and every setting but the seed. ``obj`` is one
+    objective for all, or one per restart: those share eta and epsilon and
+    may differ in the payoff, as the columns of a market sweep do (see
+    payoffs.stacked_value_and_grad). Each Adam step advances all restarts
+    in one batched evaluation and one update on an (R, 3n) state, and each
+    restart's result equals its own optimize call bit for bit. A restart
+    that stops early or fails leaves the batch and the others go on; when
+    the batch ends, the first failed restart's NumericFailure is raised, as
+    a run of the restarts one by one would.
     """
     opt = opts[0]
     n = inits[0].n
-    if len(inits) != len(opts) or any(replace(o, seed=opt.seed) != opt for o in opts):
-        raise ValueError("a batch needs one init per restart and settings that differ only in seed")
+    objs = obj if isinstance(obj, list) else [obj] * len(inits)
+    if (
+        not len(inits) == len(opts) == len(objs)
+        or any(replace(o, seed=opt.seed) != opt for o in opts)
+        or any(replace(o, payoff=objs[0].payoff) != objs[0] for o in objs)
+    ):
+        raise ValueError(
+            "a batch needs one init and objective per restart, objectives that differ"
+            " only in payoff and settings that differ only in seed"
+        )
     if any(init.n != n for init in inits):
         raise ValueError("the restarts of a batch need one number of sites")
     theta = np.stack([np.concatenate([init.sites.ravel(), init.weights]) for init in inits])
@@ -188,7 +216,7 @@ def optimize_batch(
     m2 = np.zeros_like(theta)
     lr = opt.learning_rate
 
-    eps_run = obj.entropic.epsilon
+    eps_run = objs[0].entropic.epsilon
     anneal = 1.0
     if opt.epsilon_final is not None and opt.max_iters > 1:
         anneal = (opt.epsilon_final / eps_run) ** (1.0 / (opt.max_iters - 1))
@@ -196,18 +224,12 @@ def optimize_batch(
     def unpack(vec: np.ndarray) -> DiagramParams:
         return DiagramParams(vec[: 2 * n].reshape(n, 2), vec[2 * n :])
 
-    def at_epsilon(eps: float) -> ObjectiveConfig:
-        return replace(obj, entropic=EntropicConfig(eps))
-
-    runs = [_Restart(init, vec.copy()) for init, vec in zip(inits, theta)]
+    runs = [_Restart(init, vec.copy(), o) for init, vec, o in zip(inits, theta, objs)]
     rows = runs  # the restart behind each row of theta, m1 and m2, in batch order
-    cfg_t = obj
     m = grid.resolution
     work = np.empty((3, len(runs), m, m))  # the kernel's grid-sized arrays, reused every step
 
     for it in range(opt.max_iters):
-        if anneal != 1.0:
-            cfg_t = at_epsilon(eps_run * anneal**it)
         batch = []
         for run, vec in zip(rows, theta):
             try:
@@ -220,7 +242,11 @@ def optimize_batch(
             rows, theta, m1, m2 = _running(rows, theta, m1, m2)
             if _settled(runs, rows):
                 break
-        reports, grad = _batch_value_and_grad(batch, rows, grid, cfg_t, work, it)
+        cfgs = [run.obj for run in rows]
+        if anneal != 1.0:
+            entropic = EntropicConfig(eps_run * anneal**it)
+            cfgs = [replace(c, entropic=entropic) for c in cfgs]
+        reports, grad = _batch_value_and_grad(batch, rows, grid, cfgs, work, it)
         finite = np.isfinite(grad).all(axis=1).tolist()
         gnorms = np.abs(grad).max(axis=1).tolist()
         for run, params, report, ok, gnorm, vec in zip(rows, batch, reports, finite, gnorms, theta):
@@ -234,6 +260,7 @@ def optimize_batch(
             if report.value > run.best_value:
                 run.best_value = report.value
                 run.best_theta = vec.copy()
+                run.best_report = report
                 run.best_iteration = it
         if any(run.failure is not None for run in rows):
             rows, theta, m1, m2, grad = _running(rows, theta, m1, m2, grad)
@@ -246,11 +273,13 @@ def optimize_batch(
         m2_hat = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
         theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
-    final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     results = []
     for run, o in zip(runs, opts):
         if run.failure is not None:
             raise run.failure
+        final_cfg = run.obj
+        if opt.epsilon_final is not None:
+            final_cfg = replace(run.obj, entropic=EntropicConfig(opt.epsilon_final))
         results.append(_finalise(run, unpack(run.best_theta), grid, final_cfg, o.seed))
     return results
 
@@ -268,26 +297,39 @@ def _settled(runs: list, rows: list) -> bool:
     return not rows or any(run.failure is not None for run in runs[: runs.index(rows[0])])
 
 
-def _batch_value_and_grad(batch, runs, grid, cfg, work, it):
+def _batch_value_and_grad(batch, runs, grid, cfgs, work, it):
     """Reports and (R, 3n) gradients of a batch. A restart whose evaluation
     fails gets None and the failure is recorded on its run."""
     try:
-        reports, dx, dg = value_and_grad(batch, grid, cfg, work[:, : len(batch)])
+        reports, dx, dg = value_and_grad(batch, grid, cfgs, work[:, : len(batch)])
         return reports, np.concatenate([dx.reshape(len(batch), -1), dg], axis=1)
     except (NumericFailure, SingularPenaltyError) as exc:
         if len(batch) == 1:
             runs[0].fail(str(exc), it)
             return [None], np.full((1, 3 * batch[0].n), np.nan)
     # one restart's failure must not end the others: evaluate each alone
-    parts = [_batch_value_and_grad([p], [run], grid, cfg, work, it) for p, run in zip(batch, runs)]
+    parts = [
+        _batch_value_and_grad([p], [run], grid, [c], work, it)
+        for p, run, c in zip(batch, runs, cfgs)
+    ]
     return [reports[0] for reports, _ in parts], np.concatenate([grad for _, grad in parts])
 
 
 def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
               final_cfg: ObjectiveConfig, seed: int) -> OptResult:
-    """Prune the best iterate's dead cells and report the result at the final epsilon."""
-    report_before = soft_objective(best_params, grid, final_cfg)
-    pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid)
+    """Prune the best iterate's dead cells and report the result at the final epsilon.
+
+    At a fixed epsilon the loop's report of the best iterate is that report.
+    The pruned diagram's labels are the best iterate's, renumbered past the
+    removed cells, when those own no grid point: hard assignment treats each
+    cell's cost alike and a tie goes to the lowest index, so removing cells
+    that win no point changes no label.
+    """
+    report_before = run.best_report
+    if final_cfg.entropic != run.obj.entropic:
+        report_before = soft_objective(best_params, grid, final_cfg)
+    assignment = hard_assign(best_params, grid)
+    pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid, assignment)
     report_after = report_before
 
     if pruned.n < best_params.n:
@@ -308,6 +350,11 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
                 last_value=report_before.value,
                 iteration=run.best_iteration,
             )
+        if np.bincount(assignment.labels, minlength=best_params.n)[~kept].any():
+            # a removed cell owns grid points (of zero mass): label afresh
+            assignment = hard_assign(pruned, grid)
+        else:
+            assignment = HardAssignment((np.cumsum(kept) - 1)[assignment.labels], pruned.n)
 
     return OptResult(
         params=pruned,
@@ -315,5 +362,7 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
         trajectory=run.trajectory,
         seed_used=seed,
         best_iteration=run.best_iteration,
+        hard_value=hard_objective(pruned, grid, final_cfg.payoff, assignment),
+        assignment=assignment,
         stopped_early=run.stopped_early,
     )

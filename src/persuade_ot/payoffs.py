@@ -8,7 +8,9 @@ closed form: with valuations uniform on the unit square, the buyer's net
 utilities from the two goods are independent uniforms, and each purchase
 region's probability is an expectation over one of them of the other's
 survival function, a product of survivals plus a difference of its
-piecewise-quadratic integral. Every step is elementwise over the batch.
+piecewise-quadratic integral. Every step is elementwise over the batch,
+so the prices may differ from pair to pair: stacked_value_and_grad prices
+the restarts of several markets in one pass.
 The revenue gradient comes from the same closed form by a scaling identity:
 dR/dq_i = (R(q | v_i = 1) - R(q)) / q_i, where fixing good i's valuation at
 one makes its utility a point mass (Monopolist).
@@ -17,7 +19,6 @@ one makes its utility a point mass (Monopolist).
 from __future__ import annotations
 
 import functools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .errors import NumericFailure
 TRI_MODES = np.array([(0.5, 0.25), (0.75, 0.75), (0.25, 0.75)])
 TRI_SIGMA = 0.12
 BOWL_CENTER = np.array([0.5, 0.5])
+# pairs per block of a revenue batch
+REVENUE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,23 @@ class PurchaseBreakdown:
     c3: float
 
 
-def _survival(lo, hi, inv, x: float) -> np.ndarray:
-    """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo where inv = 0."""
-    out = np.maximum(lo, x)
-    np.subtract(hi, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    out *= inv
-    np.copyto(out, 1.0, where=x <= lo)
-    return out
+# _shares' regions in order, each as the rows that give its (a_lo, a_hi, -,
+# b_lo, b_hi) among (lo1, lo2, hi1, hi2, -hi2, -hi1, -lo2, -lo1), the
+# utilities' supports and their negations (the middle slot is scratch), and
+# the rows that give its bounds (s, t, r) among (0, -d, d, max(-d, 0))
+_REGIONS = {
+    "good1": ((0, 2, 6, 4, 6), (0, 1, 0)),
+    "good2": ((5, 7, 3, 1, 3), (1, 0, 0)),
+    "bundle": ((0, 2, 3, 1, 3), (2, 2, 2)),
+    "none": ((5, 7, 6, 4, 6), (0, 0, 3)),
+}
 
 
-def _shares(a: np.ndarray, c: np.ndarray, market: MarketConfig, with_none: bool = False) -> np.ndarray:
+def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndarray:
     """Purchase probabilities of good 1, good 2, the bundle (additive demand)
     and, if asked, nothing: (regions, k) for net utilities X = a0 v1 + c0 and
-    Y = a1 v2 + c1, with slopes a (2, k) and offsets c that broadcast to it.
+    Y = a1 v2 + c1, with slopes a (2, k), offsets c that broadcast to it and
+    bundle surcharges d (K,) with K = 1 or k, or None under unit demand.
 
     With v uniform on the unit square, X and Y are independent uniforms, a
     point mass at c_i where a_i = 0; quality pairs q give a = q and c = -p.
@@ -91,19 +97,27 @@ def _shares(a: np.ndarray, c: np.ndarray, market: MarketConfig, with_none: bool 
     d >= 0. That is E_B[1{B >= t} S_A(max(s, r - B))] with S_A(x) = P(A >= x):
     the part B >= r - s is a product of survivals, and the part t <= B <= r - s
     is a difference of J(u), the integral of S_A from u on, divided by B's
-    width. Bounds are inclusive, and every step is elementwise, so a pair's
-    value does not depend on its batch.
+    width. Bounds are inclusive. The regions are stacked on a leading axis,
+    and every step is elementwise, so a pair's value depends neither on its
+    batch nor on the other pairs' markets.
     """
-    d = market.delta if market.demand == "additive" else math.inf
-    table = [(1, -1, 0.0, -d, 0.0), (-1, 1, -d, 0.0, 0.0)]
-    table += [(1, 1, d, d, d)] if market.demand == "additive" else []
-    table += [(-1, -1, 0.0, 0.0, max(-d, 0.0))] if with_none else []
-    # one allocation for the supports, the result and the loop's rows: it
-    # outsizes the call's other temporaries, so the allocator keeps their
-    # pages for the next call instead of returning them and faulting them in
-    work = np.empty((len(table) + 11, a.shape[1]))
-    lo, hi, inv, half = work[0:2], work[2:4], work[4:6], work[6]
-    out, u, tri = work[7 : 7 + len(table)], work[-4:-2], work[-2:]
+    names = ["good1", "good2"] + ["bundle"] * (d is not None) + ["none"] * with_none
+    end_rows, bound_rows = (np.array(rows).T for rows in zip(*(_REGIONS[n] for n in names)))
+    bounds = np.zeros((4, 1 if d is None else len(d)))
+    np.negative(np.inf if d is None else d, out=bounds[1])
+    np.negative(bounds[1], out=bounds[2])
+    # max(-d, 0) as Python's max takes it: -0.0 at d = 0
+    np.copyto(bounds[3], bounds[1], where=bounds[1] >= 0.0)
+    s, t, r = bounds[bound_rows]  # each (regions, K)
+    # one allocation for every (k,) row: it outsizes the call's other
+    # temporaries, so the allocator keeps their pages for the next call
+    # instead of returning them and faulting them in
+    g, k = end_rows.shape[1], a.shape[1]
+    work = np.empty((11 + 5 * g, k))
+    ends, inv, half = work[:8], work[8:10], work[10]
+    lims = work[11:].reshape(5, g, k)
+    tri = ends[: 2 * g].reshape(2, g, k)  # once the limits are gathered
+    lo, hi = ends[0:2], ends[2:4]
     swap = np.abs(a[0]) > np.abs(a[1])
     np.copyto(lo, a)
     np.copyto(lo, a[::-1], where=swap)
@@ -115,31 +129,37 @@ def _shares(a: np.ndarray, c: np.ndarray, market: MarketConfig, with_none: bool 
     np.subtract(hi, lo, out=inv)
     np.divide(1.0, inv, out=inv, where=inv > 0.0)
     np.multiply(inv[0], 0.5, out=half)
-    for row, (sign_a, sign_b, s, t, r) in zip(out, table):
-        a_lo, a_hi = (lo[0], hi[0]) if sign_a > 0 else (-hi[0], -lo[0])
-        b_lo, b_hi = (lo[1], hi[1]) if sign_b > 0 else (-hi[1], -lo[1])
-        # B's part [min(max(b_lo, t), b_hi), b_hi] splits at the cut r - s:
-        # above it S_A(max(s, r - B)) = S_A(s); below it, the integral of S_A
-        # over u = r - B is a difference of J(u), the integral of S_A from u
-        # on: the length of [u, a_lo], where S_A = 1, plus S_A's triangle past u
-        np.maximum(b_lo, t, out=u[1])
-        np.minimum(u[1], b_hi, out=u[1])
-        np.minimum(b_hi, r - s, out=u[0])
-        np.maximum(u[0], u[1], out=u[0])
-        np.subtract(b_hi, u[0], out=row)
-        row *= _survival(a_lo, a_hi, inv[0], s)
-        np.subtract(r, u, out=u)
-        np.maximum(u, a_lo, out=tri)
-        np.minimum(tri, a_hi, out=tri)
-        np.subtract(a_hi, tri, out=tri)
-        np.square(tri, out=tri)
-        tri *= half
-        np.subtract(a_lo, u, out=u)
-        np.maximum(u, 0.0, out=u)
-        u += tri
-        np.subtract(u[0], u[1], out=u[0])
-        row += u[0]
-        row *= inv[1]
+    np.negative(ends[3::-1], out=ends[4:])
+    np.take(ends, end_rows, axis=0, out=lims, mode="clip")  # "raise" would buffer out
+    a_lo, a_hi, u, out = lims[0], lims[1], lims[2:4], lims[4]
+    # B's part [min(max(b_lo, t), b_hi), b_hi] splits at the cut r - s:
+    # above it S_A(max(s, r - B)) = S_A(s); below it, the integral of S_A
+    # over u = r - B is a difference of J(u), the integral of S_A from u
+    # on: the length of [u, a_lo], where S_A = 1, plus S_A's triangle past u
+    np.maximum(u[1], t, out=u[1])
+    np.minimum(u[1], out, out=u[1])
+    np.minimum(out, r - s, out=u[0])
+    np.maximum(u[0], u[1], out=u[0])
+    np.subtract(out, u[0], out=out)
+    survival = tri[0]  # S_A(s)
+    np.maximum(a_lo, s, out=survival)
+    np.subtract(a_hi, survival, out=survival)
+    np.maximum(survival, 0.0, out=survival)
+    survival *= inv[0]
+    np.copyto(survival, 1.0, where=s <= a_lo)
+    out *= survival
+    np.subtract(r, u, out=u)
+    np.maximum(u, a_lo, out=tri)
+    np.minimum(tri, a_hi, out=tri)
+    np.subtract(a_hi, tri, out=tri)
+    np.square(tri, out=tri)
+    tri *= half
+    np.subtract(a_lo, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    u += tri
+    np.subtract(u[0], u[1], out=u[0])
+    out += u[0]
+    out *= inv[1]
     out[:2] = np.where(swap, out[1::-1], out[:2])
     if with_none:
         # where both slopes are zero, B is a point mass and every row reads 0:
@@ -149,30 +169,69 @@ def _shares(a: np.ndarray, c: np.ndarray, market: MarketConfig, with_none: bool 
     return out
 
 
+def _terms(markets: list, reps: int = 1) -> tuple:
+    """Offsets c (2, K), bundle surcharges d (K,) or None, and prices (3, K)
+    of _shares and _revenue for a batch of pairs, reps consecutive pairs per
+    market: K = 1 for one market, which broadcasts over any batch."""
+    prices = np.array([(m.p1, m.p2, m.p3) for m in markets], dtype=float).T
+    d = None if markets[0].demand == "unit" else np.array([m.delta for m in markets], dtype=float)
+    if len(markets) > 1:
+        prices = np.repeat(prices, reps, axis=1)
+        d = None if d is None else np.repeat(d, reps)
+    return -prices[:2], d, prices
+
+
 def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
     """Exact purchase probabilities at quality pair q."""
     a = np.asarray(q, dtype=float).reshape(2, 1)
-    shares = _shares(a, _offsets(market), market, with_none=True)[:, 0].tolist()
+    c, d, _ = _terms([market])
+    shares = _shares(a, c, d, with_none=True)[:, 0].tolist()
     c3 = shares[2] if market.demand == "additive" else 0.0
     return PurchaseBreakdown(c0=shares[-1], c1=shares[0], c2=shares[1], c3=c3)
 
 
 def revenue(q, market: MarketConfig) -> float | np.ndarray:
-    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2)."""
+    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2).
+
+    A batch is priced in blocks of REVENUE_BLOCK pairs, which keeps a
+    whole-grid call's temporaries in the cache and off the peak memory.
+    """
     pts = np.asarray(q, dtype=float)
-    out = _revenue(pts.reshape(-1, 2).T, _offsets(market), market)
+    c, d, prices = _terms([market])
+    a = pts.reshape(-1, 2).T
+    blocks = range(0, max(a.shape[1], 1), REVENUE_BLOCK)
+    out = np.concatenate([_revenue(a[:, i : i + REVENUE_BLOCK], c, d, prices) for i in blocks])
     return float(out[0]) if pts.ndim == 1 else out
 
 
-def _offsets(market: MarketConfig) -> np.ndarray:
-    """The offsets c = -p (2, 1) of _shares at quality pairs, broadcast over the batch."""
-    return -np.array([[market.p1], [market.p2]], dtype=float)
+def _revenue(a: np.ndarray, c, d, prices: np.ndarray) -> np.ndarray:
+    """p1 c1 + p2 c2 + p3 c3 (k,) from the _shares at slopes a (2, k), offsets
+    c and surcharges d, with prices (3, .) that broadcast to (3, k)."""
+    shares = _shares(a, c, d)
+    return sum(price * share for price, share in zip(prices, shares))
 
 
-def _revenue(a: np.ndarray, c, market: MarketConfig) -> np.ndarray:
-    """p1 c1 + p2 c2 + p3 c3 (k,) from the _shares at slopes a (2, k) and offsets c."""
-    shares = _shares(a, c, market)
-    return sum(price * share for price, share in zip((market.p1, market.p2, market.p3), shares))
+def _revenue_and_grad(pts: np.ndarray, markets: list) -> tuple[np.ndarray, np.ndarray]:
+    """Revenue (k,) and its gradient (k, 2) at quality pairs pts (k, 2), in
+    equal consecutive blocks, one per market (Monopolist)."""
+    if not pts.all():
+        point = tuple(pts[~pts.all(axis=1)][0].tolist())
+        raise NumericFailure(f"no revenue gradient at q = {point}: a quality is zero")
+    k = len(pts)
+    c, d, prices = _terms(markets, k // len(markets))
+    # one closed form over 3k columns: the square, then the edge v1 = 1 and
+    # the edge v2 = 1, where good i's utility has slope 0 and offset q_i - p_i
+    a = np.tile(pts.T, 3)
+    c = np.tile(np.broadcast_to(c, (2, k)), 3)
+    if prices.shape[1] > 1:
+        prices = np.tile(prices, 3)
+        d = None if d is None else np.tile(d, 3)
+    for i in range(2):
+        edge = slice((i + 1) * k, (i + 2) * k)
+        c[i, edge] += a[i, edge]
+        a[i, edge] = 0.0
+    rev, *edges = _revenue(a, c, d, prices).reshape(3, k)
+    return rev, (np.transpose(edges) - rev[:, None]) / pts
 
 
 class PayoffModel(ABC):
@@ -233,20 +292,25 @@ class Monopolist(PayoffModel):
         return revenue(pts, self.market)
 
     def value_and_grad(self, pts):
-        if not pts.all():
-            point = tuple(pts[~pts.all(axis=1)][0].tolist())
-            raise NumericFailure(f"no revenue gradient at q = {point}: a quality is zero")
-        m, k = self.market, len(pts)
-        # one closed form over 3k columns: the square, then the edge v1 = 1 and
-        # the edge v2 = 1, where good i's utility has slope 0 and offset q_i - p_i
-        a = np.tile(pts.T, 3)
-        c = np.tile(_offsets(m), 3 * k)
-        for i in range(2):
-            edge = slice((i + 1) * k, (i + 2) * k)
-            c[i, edge] += a[i, edge]
-            a[i, edge] = 0.0
-        rev, *edges = _revenue(a, c, m).reshape(3, k)
-        return rev, (np.transpose(edges) - rev[:, None]) / pts
+        return _revenue_and_grad(pts, [self.market])
+
+
+def stacked_value_and_grad(models: list, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi (R, n) and its gradient (R, n, 2) at points (R, n, 2), restart r's
+    points under models[r], in one pass: restarts of one payoff make one
+    call, and monopolists in several markets of one demand model make one
+    closed-form pass with per-pair prices. Each point's values are those of
+    its own model's call."""
+    flat = pts.reshape(-1, 2)
+    if all(model == models[0] for model in models):
+        phis, gphis = models[0].value_and_grad(flat)
+    elif all(isinstance(model, Monopolist) for model in models) and len(
+        {model.market.demand for model in models}
+    ) == 1:
+        phis, gphis = _revenue_and_grad(flat, [model.market for model in models])
+    else:
+        raise ValueError("a batch's payoffs must be one payoff or monopolists of one demand model")
+    return phis.reshape(pts.shape[:-1]), gphis.reshape(pts.shape)
 
 
 # the public constructors: concave_bowl(), tri_modal(), monopolist_payoff(market)

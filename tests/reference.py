@@ -1,6 +1,8 @@
-"""Dense and one-restart references shared by the tests."""
+"""Dense, looped and one-restart references shared by the tests."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +21,72 @@ def assert_reports_equal(report, ref):
     assert np.array_equal(report.cells.masses, ref.cells.masses)
     assert np.array_equal(report.cells.barycenters, ref.cells.barycenters)
     assert np.array_equal(report.payoffs, ref.payoffs)
+
+
+def _loop_survival(lo, hi, inv, x: float) -> np.ndarray:
+    """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo where inv = 0."""
+    out = np.maximum(lo, x)
+    np.subtract(hi, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= inv
+    np.copyto(out, 1.0, where=x <= lo)
+    return out
+
+
+def loop_shares(a: np.ndarray, c: np.ndarray, market, with_none: bool = False) -> np.ndarray:
+    """``payoffs._shares`` for one market as a Python loop over the purchase
+    regions, one (k,) row at a time: the arithmetic that the stacked regions
+    must reproduce bit for bit."""
+    d = market.delta if market.demand == "additive" else math.inf
+    table = [(1, -1, 0.0, -d, 0.0), (-1, 1, -d, 0.0, 0.0)]
+    table += [(1, 1, d, d, d)] if market.demand == "additive" else []
+    table += [(-1, -1, 0.0, 0.0, max(-d, 0.0))] if with_none else []
+    work = np.empty((len(table) + 11, a.shape[1]))
+    lo, hi, inv, half = work[0:2], work[2:4], work[4:6], work[6]
+    out, u, tri = work[7 : 7 + len(table)], work[-4:-2], work[-2:]
+    swap = np.abs(a[0]) > np.abs(a[1])
+    np.copyto(lo, a)
+    np.copyto(lo, a[::-1], where=swap)
+    c = np.where(swap, c[::-1], c)
+    np.maximum(lo, 0.0, out=hi)
+    hi += c
+    np.minimum(lo, 0.0, out=lo)
+    lo += c
+    np.subtract(hi, lo, out=inv)
+    np.divide(1.0, inv, out=inv, where=inv > 0.0)
+    np.multiply(inv[0], 0.5, out=half)
+    for row, (sign_a, sign_b, s, t, r) in zip(out, table):
+        a_lo, a_hi = (lo[0], hi[0]) if sign_a > 0 else (-hi[0], -lo[0])
+        b_lo, b_hi = (lo[1], hi[1]) if sign_b > 0 else (-hi[1], -lo[1])
+        # B's part [min(max(b_lo, t), b_hi), b_hi] splits at the cut r - s:
+        # above it S_A(max(s, r - B)) = S_A(s); below it, the integral of S_A
+        # over u = r - B is a difference of J(u), the integral of S_A from u
+        # on: the length of [u, a_lo], where S_A = 1, plus S_A's triangle past u
+        np.maximum(b_lo, t, out=u[1])
+        np.minimum(u[1], b_hi, out=u[1])
+        np.minimum(b_hi, r - s, out=u[0])
+        np.maximum(u[0], u[1], out=u[0])
+        np.subtract(b_hi, u[0], out=row)
+        row *= _loop_survival(a_lo, a_hi, inv[0], s)
+        np.subtract(r, u, out=u)
+        np.maximum(u, a_lo, out=tri)
+        np.minimum(tri, a_hi, out=tri)
+        np.subtract(a_hi, tri, out=tri)
+        np.square(tri, out=tri)
+        tri *= half
+        np.subtract(a_lo, u, out=u)
+        np.maximum(u, 0.0, out=u)
+        u += tri
+        np.subtract(u[0], u[1], out=u[0])
+        row += u[0]
+        row *= inv[1]
+    out[:2] = np.where(swap, out[1::-1], out[:2])
+    if with_none:
+        # where both slopes are zero, B is a point mass and every row reads 0:
+        # at q = 0, where c = -p, that is right for the goods and the bundle,
+        # as X = -p1, Y = -p2 and X + Y = d - p3 < d, but nothing is bought
+        out[-1] = np.where(inv[1] > 0.0, out[-1], 1.0)
+    return out
 
 
 def dense_lloyd(n, grid, seed, max_iters=200):
@@ -60,11 +128,11 @@ def sequential_optimize(init, grid, obj, opt):
     from dataclasses import replace
 
     from persuade_ot import EntropicConfig, NumericFailure
-    from persuade_ot.objective import soft_objective, value_and_grad
+    from persuade_ot.objective import hard_objective, soft_objective, value_and_grad
     from persuade_ot.optimizer import (
         ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PRUNE_MASS_TOL, OptResult, prune_cells,
     )
-    from persuade_ot.power_diagram import DiagramParams
+    from persuade_ot.power_diagram import DiagramParams, hard_assign
 
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
@@ -157,6 +225,47 @@ def sequential_optimize(init, grid, obj, opt):
         trajectory=trajectory,
         seed_used=opt.seed,
         best_iteration=best_iteration,
+        hard_value=hard_objective(pruned, grid, obj.payoff),
+        assignment=hard_assign(pruned, grid),
         stopped_early=stopped_early,
     )
 
+
+
+def column_by_column_table(raw, cfg, out_dir):
+    """The `table` command with each sweep column solved on its own, one
+    restart at a time (sequential_optimize) and its hard value from
+    ``hard_objective``: the run that the fused columns of ``cli.cmd_table``
+    must reproduce file for file. Same signature as the CLI's commands."""
+    from dataclasses import replace
+
+    from persuade_ot import cli
+    from persuade_ot.benchmarks import BenchmarkRow, improvement_table
+    from persuade_ot.objective import hard_objective
+    from persuade_ot.optimizer import init_sites
+
+    rows, summaries, lloyd_solves = [], [], {}
+    for name, value, row_cfg in cli._market_rows(raw, cfg, "table"):
+        grid, obj, opt = cli.build_scenario(row_cfg)
+        runs = []
+        for k in range(row_cfg.restarts):
+            o = replace(opt, seed=opt.seed + k)
+            result = sequential_optimize(init_sites(o.n_init, grid, o.seed), grid, obj, o)
+            runs.append((hard_objective(result.params, grid, obj.payoff), result))
+        top = max(hard for hard, _ in runs)
+        hard, best = min(
+            (run for run in runs if run[0] >= top - cli.RESTART_TIE_RTOL * abs(top)),
+            key=lambda run: (run[1].effective_n, run[1].seed_used),
+        )
+        r_noinfo, r_lloyd, r_fullinfo = cli._baselines(row_cfg, grid, best.effective_n, lloyd_solves)
+        row = BenchmarkRow(name, float(value), hard, r_noinfo, r_lloyd, r_fullinfo,
+                           best.effective_n, best.seed_used)
+        rows.append(row)
+        cli.export_diagram(best.params, grid, out_dir, stem=f"diagram_{row.param}")
+        summary = cli._result_summary(best, hard, row_cfg, obj, opt)
+        summary["param"] = row.param
+        summaries.append(summary)
+    print(improvement_table(rows))
+    cli.write_table_csv(rows, out_dir / "table.csv")
+    cli._write_json(out_dir / "result.json", summaries)
+    return 0

@@ -17,12 +17,14 @@ from persuade_ot import (
     soft_objective,
 )
 from persuade_ot.cli import (
+    PALETTE,
     main,
     parse_config,
     render_svg,
     run_experiment,
     set_config_path,
 )
+from reference import column_by_column_table
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -309,6 +311,83 @@ def test_table_csv_schema_and_determinism(tmp_path):
     assert summaries[0]["param"] == "p2=1"
 
 
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def counted_batches(monkeypatch) -> list:
+    """Patch cli.optimize_batch to record each call's number of restarts."""
+    sizes = []
+    real = cli.optimize_batch
+
+    def counted(inits, grid, obj, opts):
+        sizes.append(len(inits))
+        return real(inits, grid, obj, opts)
+
+    monkeypatch.setattr(cli, "optimize_batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("parameter, values, batches", [
+    ("p2", [1.0, 1.25, 1.5], [6]),
+    ("delta", [-0.5, 0.0, 0.25], [6]),
+    # each q_min has its own grid: one batch per column
+    ("q_min", [0.0, 0.25, 0.5], [2, 2, 2]),
+])
+def test_fused_table_equals_column_by_column(tmp_path, monkeypatch, parameter, values, batches):
+    # three columns of two restarts; 8 sites at epsilon = 1 cell leave some
+    # cells to prune, so the pruned labelling and the tie rule take part
+    data = tiny_market_config(tmp_path / "fused", restarts=2)
+    data["grid"]["resolution"] = 24
+    data["objective"]["epsilon"] = 1.0
+    data["optimizer"].update(n_init=8, max_iters=30, learning_rate=0.05)
+    data["sweep"] = {"parameter": f"payoff.market.{parameter}", "values": values}
+    if parameter == "delta":
+        data["payoff"]["market"].update(delta=0.0, demand="additive")
+    sizes = counted_batches(monkeypatch)
+    assert run_experiment(write_config(tmp_path, data), "table") == 0
+    assert sizes == batches
+    data["output_dir"] = str(tmp_path / "loop")
+    monkeypatch.setitem(cli.COMMANDS, "table", column_by_column_table)
+    assert run_experiment(write_config(tmp_path, data), "table") == 0
+    fused, loop = tree_bytes(tmp_path / "fused"), tree_bytes(tmp_path / "loop")
+    assert len(fused) == 2 + 2 * len(values) and fused == loop
+    summaries = json.loads(fused["result.json"])
+    assert any(s["effective_n"] < 8 for s in summaries)
+
+
+def test_failing_second_column_raises_its_own_failure(tmp_path, monkeypatch):
+    # the p2 = 1.5 column's payoff fails at a barycentre above the line
+    # q2 = 0.83 + 0.84 q1: seed 1 from iteration 0, seed 0 from iteration 14.
+    # The fused table raises seed 0's failure, as the column-by-column loop
+    # did, and writes the failure.json of solving that column alone
+    import persuade_ot.payoffs as payoffs
+
+    real = payoffs._revenue_and_grad
+
+    def flaky(pts, markets):
+        k = len(pts) // len(markets)
+        for j, market in enumerate(markets):
+            block = pts[j * k : (j + 1) * k]
+            if market.p2 == 1.5 and (block[:, 1] - 0.84 * block[:, 0] > 0.83).any():
+                raise NumericFailure("no revenue above the line")
+        return real(pts, markets)
+
+    monkeypatch.setattr(payoffs, "_revenue_and_grad", flaky)
+    sweep = {"parameter": "payoff.market.p2", "values": [1.0, 1.5, 2.0]}
+    data = tiny_market_config(tmp_path / "table", sweep=sweep, restarts=2)
+    sizes = counted_batches(monkeypatch)
+    assert run_experiment(write_config(tmp_path, data, "table.yaml"), "table") == 3
+    assert sizes == [6]
+    del data["sweep"]
+    data["payoff"]["market"]["p2"] = 1.5
+    data["output_dir"] = str(tmp_path / "solve")
+    assert run_experiment(write_config(tmp_path, data, "solve.yaml"), "solve") == 3
+    table = json.loads((tmp_path / "table" / "failure.json").read_text())
+    assert table == json.loads((tmp_path / "solve" / "failure.json").read_text())
+    assert table["iteration"] == 14 and table["error"] == "no revenue above the line"
+
+
 def test_table_needs_sweep_and_monopolist(tmp_path, capsys):
     path = write_config(tmp_path, tiny_market_config(tmp_path / "x"))
     assert run_experiment(path, command="table") == 2
@@ -465,12 +544,12 @@ def test_restart_ties_go_to_fewest_cells_then_lowest_seed(tmp_path, monkeypatch,
 
     def fake_optimize_batch(inits, grid, obj, opts):
         return [
-            SimpleNamespace(params=opt.seed, effective_n=cells[opt.seed], seed_used=opt.seed)
+            SimpleNamespace(hard_value=hards[opt.seed], effective_n=cells[opt.seed],
+                            seed_used=opt.seed)
             for opt in opts
         ]
 
     monkeypatch.setattr(cli, "optimize_batch", fake_optimize_batch)
-    monkeypatch.setattr(cli, "hard_objective", lambda params, grid, payoff: hards[params])
     result, hard, *_ = cli.solve_scenario(cfg)
     assert result.seed_used == winner and hard == hards[winner]
 
@@ -524,6 +603,56 @@ def test_render_svg_single_cell_single_color():
     # background white, one cell color, black frame markers
     assert cli.PALETTE[0] in fills
     assert not any(c in fills for c in cli.PALETTE[1:])
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_render_svg_rects_are_each_rows_label_runs(as_array):
+    # the rects equal a walk over each row's cells that merges equal labels
+    m = 24
+    labels = np.random.default_rng(5).integers(0, 20, size=(m, m))
+    labels[:, 5:12] = 7
+    labels[3] = 1
+    labels[9, :-1] = 2
+    diagram = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "resolution": m, "sites": [], "weights": [],
+               "masses": [], "barycenters": [],
+               "label_grid": labels if as_array else labels.tolist()}
+    rects = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" '
+                       r'height="[\d.]+" fill="(#\w+)"/>', render_svg(diagram))
+    want = []
+    cell_w = 520.0 / m
+    for iy, row in enumerate(labels.tolist()):
+        ix = 0
+        while ix < m:
+            run = ix
+            while run < m and row[run] == row[ix]:
+                run += 1
+            want.append((f"{16.0 + ix * cell_w:.2f}", f"{16.0 + 520.0 - (iy + 1) * cell_w:.2f}",
+                         f"{(run - ix) * cell_w + 0.35:.2f}", PALETTE[row[ix] % len(PALETTE)]))
+            ix = run
+    assert rects == want
+
+
+def test_config_loader_parses_like_safe_loader(tmp_path, monkeypatch):
+    # libyaml, where PyYAML has it, reads every committed config and every
+    # perfbench workload config as the pure-Python SafeLoader does
+    import importlib.util
+    import sys
+
+    assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    paths = sorted((root / "configs").glob("*.yaml"))
+    for name, make in workloads.WORKLOADS.items():
+        for stem, raw in make(9301).configs:
+            paths.append(tmp_path / f"{name}-{stem}.yaml")
+            paths[-1].write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    assert len(paths) > 6
+    for path in paths:
+        want = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        assert repr(cli.load_raw_config(str(path))) == repr(want)
 
 
 def test_main_rejects_unknown_command(tmp_path):

@@ -215,3 +215,33 @@ def test_directional_derivative_consistency():
 def test_eta_validation():
     with pytest.raises(ValueError):
         ObjectiveConfig(eta=-0.1, entropic=EntropicConfig(0.1), payoff=concave_bowl())
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["one", "batch"])
+@pytest.mark.parametrize("payoff", ["monopolist", "tri-modal"])
+def test_eta_zero_skips_penalty_gradient_terms(monkeypatch, payoff, batch):
+    # at eta = 0 the penalty's r and dR/dX are not formed; the gradient is
+    # the one they gave multiplied by eta = 0, and the report keeps the value
+    import persuade_ot.objective as objective
+
+    grid = unit_grid(24)
+    model = tri_modal() if payoff == "tri-modal" else monopolist_payoff(
+        MarketConfig(p1=0.5, p2=0.4, q_min=0.0, q_max=1.0))
+    cfg = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(0.01), payoff=model)
+    rng = np.random.default_rng(17)
+    params = [random_params(rng, 5) for _ in range(3)] if batch else random_params(rng, 5)
+    got = value_and_grad(params, grid, cfg)
+    real = objective._penalty_terms
+    formed = []
+
+    def with_gradient_terms(mom, sites, sep2, eta):
+        formed.append(real(mom, sites, sep2, eta)[1:] == (0.0, 0.0))
+        return real(mom, sites, sep2, 1.0)
+
+    monkeypatch.setattr(objective, "_penalty_terms", with_gradient_terms)
+    want = value_and_grad(params, grid, cfg)
+    assert formed == [True]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    reports, refs = (r[0] if batch else [r[0]] for r in (got, want))
+    assert [r.penalty_term for r in reports] == [r.penalty_term for r in refs]
+    assert all(r.penalty_term > 0.0 for r in reports)

@@ -256,6 +256,52 @@ def test_final_report_is_soft_objective_of_result(monkeypatch, prunes):
     assert_reports_equal(result.report, real(result.params, grid, bowl_cfg(eps=0.02)))
 
 
+@pytest.mark.parametrize("prunes", [False, True])
+def test_fixed_epsilon_final_report_is_the_loops(monkeypatch, prunes):
+    # at a fixed epsilon the loop's report of the best iterate is its final
+    # report: only a pruned diagram is evaluated again
+    grid = unit_grid(32)
+    if prunes:
+        init = DiagramParams(
+            sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0]
+        )
+    else:
+        init = init_sites(3, grid, seed=3)
+    real = optimizer_mod.soft_objective
+    calls = []
+    monkeypatch.setattr(optimizer_mod, "soft_objective",
+                        lambda params, g, c: calls.append(params.n) or real(params, g, c))
+    opt = OptimizerConfig(n_init=3, max_iters=20, learning_rate=1e-3, seed=0)
+    result = optimize(init, grid, bowl_cfg(eps=0.05), opt)
+    assert result.effective_n == (2 if prunes else 3)
+    assert calls == ([2] if prunes else [])
+    assert_reports_equal(result.report, real(result.params, grid, bowl_cfg(eps=0.05)))
+
+
+@pytest.mark.parametrize("case", ["owns-nothing", "owns-massless-points"])
+def test_pruned_labels_equal_fresh_hard_assignment(monkeypatch, case):
+    # the prior has no mass right of x = 0.75. A pruned cell that owns no
+    # grid point leaves the other labels as they were, renumbered past it;
+    # one that owns points of zero mass (cell 2, right of x = 0.735) has the
+    # pruned diagram labelled afresh. Both give hard_assign's labels.
+    grid = discretize_density(
+        DensitySpec("callable", lambda p: (p[:, 0] < 0.75).astype(float)),
+        build_grid(((0.0, 1.0), (0.0, 1.0)), 16),
+    )
+    if case == "owns-nothing":
+        init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.6, 0.3)], weights=[0.0, -50.0, 0.0])
+    else:
+        init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.97, 0.5)], weights=[0.0, 0.0, 0.0])
+    calls = []
+    real = optimizer_mod.hard_assign
+    monkeypatch.setattr(optimizer_mod, "hard_assign", lambda p, g: calls.append(p.n) or real(p, g))
+    opt = OptimizerConfig(n_init=3, max_iters=1, learning_rate=1e-3, seed=0)
+    result = optimize(init, grid, bowl_cfg(eps=1e-3), opt)
+    assert result.effective_n == 2
+    assert calls == ([3] if case == "owns-nothing" else [3, 2])
+    assert_results_equal(result, sequential_optimize(init, grid, bowl_cfg(eps=1e-3), opt))
+
+
 BATCH_PAYOFFS = {
     "unit": (
         monopolist_payoff(MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0)),
@@ -279,14 +325,19 @@ def assert_results_equal(result, ref):
     assert np.array_equal(result.params.sites, ref.params.sites)
     assert np.array_equal(result.params.weights, ref.params.weights)
     assert_reports_equal(result.report, ref.report)
+    assert result.hard_value == ref.hard_value
+    assert np.array_equal(result.assignment.labels, ref.assignment.labels)
+    assert result.assignment.n_cells == ref.assignment.n_cells
 
 
 def run_batch(inits, grid, obj, opts):
-    """optimize_batch, checked restart by restart against the one-restart loop."""
+    """optimize_batch, checked restart by restart against the one-restart loop;
+    ``obj`` is one objective or a list of one per restart."""
     results = optimize_batch(inits, grid, obj, opts)
+    objs = obj if isinstance(obj, list) else [obj] * len(inits)
     assert len(results) == len(inits)
-    for init, opt, result in zip(inits, opts, results):
-        assert_results_equal(result, sequential_optimize(init, grid, obj, opt))
+    for init, o, opt, result in zip(inits, objs, opts, results):
+        assert_results_equal(result, sequential_optimize(init, grid, o, opt))
     return results
 
 
@@ -315,6 +366,43 @@ def test_batch_restarts_equal_sequential_runs(monkeypatch, restarts, payoff, eta
     assert [r.seed_used for r in results] == list(range(restarts))
     # one evaluation per step advanced every restart
     assert sizes[:25] == [restarts] * 25
+
+
+@pytest.mark.parametrize("anneal", [False, True], ids=["fixed", "annealed"])
+@pytest.mark.parametrize("demand", ["unit", "additive"])
+def test_batch_of_sweep_columns_equals_sequential_runs(monkeypatch, demand, anneal):
+    # three markets of a sweep with two restarts each advance in one batch:
+    # each restart runs in its own market, and a step makes one payoff pass
+    import persuade_ot.payoffs as payoffs_mod
+
+    base = BATCH_PAYOFFS[demand][0].market
+    if demand == "unit":
+        markets = [replace(base, p2=p2) for p2 in (0.75, 1.0, 1.5)]
+    else:
+        markets = [replace(base, delta=delta) for delta in (-0.5, -0.25, 0.25)]
+    grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 2.0), (0.0, 2.0)), 24))
+    h = grid.spacing[0]
+    objs = [ObjectiveConfig(eta=0.0, entropic=EntropicConfig(3.0 * h), payoff=monopolist_payoff(m))
+            for m in markets for _ in range(2)]
+    opt = OptimizerConfig(
+        n_init=6, max_iters=20, learning_rate=0.05, epsilon_final=0.5 * h if anneal else None
+    )
+    opts = [replace(opt, seed=seed) for _ in markets for seed in range(2)]
+    inits = [init_sites(6, grid, o.seed) for o in opts]
+    passes = []
+    real = payoffs_mod._revenue_and_grad
+
+    def counted(pts, models):
+        passes.append(len(pts))
+        return real(pts, models)
+
+    monkeypatch.setattr(payoffs_mod, "_revenue_and_grad", counted)
+    results = optimize_batch(inits, grid, objs, opts)
+    assert passes[:20] == [6 * 6] * 20 and max(passes[20:], default=0) <= 6
+    monkeypatch.undo()
+    for init, obj, o, result in zip(inits, objs, opts, results):
+        assert_results_equal(result, sequential_optimize(init, grid, obj, o))
+    assert len({r.hard_value for r in results}) == 6
 
 
 def test_batch_restart_that_stops_early_leaves_the_others_running():
@@ -354,8 +442,6 @@ class NanBeyond(PayoffModel):
         return np.where(v > self.r2, np.nan, v), 2.0 * d
 
 
-# restart 1 of the second case fails on an overflow, which _penalty_terms detects
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_batch_raises_the_first_restarts_failure(monkeypatch):
     # as epsilon anneals, barycentres leave the disc: seed 3's at iteration 11,
     # seed 1's at 12; one dominant central cell keeps restart 0's inside
@@ -410,8 +496,6 @@ def test_batch_raises_the_first_restarts_failure(monkeypatch):
     assert sizes == [3, 1, 1, 1] + [2] * 627
 
 
-# the overflow is the failure under test; _penalty_terms detects it
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
 def test_singular_penalty_is_a_numeric_failure():
     # 1e-155 apart the sites are distinct, but m_i m_j / |x_i - x_j|^2 overflows
     grid = unit_grid(16)
@@ -435,3 +519,7 @@ def test_batch_needs_shared_settings_and_site_count():
         optimize_batch(inits, grid, bowl_cfg(), opts[:1])
     with pytest.raises(ValueError, match="one number of sites"):
         optimize_batch([inits[0], init_sites(4, grid, 1)], grid, bowl_cfg(), opts)
+    with pytest.raises(ValueError, match="differ only in payoff"):
+        optimize_batch(inits, grid, [bowl_cfg(), bowl_cfg(eta=1e-3)], opts)
+    with pytest.raises(ValueError, match="one init and objective per restart"):
+        optimize_batch(inits, grid, [bowl_cfg()], opts)

@@ -18,7 +18,10 @@ from persuade_ot import (
     revenue,
     tri_modal,
 )
-from persuade_ot.payoffs import TRI_MODES
+from persuade_ot.payoffs import (
+    REVENUE_BLOCK, TRI_MODES, _revenue, _shares, _terms, stacked_value_and_grad,
+)
+from reference import loop_shares
 
 # Scalar reference for the batched revenue: one polygon clipped by one
 # half-plane at a time (Sutherland-Hodgman), as plain Python floats.
@@ -502,3 +505,67 @@ def test_integer_market_matches_float_twin(ints):
     value, grad = monopolist_payoff(MarketConfig(**ints)).value_and_grad(pts)
     ref_value, ref_grad = monopolist_payoff(MarketConfig(**floats)).value_and_grad(pts)
     assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
+
+
+def bits(x):
+    """The float64 bit patterns of an array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("with_none", [False, True], ids=["goods", "with-none"])
+@pytest.mark.parametrize("demand", ["unit", "additive"])
+def test_stacked_shares_equal_region_loop(demand, with_none):
+    # the regions on one leading axis against one (k,) row per region: the
+    # table markets at the tie lattice, its negation and random pairs, then
+    # random markets priced one pair at a time in one call
+    rng = np.random.default_rng(51)
+    markets = [m for m in itertools.chain(table_markets(), random_markets(52, 60))
+               if m.demand == demand]
+    for market in markets:
+        q = np.vstack([TIE_LATTICE, -TIE_LATTICE, rng.uniform(-2.1, 2.1, size=(50, 2)),
+                       [[0.0, 1.3], [1.3, 0.0], [0.0, 0.0], [1e-3, 2e-3]]]).T
+        c, d, _ = _terms([market])
+        want = loop_shares(q, -np.array([[market.p1], [market.p2]]), market, with_none)
+        assert np.array_equal(bits(_shares(q, c, d, with_none)), bits(want))
+    q = np.vstack([TIE_LATTICE[: len(markets)], rng.uniform(-2.1, 2.1, size=(len(markets), 2))])
+    q = q[rng.permutation(len(q))[: len(markets)]].T
+    c, d, _ = _terms(markets, 1)
+    want = [loop_shares(q[:, j : j + 1], -np.array([[m.p1], [m.p2]]), m, with_none)[:, 0]
+            for j, m in enumerate(markets)]
+    assert np.array_equal(bits(_shares(q, c, d, with_none)), bits(np.transpose(want)))
+
+
+@pytest.mark.parametrize("demand", ["unit", "additive"])
+def test_stacked_payoff_equals_each_markets_call(demand):
+    # one closed-form pass over restarts in several markets: each restart's
+    # values and gradients are its own market's call, bit for bit
+    markets = [m for m in table_markets() if m.demand == demand][:5]
+    models = [monopolist_payoff(m) for m in markets for _ in range(2)]
+    pts = np.random.default_rng(53).uniform(0.05, 2.0, size=(len(models), 7, 2))
+    pts[0, 0] = TIE_LATTICE[10]
+    phis, gphis = stacked_value_and_grad(models, pts)
+    assert phis.shape == (len(models), 7) and gphis.shape == (len(models), 7, 2)
+    for model, p, phi, gphi in zip(models, pts, phis, gphis):
+        value, grad = model.value_and_grad(p)
+        assert np.array_equal(bits(phi), bits(value)) and np.array_equal(bits(gphi), bits(grad))
+    # one payoff for all restarts is one call of it
+    phis, gphis = stacked_value_and_grad([tri_modal()] * 3, pts[:3])
+    assert np.array_equal(phis, tri_modal().value(pts[:3].reshape(-1, 2)).reshape(3, 7))
+    other = "additive" if demand == "unit" else "unit"
+    with pytest.raises(ValueError, match="one demand model"):
+        stacked_value_and_grad(
+            [models[0], monopolist_payoff(next(m for m in table_markets() if m.demand == other))],
+            pts[:2],
+        )
+
+
+def test_revenue_blocks_equal_one_pass():
+    # a batch longer than REVENUE_BLOCK is priced block by block, with the
+    # bits of one pass over all its pairs
+    rng = np.random.default_rng(55)
+    q = rng.uniform(-0.1, 2.1, size=(2 * REVENUE_BLOCK + 3, 2))
+    for market in (MarketConfig(p1=1.0, p2=1.25, q_min=0.0, q_max=2.0),
+                   MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=-0.5, demand="additive")):
+        c, d, prices = _terms([market])
+        assert np.array_equal(bits(revenue(q, market)), bits(_revenue(q.T, c, d, prices)))
+        assert revenue(q[:0], market).shape == (0,)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridMeasure
-from .payoffs import MarketConfig, monopolist_payoff, revenue
-from .power_diagram import lloyd_solve
+from .payoffs import MarketConfig, revenue, stacked_revenue
+from .power_diagram import CellStats, lloyd_solve
 
 
 @dataclass
@@ -47,34 +47,64 @@ def full_info_revenue(market: MarketConfig, grid: GridMeasure) -> float:
     return float(np.add.reduce(grid.masses * revenue(grid.centers, market)))
 
 
-def lloyd_revenue(
-    n: int, market: MarketConfig, grid: GridMeasure, seed: int, solves: dict | None = None
-) -> float:
-    """Revenue of the n-cell centroidal (Lloyd) partition.
+def lloyd_cells(n: int, grid: GridMeasure, seed: int, solves: dict | None = None) -> CellStats:
+    """The cell stats of lloyd_solve(n, grid, seed); every cell has mass.
 
-    ``solves`` memoizes the partition's cell stats across markets on the
-    same grid: lloyd_solve reads only n, the seed and the grid's centers
-    and masses. Every cell it returns has mass, so each is priced at its
-    barycenter.
+    ``solves`` memoizes them by (n, seed, the grid's shape and digest),
+    since lloyd_solve reads nothing else of the grid: the digest is taken
+    once per grid object, and the memo holds no grid.
     """
-    import hashlib  # here, not at module level: loading it costs ~4 ms of start-up
-
-    solves = {} if solves is None else solves
-    digest = hashlib.sha256(np.ascontiguousarray(grid.centers))
-    digest.update(np.ascontiguousarray(grid.masses))
-    key = (n, seed, grid.centers.shape, digest.digest())
+    if solves is None:
+        return lloyd_solve(n, grid, seed)[1]
+    key = (n, seed, grid.centers.shape, grid.digest)
     if key not in solves:
         solves[key] = lloyd_solve(n, grid, seed)[1]
-    stats = solves[key]
-    return float(stats.masses @ monopolist_payoff(market).value(stats.barycenters))
+    return solves[key]
+
+
+def grid_baselines(
+    markets: list, cells: list, grid: GridMeasure, seed: int, tries: int = 5,
+    solves: dict | None = None,
+) -> list[tuple[float, float]]:
+    """No-information and best-Lloyd revenue of scenarios on one grid.
+
+    Scenario j prices markets[j] at the prior mean and at the cells of
+    ``tries`` Lloyd partitions into cells[j] cells, with consecutive seeds
+    from ``seed``, keeping the best. Each distinct (cells, seed) is solved
+    once (lloyd_cells, memoized in ``solves`` if given), and every
+    scenario's points, all tries, are priced in one closed-form pass
+    (stacked_revenue), each at its own market's value. Returns
+    (r_noinfo, r_lloyd) per scenario.
+    """
+    keys = dict.fromkeys((n, seed + k) for n in cells for k in range(tries))
+    solved = {(n, s): lloyd_cells(n, grid, s, solves) for n, s in keys}
+    runs = [[solved[n, seed + k] for k in range(tries)] for n in cells]
+    mean = grid.barycenter[None]
+    revs = stacked_revenue(
+        markets, [np.concatenate([mean, *(s.barycenters for s in tried)]) for tried in runs]
+    )
+    out = []
+    for rev, tried in zip(revs, runs):
+        ends = np.cumsum([1] + [len(s.masses) for s in tried]).tolist()
+        lloyd = max(float(s.masses @ rev[i:j]) for s, i, j in zip(tried, ends, ends[1:]))
+        out.append((float(rev[0]), lloyd))
+    return out
 
 
 def best_lloyd_revenue(
     n: int, market: MarketConfig, grid: GridMeasure, seed: int, tries: int = 5,
     solves: dict | None = None,
 ) -> float:
-    """Best of ``tries`` Lloyd restarts with consecutive seeds."""
-    return max(lloyd_revenue(n, market, grid, seed + k, solves) for k in range(tries))
+    """Best revenue of ``tries`` n-cell Lloyd partitions with consecutive
+    seeds: grid_baselines for one scenario."""
+    return grid_baselines([market], [n], grid, seed, tries, solves)[0][1]
+
+
+def lloyd_revenue(
+    n: int, market: MarketConfig, grid: GridMeasure, seed: int, solves: dict | None = None
+) -> float:
+    """Revenue of the n-cell centroidal (Lloyd) partition, each cell priced at its barycenter."""
+    return best_lloyd_revenue(n, market, grid, seed, 1, solves)
 
 
 def improvement_table(rows: list[BenchmarkRow]) -> str:

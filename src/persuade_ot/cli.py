@@ -20,13 +20,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 import yaml
 
-from .benchmarks import (
-    BenchmarkRow,
-    best_lloyd_revenue,
-    full_info_revenue,
-    improvement_table,
-    no_info_revenue,
-)
+from .benchmarks import BenchmarkRow, full_info_revenue, grid_baselines, improvement_table
 from .entropic import EntropicConfig
 from .errors import ConfigError, NumericFailure
 from .grid import Bounds, GridMeasure, build_grid
@@ -298,14 +292,8 @@ def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
     return out
 
 
-def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, ObjectiveConfig, OptimizerConfig]:
-    """Grid, objective (with the payoff) and optimizer settings for one scenario.
-
-    Converts objective.epsilon and optimizer.epsilon_final from
-    epsilon_units to absolute units: with "grid" one unit is the grid
-    spacing. A converted value that underflows or overflows is a
-    ConfigError naming its key.
-    """
+def _box(cfg: ExperimentConfig) -> tuple:
+    """The scenario's grid bounds and resolution."""
     if cfg.bounds is not None:
         bounds = cfg.bounds
     elif cfg.market is not None:
@@ -315,10 +303,24 @@ def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, ObjectiveConfig,
         )
     else:
         bounds = ((0.0, 1.0), (0.0, 1.0))
-    try:
-        grid = build_grid(bounds, cfg.resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "grid") from None
+    return bounds, cfg.resolution
+
+
+def build_scenario(
+    cfg: ExperimentConfig, grid: Optional[GridMeasure] = None
+) -> tuple[GridMeasure, ObjectiveConfig, OptimizerConfig]:
+    """Grid, objective (with the payoff) and optimizer settings for one scenario.
+
+    ``grid`` is a grid built for the same box (_box), to reuse. Converts
+    objective.epsilon and optimizer.epsilon_final from epsilon_units to
+    absolute units: with "grid" one unit is the grid spacing. A converted
+    value that underflows or overflows is a ConfigError naming its key.
+    """
+    if grid is None:
+        try:
+            grid = build_grid(*_box(cfg))
+        except ValueError as exc:
+            raise ConfigError(str(exc), "grid") from None
     payoff_cls = PAYOFF_KINDS[cfg.payoff_kind]
     payoff = payoff_cls() if cfg.market is None else payoff_cls(cfg.market)
     unit = grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
@@ -334,6 +336,17 @@ def build_scenario(cfg: ExperimentConfig) -> tuple[GridMeasure, ObjectiveConfig,
         except ValueError as exc:
             raise ConfigError(f"{exc} in absolute units", "optimizer.epsilon_final") from None
     return grid, obj, opt
+
+
+def build_scenarios(cfgs: list[ExperimentConfig]) -> list:
+    """build_scenario of each config; consecutive configs on one box share one grid."""
+    scenarios = []
+    for _, group in groupby(cfgs, key=_box):
+        grid = None
+        for cfg in group:
+            scenarios.append(build_scenario(cfg, grid))
+            grid = scenarios[-1][0]
+    return scenarios
 
 
 Solved = tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]
@@ -361,7 +374,7 @@ def solve_columns(cfgs: list[ExperimentConfig]) -> list[Solved]:
     The winner's seed is its ``seed_used``; the returned objective and
     optimizer settings are in absolute epsilon units.
     """
-    scenarios = [build_scenario(cfg) for cfg in cfgs]
+    scenarios = build_scenarios(cfgs)
 
     def shared(j: int) -> tuple:
         grid, obj, opt = scenarios[j]
@@ -575,18 +588,17 @@ def _market_rows(raw: dict, cfg: ExperimentConfig, mode: str) -> list:
 
 
 def _baselines(
-    cfg: ExperimentConfig, grid: GridMeasure, n_cells: int, lloyd_solves: dict
-) -> tuple[float, float, float]:
-    """No-information, best-Lloyd and full-information revenue of one scenario."""
-    market = cfg.market
-    return (
-        no_info_revenue(market, grid),
-        best_lloyd_revenue(
-            n_cells, market, grid,
-            seed=cfg.optimizer.seed, tries=cfg.lloyd_tries, solves=lloyd_solves,
-        ),
-        full_info_revenue(market, grid),
-    )
+    cfgs: list[ExperimentConfig], grid: GridMeasure, cells: list[int]
+) -> list[tuple[float, float, float]]:
+    """No-information, best-Lloyd and full-information revenue of scenarios on
+    one grid, with cells[j] Lloyd cells for cfgs[j]; a sweep shares the Lloyd
+    seed and tries. The first two take one pass (grid_baselines), and
+    full-information pricing, a pass over the whole grid, stays per scenario.
+    A sweep meets each box in one run of consecutive rows, so no Lloyd
+    solve outlives its grid's call."""
+    markets = [cfg.market for cfg in cfgs]
+    pooled = grid_baselines(markets, cells, grid, cfgs[0].optimizer.seed, cfgs[0].lloyd_tries)
+    return [(*values, full_info_revenue(market, grid)) for values, market in zip(pooled, markets)]
 
 
 def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -597,13 +609,15 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(f"exceeds the grid's {cfg.resolution**2} points", "optimizer.n_init")
     rows = []
     summaries = []
-    lloyd_solves: dict = {}
     columns = _market_rows(raw, cfg, "table")
     solved = solve_columns([row_cfg for _, _, row_cfg in columns])
-    for (name, value, row_cfg), (result, r_opt, grid, obj, opt) in zip(columns, solved):
-        r_noinfo, r_lloyd, r_fullinfo = _baselines(
-            row_cfg, grid, result.effective_n, lloyd_solves
-        )
+    baselines = []
+    for _, group in groupby(range(len(columns)), key=lambda j: _box(columns[j][2])):
+        cols = list(group)  # columns that share a grid
+        cells = [solved[j][0].effective_n for j in cols]
+        baselines += _baselines([columns[j][2] for j in cols], solved[cols[0]][2], cells)
+    for (name, value, row_cfg), (result, r_opt, grid, obj, opt), (r_noinfo, r_lloyd, r_fullinfo) \
+            in zip(columns, solved, baselines):
         row = BenchmarkRow(
             param_name=name,
             param_value=float(value),
@@ -630,10 +644,15 @@ def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.lloyd_n > cfg.resolution**2:
         raise ConfigError(f"exceeds the grid's {cfg.resolution**2} points", "benchmark.lloyd_n")
     lines = ["param,r_noinfo,r_lloyd,r_fullinfo"]
-    lloyd_solves: dict = {}
-    for name, value, row_cfg in _market_rows(raw, cfg, "benchmark"):
-        grid = build_scenario(row_cfg)[0]
-        r_noinfo, r_lloyd, r_fullinfo = _baselines(row_cfg, grid, row_cfg.lloyd_n, lloyd_solves)
+    rows = _market_rows(raw, cfg, "benchmark")
+    values = []
+    for _, group in groupby(rows, key=lambda row: _box(row[2])):
+        cfgs = [row_cfg for _, _, row_cfg in group]
+        # the group's grid lives for this call only, so one is alive at a time
+        grid = build_scenarios(cfgs)[0][0]
+        values += _baselines(cfgs, grid, [c.lloyd_n for c in cfgs])
+        del grid
+    for (name, value, _), (r_noinfo, r_lloyd, r_fullinfo) in zip(rows, values):
         label = name if value != value else f"{name}={value:g}"
         lines.append(f"{label},{r_noinfo:.4f},{r_lloyd:.4f},{r_fullinfo:.4f}")
         print(

@@ -26,6 +26,7 @@ into the soft masses and barycenters. The mass-matching dual solve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,33 +101,69 @@ _MOMENT_ROWS = np.array([0, 3, 1, 6, 4, 2])
 # with the floating-point operations of that restart's own kernel.
 
 
+class Workspace:
+    """The separable kernel's arrays, kept from one evaluation to the next.
+
+    Each role has one flat buffer that grows to the largest shape asked of
+    it, so a run's steps, a batch that loses restarts and the one-diagram
+    evaluations beside it reuse the same pages instead of freeing them to
+    the system and faulting them back in. A kernel built on a workspace is
+    valid until the next kernel is built on it.
+    """
+
+    def __init__(self):
+        self.buffers: dict = {}
+
+    def __call__(self, role: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class SeparableChi:
     """Soft memberships on the tensor grid, kept as per-axis factors.
 
-    ``work`` is a (3, M, M) float array, (3, R, M, M) for a batch, whose
-    rows hold Z, nu / Z and the result of average().
+    ``xs`` and ``ys`` (..., 3, n, M) hold Ex and s Ey in their first slots,
+    and every array lives in the Workspace ``work``.
     """
 
-    def __init__(self, ex, sey, ux, uy, z, nu, work):
+    def __init__(self, xs, ys, ux, uy, z, nu, work):
         # x factors as columns (M, 3n): Ex, Ex u1, Ex u1^2; y factors (3, n, M): s Ey u2^q
-        self._xs = np.concatenate([ex, ex * ux, ex * ux * ux], axis=-2).swapaxes(-1, -2).copy()
-        self._ys = np.stack([sey, sey * uy, sey * uy * uy], axis=-3)
+        for f, u in ((xs, ux), (ys, uy)):
+            np.multiply(f[..., 0, :, :], u, out=f[..., 1, :, :])
+            np.multiply(f[..., 1, :, :], u, out=f[..., 2, :, :])
+        lead, (n, m) = xs.shape[:-3], xs.shape[-2:]
+        self._xs = work("xcols", (*lead, m, 3 * n))
+        np.copyto(self._xs, xs.reshape(*lead, 3 * n, m).swapaxes(-1, -2))
+        self._ys = ys
         self._z = z
-        self._r = np.divide(nu.reshape(z.shape[-2:]), z, out=work[1])
-        self._avg = work[2]
+        self._r = np.divide(nu.reshape(z.shape[-2:]), z, out=work("r", z.shape))
+        self._avg = work("avg", z.shape)
+        self._t = work("t", self._xs.shape)
+        self._left = work("left", (*lead, m, 2 * n))
+        self._rows = work("rows", (*lead, 2 * n, m))
 
     def moments(self, w: np.ndarray | None = None) -> np.ndarray:
         """Weighted moments; a given w is overwritten with nu / Z * w."""
         weight = self._r if w is None else np.multiply(w, self._r, out=w)
-        t = (weight @ self._xs).reshape(*weight.shape[:-1], 3, -1)  # [..., iy, p, i]
-        full = np.einsum("...qiy,...ypi->...pqi", self._ys, t)
+        t = np.matmul(weight, self._xs, out=self._t).reshape(*weight.shape[:-1], 3, -1)
+        full = np.einsum("...qiy,...ypi->...pqi", self._ys, t)  # [..., iy, p, i]
         return full.reshape(*full.shape[:-3], 9, -1)[..., _MOMENT_ROWS, :]
 
     def average(self, coef: np.ndarray) -> np.ndarray:
-        sey, seyu = self._ys[..., 0, :, :].swapaxes(-1, -2), self._ys[..., 1, :, :].swapaxes(-1, -2)
-        c0, c1, c2 = coef[..., 0, None, :], coef[..., 1, None, :], coef[..., 2, None, :]
-        left = np.concatenate([sey * c0 + seyu * c2, sey * c1], axis=-1)
-        out = np.matmul(left, self._xs[..., : left.shape[-1]].swapaxes(-1, -2), out=self._avg)
+        sey, seyu = self._ys[..., 0, :, :], self._ys[..., 1, :, :]
+        c0, c1, c2 = coef[..., 0, :, None], coef[..., 1, :, None], coef[..., 2, :, None]
+        n = sey.shape[-2]
+        # rows (sey c0 + seyu c2, sey c1), the second block first as scratch
+        rows = self._rows
+        np.multiply(seyu, c2, out=rows[..., n:, :])
+        np.multiply(sey, c0, out=rows[..., :n, :])
+        rows[..., :n, :] += rows[..., n:, :]
+        np.multiply(sey, c1, out=rows[..., n:, :])
+        np.copyto(self._left, rows.swapaxes(-1, -2))
+        out = np.matmul(self._left, self._xs[..., : 2 * n].swapaxes(-1, -2), out=self._avg)
         return np.divide(out, self._z, out=out)
 
 
@@ -159,41 +196,49 @@ def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> 
 
 def chi_kernel(
     params: DiagramParams | list, grid: GridMeasure, cfg: EntropicConfig,
-    work: np.ndarray | None = None,
+    work: Workspace | None = None,
 ):
     """Separable kernel on the grid, or the dense one where Z < Z_FLOOR.
 
-    A (3, M, M) ``work`` array, if given, holds the separable kernel's
-    (M, M) arrays; the kernel is valid until the next call with it.
-    Without one a fresh array is allocated.
+    The separable kernel's arrays live in ``work`` (a fresh Workspace if
+    none is given); the kernel is valid until the next one built on it.
 
-    For a batch (a list of R diagrams with one n) ``work`` is (3, R, M, M)
-    and the separable kernel has a leading restart axis. The dense path is
-    per diagram: a batch in which some restart's Z falls below the floor
-    gets None, and its caller evaluates each restart alone.
+    For a batch (a list of R diagrams with one n) the separable kernel has
+    a leading restart axis. The dense path is per diagram: a batch in which
+    some restart's Z falls below the floor gets None, and its caller
+    evaluates each restart alone.
     """
     m = grid.resolution
+    work = Workspace() if work is None else work
     sites = stacked(params, "sites")
     weights = stacked(params, "weights")
-    if work is None:
-        work = np.empty((3, *weights.shape[:-1], m, m))
+    shape = (*weights.shape, m)  # (..., n, M)
     gx = grid.centers[:m, 0]
     gy = grid.centers[::m, 1]
     eps = cfg.epsilon
-    ux = gx - sites[..., 0:1]
-    uy = gy - sites[..., 1:2]
-    lx = (weights[..., None] - ux * ux) / eps
-    ly = -(uy * uy) / eps
-    a = lx.max(axis=-1)
-    b = ly.max(axis=-1)
-    ex = np.exp(lx - a[..., None])
-    ey = np.exp(ly - b[..., None])
+    ux = np.subtract(gx, sites[..., 0:1], out=work("ux", shape))
+    uy = np.subtract(gy, sites[..., 1:2], out=work("uy", shape))
+    # lx = (g - ux^2) / eps and ly = -uy^2 / eps, then Ex and Ey, in place
+    xs = work("xs", (*shape[:-2], 3, *shape[-2:]))
+    ys = work("ys", xs.shape)
+    ex = np.multiply(ux, ux, out=xs[..., 0, :, :])
+    np.subtract(weights[..., None], ex, out=ex)
+    ex /= eps
+    ey = np.multiply(uy, uy, out=ys[..., 0, :, :])
+    np.negative(ey, out=ey)
+    ey /= eps
+    a = ex.max(axis=-1)
+    b = ey.max(axis=-1)
+    ex -= a[..., None]
+    np.exp(ex, out=ex)
+    ey -= b[..., None]
+    np.exp(ey, out=ey)
     shift = a + b
-    sey = np.exp(shift - shift.max(axis=-1, keepdims=True))[..., None] * ey
-    z = np.matmul(sey.swapaxes(-1, -2), ex, out=work[0])
+    sey = np.multiply(np.exp(shift - shift.max(axis=-1, keepdims=True))[..., None], ey, out=ey)
+    z = np.matmul(sey.swapaxes(-1, -2), ex, out=work("z", (*shape[:-2], m, m)))
     if z.min() < Z_FLOOR:
         return dense_chi(params, grid, cfg) if isinstance(params, DiagramParams) else None
-    return SeparableChi(ex, sey, ux, uy, z, grid.masses, work)
+    return SeparableChi(xs, ys, ux, uy, z, grid.masses, work)
 
 
 def sinkhorn_dual_solve(

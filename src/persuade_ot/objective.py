@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic import (
-    DenseChi, EntropicConfig, SeparableChi, chi_kernel, soft_cell_stats,
+    DenseChi, EntropicConfig, SeparableChi, Workspace, chi_kernel, soft_cell_stats,
 )
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
@@ -198,31 +198,34 @@ def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list,
 
 
 def soft_objective(
-    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig
+    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig,
+    work: Workspace | None = None,
 ) -> ObjectiveReport:
     """Penalized soft objective F - eta*R with its per-cell decomposition.
 
-    It makes value_and_grad's one evaluation, gradient included, and keeps the report.
+    It makes value_and_grad's one evaluation, gradient included, and keeps
+    the report; ``work`` is as in value_and_grad.
     """
-    return _evaluate(chi_kernel(params, grid, cfg.entropic), params, cfg)[0]
+    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)[0]
 
 
 def value_and_grad(
     params: DiagramParams | list, grid: GridMeasure, cfg: ObjectiveConfig | list,
-    work: np.ndarray | None = None,
+    work: Workspace | None = None,
 ):
     """Objective report plus (dF/dX, dF/dg) in one pass.
 
     Shares the kernel between the value and the gradient; this is the
     workhorse the optimizer calls every iteration. ``work`` is an optional
-    (3, M, M) float array the kernel reuses for its grid-sized arrays (see
-    entropic.chi_kernel); the results do not depend on it.
+    Workspace that keeps the kernel's arrays from call to call (see
+    entropic.chi_kernel); the results do not depend on it, and a report
+    holds none of its arrays.
 
-    For a batch (a list of R diagrams with one n, ``work`` (3, R, M, M)) it
-    returns R reports and the stacked (R, n, 2) and (R, n) gradients; each
-    restart's entries equal its own call bit for bit. ``cfg`` is then one
-    config for all, or a list of one per diagram that share eta and epsilon
-    and differ in the payoff (payoffs.stacked_value_and_grad).
+    For a batch (a list of R diagrams with one n) it returns R reports and
+    the stacked (R, n, 2) and (R, n) gradients; each restart's entries equal
+    its own call bit for bit. ``cfg`` is then one config for all, or a list
+    of one per diagram that share eta and epsilon and differ in the payoff
+    (payoffs.stacked_value_and_grad).
     """
     if isinstance(params, DiagramParams):
         return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)
@@ -235,11 +238,11 @@ def value_and_grad(
         # the unbatched call makes the same operations: through the batched one a
         # single restart costs ~40 us more, +8 % at (M, n) = (128, 12) and +4 % at
         # (256, 12) (2-core VM, OPENBLAS_NUM_THREADS=1)
-        report, dx, dg = value_and_grad(params[0], grid, cfgs[0], None if work is None else work[:, 0])
+        report, dx, dg = value_and_grad(params[0], grid, cfgs[0], work)
         return [report], dx[None], dg[None]
     kernel = chi_kernel(params, grid, cfgs[0].entropic, work)
     if kernel is None:
         # a restart whose Z fell below the floor takes the dense path: each goes alone
-        reports, dx, dg = zip(*(value_and_grad(p, grid, c) for p, c in zip(params, cfgs)))
+        reports, dx, dg = zip(*(value_and_grad(p, grid, c, work) for p, c in zip(params, cfgs)))
         return list(reports), np.stack(dx), np.stack(dg)
     return _evaluate(kernel, params, cfgs)

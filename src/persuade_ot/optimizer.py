@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropic import EntropicConfig
+from .entropic import EntropicConfig, Workspace
 from .errors import NumericFailure, SingularPenaltyError
 from .grid import GridMeasure
 from .objective import (
@@ -226,8 +226,7 @@ def optimize_batch(
 
     runs = [_Restart(init, vec.copy(), o) for init, vec, o in zip(inits, theta, objs)]
     rows = runs  # the restart behind each row of theta, m1 and m2, in batch order
-    m = grid.resolution
-    work = np.empty((3, len(runs), m, m))  # the kernel's grid-sized arrays, reused every step
+    work = Workspace()  # the kernel's arrays, reused every step and by _finalise
 
     for it in range(opt.max_iters):
         batch = []
@@ -280,7 +279,7 @@ def optimize_batch(
         final_cfg = run.obj
         if opt.epsilon_final is not None:
             final_cfg = replace(run.obj, entropic=EntropicConfig(opt.epsilon_final))
-        results.append(_finalise(run, unpack(run.best_theta), grid, final_cfg, o.seed))
+        results.append(_finalise(run, unpack(run.best_theta), grid, final_cfg, o.seed, work))
     return results
 
 
@@ -301,7 +300,7 @@ def _batch_value_and_grad(batch, runs, grid, cfgs, work, it):
     """Reports and (R, 3n) gradients of a batch. A restart whose evaluation
     fails gets None and the failure is recorded on its run."""
     try:
-        reports, dx, dg = value_and_grad(batch, grid, cfgs, work[:, : len(batch)])
+        reports, dx, dg = value_and_grad(batch, grid, cfgs, work)
         return reports, np.concatenate([dx.reshape(len(batch), -1), dg], axis=1)
     except (NumericFailure, SingularPenaltyError) as exc:
         if len(batch) == 1:
@@ -316,7 +315,7 @@ def _batch_value_and_grad(batch, runs, grid, cfgs, work, it):
 
 
 def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
-              final_cfg: ObjectiveConfig, seed: int) -> OptResult:
+              final_cfg: ObjectiveConfig, seed: int, work: Workspace) -> OptResult:
     """Prune the best iterate's dead cells and report the result at the final epsilon.
 
     At a fixed epsilon the loop's report of the best iterate is that report.
@@ -327,7 +326,7 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
     """
     report_before = run.best_report
     if final_cfg.entropic != run.obj.entropic:
-        report_before = soft_objective(best_params, grid, final_cfg)
+        report_before = soft_objective(best_params, grid, final_cfg, work)
     assignment = hard_assign(best_params, grid)
     pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid, assignment)
     report_after = report_before
@@ -335,7 +334,7 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
     if pruned.n < best_params.n:
         # sites are pairwise distinct: a cell is kept iff its site is among the pruned sites
         kept = (best_params.sites[:, None, :] == pruned.sites[None, :, :]).all(axis=2).any(axis=1)
-        report_after = soft_objective(pruned, grid, final_cfg)
+        report_after = soft_objective(pruned, grid, final_cfg, work)
         masses = report_before.cells.masses
         removed = float(masses.sum() - masses[kept].sum())
         scale = max(1.0, float(np.abs(report_before.payoffs).max()))

@@ -169,10 +169,11 @@ def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndar
     return out
 
 
-def _terms(markets: list, reps: int = 1) -> tuple:
+def _terms(markets: list, reps=1) -> tuple:
     """Offsets c (2, K), bundle surcharges d (K,) or None, and prices (3, K)
     of _shares and _revenue for a batch of pairs, reps consecutive pairs per
-    market: K = 1 for one market, which broadcasts over any batch."""
+    market (one count for all, or one per market): K = 1 for one market,
+    which broadcasts over any batch."""
     prices = np.array([(m.p1, m.p2, m.p3) for m in markets], dtype=float).T
     d = None if markets[0].demand == "unit" else np.array([m.delta for m in markets], dtype=float)
     if len(markets) > 1:
@@ -191,17 +192,33 @@ def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
 
 
 def revenue(q, market: MarketConfig) -> float | np.ndarray:
-    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2).
-
-    A batch is priced in blocks of REVENUE_BLOCK pairs, which keeps a
-    whole-grid call's temporaries in the cache and off the peak memory.
-    """
+    """Expected revenue p1 c1 + p2 c2 + p3 c3 at a quality pair (2,) or batch (k, 2)."""
     pts = np.asarray(q, dtype=float)
-    c, d, prices = _terms([market])
-    a = pts.reshape(-1, 2).T
-    blocks = range(0, max(a.shape[1], 1), REVENUE_BLOCK)
-    out = np.concatenate([_revenue(a[:, i : i + REVENUE_BLOCK], c, d, prices) for i in blocks])
+    out = stacked_revenue([market], [pts.reshape(-1, 2)])[0]
     return float(out[0]) if pts.ndim == 1 else out
+
+
+def stacked_revenue(markets: list, points: list) -> list:
+    """Revenue (k_j,) of each market at its own quality pairs (k_j, 2), in one
+    closed-form pass with per-pair prices; the markets share a demand model.
+
+    Each pair's value is that of its own market's revenue call. The pass
+    runs in blocks of REVENUE_BLOCK pairs, which keeps a whole-grid call's
+    temporaries in the cache and off the peak memory.
+    """
+    if len({m.demand for m in markets}) > 1:
+        raise ValueError("stacked markets must share a demand model")
+    counts = [len(p) for p in points]
+    c, d, prices = _terms(markets, counts)
+    a = (points[0] if len(points) == 1 else np.concatenate(points)).T
+    out = []
+    for i in range(0, max(a.shape[1], 1), REVENUE_BLOCK):
+        part = slice(i, i + REVENUE_BLOCK)
+        # per-pair terms are sliced with the pairs; one market's broadcast
+        terms = (c, d, prices) if prices.shape[1] == 1 else (
+            c[:, part], None if d is None else d[part], prices[:, part])
+        out.append(_revenue(a[:, part], *terms))
+    return np.split(np.concatenate(out), np.cumsum(counts[:-1]))
 
 
 def _revenue(a: np.ndarray, c, d, prices: np.ndarray) -> np.ndarray:

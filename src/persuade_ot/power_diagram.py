@@ -12,16 +12,18 @@ are the floating-point operations of the dense squared-distance argmin that
 the tests use as the reference, so the labels equal its labels bit for bit.
 
 Lloyd's passes skip even that labelling: a Voronoi cell meets each grid row
-in one interval whose ends are affine in the row's coordinate, so per-row
-prefix sums of the masses and first moments give its sums in O(n^2 M)
-work. Each round of the iteration starts with a dense labelling, and
-range passes follow only a dense move; the last range move is redone
-densely, so the iteration returns the dense loop's result bit for bit.
+in one interval whose ends are affine in the row's coordinate (against a
+site on its own column, in all of the row or none), so per-row prefix sums
+of the masses and first moments give its sums in O(n^2 M) work. Each round
+of the iteration starts with a dense labelling, and range passes follow
+only a dense move; the last range move is redone densely, so the iteration
+returns the dense loop's result bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,67 +166,110 @@ def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
     return CellStats(masses=masses, barycenters=barycenters)
 
 
-def _row_prefix_sums(grid: GridMeasure) -> np.ndarray:
-    """(3, M, M + 1) prefix sums along each grid row of nu, nu*x and nu*y, from 0."""
+class _RowRanges(NamedTuple):
+    """A grid's constants for _range_cell_sums (_row_ranges), lengths in columns."""
+
+    centre: np.ndarray  # (2,) the box's centre
+    inv_h: float  # 1 / hx
+    half: float  # the larger of the box's half-width and half-height
+    first: float  # the first column's abscissa, from the centre
+    lines: np.ndarray  # (2, M): ones, and -2 times each row's ordinate from the centre
+    base: np.ndarray  # (M,) each row's offset in ``prefix``
+    prefix: np.ndarray  # (3, M (M + 1)) per-row prefix sums of nu, nu x and nu y, from 0
+
+
+# a range's start is the largest t over the sites left of its cell, its end
+# the smallest over those right of it: each side's sign of a_j - a_i and the
+# constant, past the box's edge, that stands in for the other sites' t
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _row_ranges(grid: GridMeasure) -> _RowRanges:
     m = grid.resolution
+    (x0, x1), (y0, y1) = grid.bounds
+    centre = np.array([(x0 + x1) / 2, (y0 + y1) / 2])
+    inv_h = m / (x1 - x0)
     prefix = np.zeros((3, m, m + 1))
     for k, weights in enumerate((grid.masses, *grid.first_moments)):
         np.cumsum(weights.reshape(m, m), axis=1, out=prefix[k, :, 1:])
-    return prefix
+    rows = (grid.centers[::m, 1] - centre[1]) * inv_h
+    return _RowRanges(
+        centre, inv_h, max(x1 - x0, y1 - y0) / 2 * inv_h, (grid.centers[0, 0] - centre[0]) * inv_h,
+        np.stack([np.ones(m), -2.0 * rows]), np.arange(0, m * (m + 1), m + 1),
+        prefix.reshape(3, -1),
+    )
 
 
-def _range_cell_sums(sites: np.ndarray, grid: GridMeasure, prefix: np.ndarray):
-    """(3, n) masses and first moments of the Voronoi cells, from per-row ranges.
+def _range_cell_sums(sites: np.ndarray, grid: _RowRanges):
+    """(3, n) masses and first moments of the Voronoi cells, from per-row
+    ranges, and the ranges' (2, n, M) bounds, which equal iff the cells do.
 
     Site i beats site j on row y on one side of the abscissa
     t_ij(y) = (|s_j|^2 - |s_i|^2 - 2y(b_j - b_i)) / (2(a_j - a_i)), where
     s_j = (a_j, b_j), so cell i meets the row in the columns between the
     largest t over the sites left of it and the smallest over those right
-    of it; its sums are differences of ``prefix`` (``_row_prefix_sums``),
-    O(n^2 M) work in all. Along a range, i's cost margin over j is
-    2|a_j - a_i| times the distance to t_ij, smallest at the range's end
-    columns. Returns None, for the dense labelling to decide, where the
-    ranges might differ from hard_assign's labels or leave a cell empty:
-    two sites with (nearly) equal abscissae, an end-column margin below
-    1e-9 of the squared scale (box half-width or farthest site), or ranges
-    that do not tile the grid.
+    of it; its sums are differences of the per-row prefix sums, O(n^2 M)
+    work in all. Along a range, i's cost margin over j is 2|a_j - a_i|
+    times the distance to t_ij, smallest at the range's end columns. Where
+    a_j = a_i the bisector is the row y = (b_i + b_j) / 2, and i loses
+    every row on j's side, by a cost margin of |2y(b_j - b_i) - |s_j|^2 + |s_i|^2|.
+    Returns None, for the dense labelling to decide, where the ranges might
+    differ from hard_assign's labels or leave a cell empty: abscissae that
+    nearly but not exactly tie, a margin below 1e-9 of the squared scale
+    (box half-width or farthest site), or ranges that do not tile the grid.
     """
-    m = grid.resolution
-    (x0, x1), (y0, y1) = grid.bounds
-    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    s = sites - (cx, cy)  # box-centred, so the tolerances scale with the box, not its offset
-    scale = max(np.abs(s).max(), (x1 - x0) / 2, (y1 - y0) / 2)
+    s = (sites - grid.centre) * grid.inv_h  # in columns, so the tolerances scale with the box
+    scale = max(np.abs(s).max(), grid.half)
+    n, m = len(s), grid.lines.shape[1]
     a, b = s[:, 0], s[:, 1]
     da = a[:, None] - a  # [j, i]: a_j - a_i
-    apart = np.abs(da)
-    np.fill_diagonal(apart, np.inf)
-    apart = apart.min(axis=0)  # from each abscissa to the nearest other
+    tied = da == 0.0  # the diagonal among them
+    gaps = np.where(tied, np.inf, da)
+    apart = np.abs(gaps).min(axis=0)  # from each abscissa to the nearest other
     if apart.min() <= 1e-9 * scale:
         return None
-    left, right = (da < 0.0)[:, :, None], (da > 0.0)[:, :, None]
-    np.fill_diagonal(da, 1.0)  # a site against itself: masked off by left and right
+    inv = 0.5 / gaps  # 0 where tied
+    db = b[:, None] - b
     sq = a * a + b * b
-    hx = (x1 - x0) / m
-    # t[j, i, y]: t_ij on row y, in columns from the first grid column
-    c0 = ((sq[:, None] - sq) / (2.0 * da) - (grid.centers[0, 0] - cx)) / hx
-    c1 = (b[:, None] - b) / (da * hx)
-    t = c0[:, :, None] - c1[:, :, None] * (grid.centers[::m, 1] - cy)
-    lo = np.where(left, t, -np.inf).max(axis=0)
-    ends = np.stack([lo, np.where(right, t, np.inf).min(axis=0)])
-    np.clip(ends, -0.5, m - 0.5, out=ends)
+    dsq = sq[:, None] - sq
+    # t_ij(y), from the first column, as one product of its two terms with
+    # grid.lines; a site on neither side of i (itself or one tied with it)
+    # gives a start or end past the box's edge
+    sides = np.sign(da) == _SIDES
+    terms = np.empty((2, 2, n, n))
+    terms[0] = np.where(sides, dsq * inv - grid.first, _SIDES * (m + 0.5))
+    np.multiply(db * inv, sides, out=terms[1])
+    t = (terms.reshape(2, -1).T @ grid.lines).reshape(2, n, n, m)
+    ends = np.empty((2, n, m))
+    t[0].max(axis=0, out=ends[0])
+    t[1].min(axis=0, out=ends[1])
+    np.maximum(ends, -0.5, out=ends)
+    np.minimum(ends, m - 0.5, out=ends)
     cols = np.ceil(ends).astype(np.intp)  # first column of each range, and one past its last
-    count = cols[1] - cols[0]
-    live = count > 0
-    near = np.abs(ends - np.rint(ends)).min(axis=0)
-    if 2.0 * hx * np.min(near * apart[:, None], where=live, initial=np.inf) <= 1e-9 * scale**2:
-        return None
-    if count.sum(where=live) != m * m:
-        return None
     np.maximum(cols[1], cols[0], out=cols[1])
-    cols += np.arange(0, m * (m + 1), m + 1)
-    ranged = prefix.reshape(3, -1).take(cols, axis=1)
+    if np.count_nonzero(tied) > n:
+        j, i = np.nonzero(tied & ~np.eye(n, dtype=bool))
+        margin = dsq[j, i, None] + db[j, i, None] * grid.lines[1]  # cost_j - cost_i per row
+        if np.abs(margin).min() <= 1e-9 * scale**2:
+            return None
+        lost = np.zeros((n, m), dtype=bool)
+        np.logical_or.at(lost, i, margin < 0.0)
+        np.copyto(cols[1], cols[0], where=lost)
+    count = cols[1] - cols[0]
+    if count.sum() != m * m:
+        return None
+    # each end's distance to the nearest column, 1 or more for an empty range
+    near = np.rint(ends)
+    np.abs(np.subtract(ends, near, out=near), out=near)
+    np.add(near, count == 0, out=near)
+    near *= apart[:, None]
+    if 2.0 * near.min() <= 1e-9 * scale**2:
+        return None
+    cols *= count > 0  # an empty range as (0, 0), so that equal cells give equal bounds
+    cols += grid.base
+    ranged = grid.prefix.take(cols, axis=1)
     sums = (ranged[:, 1] - ranged[:, 0]).sum(axis=2)
-    return sums if np.all(sums[0] > 0.0) else None
+    return (sums, cols) if sums[0].min() > 0.0 else None
 
 
 def lloyd_solve(
@@ -240,8 +285,9 @@ def lloyd_solve(
     finite grid reaches, or after ``max_iters`` moves, it returns. Else the
     sites move to the barycenters and range passes (``_range_cell_sums``)
     go on until they fail, stop moving or spend the budget; the next round
-    redoes their last move densely, so the result is the dense iteration's
-    bit for bit. Every returned cell has mass.
+    redoes their last move densely, and returns at once where the first range
+    pass after it finds the cells it labelled, so the result is the dense
+    iteration's bit for bit. Every returned cell has mass.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -251,7 +297,8 @@ def lloyd_solve(
     rng = np.random.default_rng(seed)
     sites = grid.centers[rng.choice(len(grid.masses), size=n, replace=False, p=grid.masses)]
     zeros = np.zeros(n)
-    prefix = _row_prefix_sums(grid)
+    ranges = _row_ranges(grid)
+    labelled = None  # the range pass's cells of the sites the next round labels
     moves = 0
     # each round reseeds, returns or nets a move: up to 4n labellings per move
     for _ in range(4 * n * (max(max_iters, 0) + 1)):
@@ -266,23 +313,28 @@ def lloyd_solve(
                     break
             else:
                 raise RuntimeError("could not reseed an empty cell")
+            labelled = None
             continue
         if moves >= max_iters or np.array_equal(stats.barycenters, sites):
             return DiagramParams(sites, zeros), stats
         sites = stats.barycenters
         moves += 1
-        undo = None  # (sites, moves) before the last range move
+        undo = None  # (sites, moves, cells) before the last range move
         while moves < max_iters:
-            sums = _range_cell_sums(sites, grid, prefix)
-            if sums is None:
+            ranged = _range_cell_sums(sites, ranges)
+            if ranged is None:
                 break
+            sums, cells = ranged
+            if undo is None and np.array_equal(cells, labelled):
+                # the sites' cells are those just labelled, whose dense
+                # barycenters they are: the next labelling would return them
+                return DiagramParams(sites.copy(), zeros), stats
             barycenters = (sums[1:] / sums[0]).T
             if np.array_equal(barycenters, sites):
                 break
-            undo = sites, moves
+            undo = sites, moves, cells
             sites, moves = barycenters, moves + 1
-        if undo is not None:
-            # the dense labelling redoes the last range move, so the sites it
-            # hands on are dense barycenters
-            sites, moves = undo
+        # the dense labelling redoes the last range move, so the sites it
+        # hands on are dense barycenters
+        sites, moves, labelled = (sites, moves, None) if undo is None else undo
     raise RuntimeError("empty-cell reseeding did not terminate")

@@ -128,6 +128,7 @@ def sequential_optimize(init, grid, obj, opt):
     from dataclasses import replace
 
     from persuade_ot import EntropicConfig, NumericFailure
+    from persuade_ot.entropic import Workspace
     from persuade_ot.objective import hard_objective, soft_objective, value_and_grad
     from persuade_ot.optimizer import (
         ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PRUNE_MASS_TOL, OptResult, prune_cells,
@@ -158,8 +159,7 @@ def sequential_optimize(init, grid, obj, opt):
     last_valid = unpack(theta)
     stopped_early = None
     cfg_t = obj
-    m = grid.resolution
-    work = np.empty((3, m, m))  # the kernel's grid-sized arrays, reused every step
+    work = Workspace()  # the kernel's arrays, reused every step
 
     for it in range(opt.max_iters):
         if anneal != 1.0:
@@ -240,7 +240,9 @@ def column_by_column_table(raw, cfg, out_dir):
     from dataclasses import replace
 
     from persuade_ot import cli
-    from persuade_ot.benchmarks import BenchmarkRow, improvement_table
+    from persuade_ot.benchmarks import (
+        BenchmarkRow, best_lloyd_revenue, full_info_revenue, improvement_table, no_info_revenue,
+    )
     from persuade_ot.objective import hard_objective
     from persuade_ot.optimizer import init_sites
 
@@ -257,7 +259,10 @@ def column_by_column_table(raw, cfg, out_dir):
             (run for run in runs if run[0] >= top - cli.RESTART_TIE_RTOL * abs(top)),
             key=lambda run: (run[1].effective_n, run[1].seed_used),
         )
-        r_noinfo, r_lloyd, r_fullinfo = cli._baselines(row_cfg, grid, best.effective_n, lloyd_solves)
+        r_noinfo = no_info_revenue(row_cfg.market, grid)
+        r_lloyd = best_lloyd_revenue(best.effective_n, row_cfg.market, grid, row_cfg.optimizer.seed,
+                                     row_cfg.lloyd_tries, lloyd_solves)
+        r_fullinfo = full_info_revenue(row_cfg.market, grid)
         row = BenchmarkRow(name, float(value), hard, r_noinfo, r_lloyd, r_fullinfo,
                            best.effective_n, best.seed_used)
         rows.append(row)

@@ -14,8 +14,11 @@ from persuade_ot import (
     improvement_table,
     lloyd_revenue,
     lloyd_solve,
+    monopolist_payoff,
     no_info_revenue,
+    revenue,
 )
+from persuade_ot.benchmarks import grid_baselines
 from persuade_ot.cli import (
     build_scenario, load_raw_config, parse_config, run_experiment, set_config_path,
 )
@@ -100,6 +103,53 @@ def test_lloyd_revenue_equals_hard_objective_on_table_markets():
                 )
             columns += 1
     assert columns == 25
+
+
+def test_grid_baselines_equal_one_scenario_pricing_on_table_markets():
+    # every market of the four tables priced in one pass per config, on its
+    # first column's grid, with three Lloyd tries and cell counts that differ
+    # from market to market: each value equals its own one-scenario pricing
+    markets = 0
+    for path in sorted(CONFIGS.glob("table*.yaml")):
+        raw = set_config_path(load_raw_config(str(path)), "grid.resolution", 24)
+        sweep = parse_config(raw)
+        cfgs = [parse_config(set_config_path(raw, sweep.sweep_parameter, value))
+                for value in sweep.sweep_values]
+        grid = build_scenario(cfgs[0])[0]
+        cells = [2 + k % 5 for k in range(len(cfgs))]
+        pooled = grid_baselines([cfg.market for cfg in cfgs], cells, grid, seed=1, tries=3)
+        for cfg, n, (r_noinfo, r_lloyd) in zip(cfgs, cells, pooled):
+            assert r_noinfo == revenue(grid.barycenter, cfg.market)
+            assert r_noinfo == no_info_revenue(cfg.market, grid)
+            tries = []
+            for seed in (1, 2, 3):
+                stats = lloyd_solve(n, grid, seed)[1]
+                payoffs = monopolist_payoff(cfg.market).value(stats.barycenters)
+                priced = float(stats.masses @ payoffs)
+                assert priced == lloyd_revenue(n, cfg.market, grid, seed)
+                tries.append(priced)
+            assert r_lloyd == max(tries) == best_lloyd_revenue(n, cfg.market, grid, 1, tries=3)
+            markets += 1
+    assert markets == 25
+
+
+def test_lloyd_memo_tells_boxes_apart_and_digests_each_grid_once(monkeypatch):
+    import hashlib
+
+    digests = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or real(data))
+    # two boxes of one resolution, as in table2's q_min sweep, and an equal
+    # copy of the first: the memo keys the grids' contents, digested once per
+    # grid object however many calls it serves
+    grids = [make_grid(24, lo=0.25), make_grid(24, lo=0.5), make_grid(24, lo=0.25)]
+    solves: dict = {}
+    values = [lloyd_revenue(4, UNIT_11, grid, seed=0, solves=solves)
+              for grid in grids for _ in range(3)]
+    assert len(digests) == 3 and len(solves) == 2
+    assert values[0] != values[3] and values[0] == values[6]
+    fresh = [lloyd_revenue(4, UNIT_11, grid, seed=0) for grid in grids for _ in range(3)]
+    assert values == fresh and len(digests) == 3
 
 
 def test_committed_tables_reproduce_their_baselines():

@@ -748,6 +748,44 @@ def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
     assert (out / "benchmark.csv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("command, parameter, values, boxes", [
+    ("benchmark", "p2", [1.0, 1.25, 1.5], 1),
+    ("benchmark", "q_min", [0.0, 0.25, 0.5], 3),
+    ("table", "p2", [1.0, 1.25, 1.5], 1),
+], ids=["benchmark-p2", "benchmark-q_min", "table-p2"])
+def test_consecutive_scenarios_on_one_box_share_its_grid(
+    tmp_path, monkeypatch, command, parameter, values, boxes
+):
+    import hashlib
+    import weakref
+
+    built = []
+    real = cli.build_grid
+    digests = []
+    real_sha256 = hashlib.sha256
+
+    def tracked(bounds, resolution):
+        if command == "benchmark":
+            # a benchmark drops each box's grid before it builds the next
+            assert all(ref() is None for ref in built)
+        grid = real(bounds, resolution)
+        built.append(weakref.ref(grid))
+        return grid
+
+    data = tiny_market_config(tmp_path / "out")
+    data["optimizer"]["max_iters"] = 5
+    data["sweep"] = {"parameter": f"payoff.market.{parameter}", "values": values}
+    path = write_config(tmp_path, data)
+    assert run_experiment(path, command) == 0
+    expected = tree_bytes(tmp_path / "out")
+    monkeypatch.setattr(cli, "build_grid", tracked)
+    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or real_sha256(data))
+    assert run_experiment(path, command) == 0
+    # one Lloyd memo per grid, keyed without digesting the grid
+    assert len(built) == boxes and not digests
+    assert tree_bytes(tmp_path / "out") == expected
+
+
 @pytest.mark.parametrize("key, value, command", [
     ("benchmark.lloyd_tries", 0, "solve"),
     ("benchmark.lloyd_n", 0, "solve"),

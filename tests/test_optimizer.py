@@ -217,8 +217,8 @@ def test_pruning_check_raises_numeric_failure(monkeypatch):
     init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0])
     real = optimizer_mod.soft_objective
 
-    def shifted(params, g, c):
-        report = real(params, g, c)
+    def shifted(params, g, c, work=None):
+        report = real(params, g, c, work)
         if params.n < init.n:
             report = replace(report, value=report.value + 1.0)
         return report
@@ -244,9 +244,9 @@ def test_final_report_is_soft_objective_of_result(monkeypatch, prunes):
     real = optimizer_mod.soft_objective
     calls = []
 
-    def counted(params, g, c):
+    def counted(params, g, c, work=None):
         calls.append(params.n)
-        return real(params, g, c)
+        return real(params, g, c, work)
 
     monkeypatch.setattr(optimizer_mod, "soft_objective", counted)
     opt = OptimizerConfig(n_init=3, max_iters=20, learning_rate=1e-3, seed=0, epsilon_final=0.02)
@@ -270,7 +270,7 @@ def test_fixed_epsilon_final_report_is_the_loops(monkeypatch, prunes):
     real = optimizer_mod.soft_objective
     calls = []
     monkeypatch.setattr(optimizer_mod, "soft_objective",
-                        lambda params, g, c: calls.append(params.n) or real(params, g, c))
+                        lambda params, g, c, work=None: calls.append(params.n) or real(params, g, c, work))
     opt = OptimizerConfig(n_init=3, max_iters=20, learning_rate=1e-3, seed=0)
     result = optimize(init, grid, bowl_cfg(eps=0.05), opt)
     assert result.effective_n == (2 if prunes else 3)

@@ -12,7 +12,7 @@ from persuade_ot import (
     lloyd_solve,
 )
 from persuade_ot import power_diagram
-from persuade_ot.power_diagram import _range_cell_sums, _row_prefix_sums
+from persuade_ot.power_diagram import _range_cell_sums, _row_ranges
 from reference import dense_lloyd, sq_dists
 
 
@@ -280,7 +280,9 @@ def test_lloyd_equals_dense_reference_bit_for_bit():
 def test_lloyd_leaves_most_passes_to_the_ranges(monkeypatch):
     # pass counts against those when the ranges came in: more dense
     # labellings means work moved back to them, and more than 5 % more
-    # range passes means passes that move nothing
+    # range passes means passes that move nothing. The dense counts are two
+    # per solve, since a solve returns on the first range pass that finds the
+    # cells just labelled, and pairs of sites on one column take range passes
     calls = {"dense": 0, "range": 0}
     for name, key in (("_power_labels", "dense"), ("_range_cell_sums", "range")):
         def counted(*args, _real=getattr(power_diagram, name), _key=key):
@@ -292,13 +294,28 @@ def test_lloyd_leaves_most_passes_to_the_ranges(monkeypatch):
         grid = build_grid(((lo, 2.0), (lo, 2.0)), 144)
         for seed in range(10):
             lloyd_solve(4, grid, seed)
-    assert calls["dense"] <= 187 and calls["range"] <= 1.05 * 1026
+    assert calls["dense"] <= 120 and calls["range"] <= 1.05 * 1026
     # solves whose range passes reach the fixed point, which the above never do
     calls.update(dense=0, range=0)
     grid = build_grid(((0.0, 2.0), (0.0, 2.0)), 128)
     for seed in range(3):
         lloyd_solve(3, grid, seed)
-    assert calls["dense"] <= 9 and calls["range"] <= 1.05 * 100
+    assert calls["dense"] <= 6 and calls["range"] <= 1.05 * 100
+    # eight cells, whose solves hold pairs of sites on one column for many passes
+    calls.update(dense=0, range=0)
+    for seed in range(5):
+        lloyd_solve(8, grid, seed)
+    assert calls["dense"] <= 14 and calls["range"] <= 1.05 * 245
+
+
+def assert_range_sums_are_dense(sites, grid):
+    stats = hard_cell_stats(hard_assign(DiagramParams(sites, np.zeros(len(sites))), grid), grid)
+    ranged = _range_cell_sums(sites, _row_ranges(grid))
+    assert ranged is not None
+    sums = ranged[0]
+    moments = stats.masses[:, None] * stats.barycenters
+    assert np.allclose(sums[0], stats.masses, rtol=1e-12, atol=0.0)
+    assert np.allclose(sums[1:].T, moments, rtol=1e-12, atol=1e-12 * np.abs(moments).max())
 
 
 def test_range_sums_match_dense_cell_stats():
@@ -321,25 +338,59 @@ def test_range_sums_match_dense_cell_stats():
         else:
             sites = rng.uniform((a1 - w, a2 - h), (b1 + w, b2 + h), size=(n, 2))
         stats = hard_cell_stats(hard_assign(DiagramParams(sites, np.zeros(n)), grid), grid)
-        sums = _range_cell_sums(sites, grid, _row_prefix_sums(grid))
         if not stats.support.all():
-            assert sums is None, trial
+            assert _range_cell_sums(sites, _row_ranges(grid)) is None, trial
             empty += 1
             continue
-        assert sums is not None, trial
-        moments = stats.masses[:, None] * stats.barycenters
-        assert np.allclose(sums[0], stats.masses, rtol=1e-12, atol=0.0), trial
-        assert np.allclose(sums[1:].T, moments, rtol=1e-12, atol=1e-12 * np.abs(moments).max())
+        assert_range_sums_are_dense(sites, grid)
         ranged += 1
     assert ranged >= 90 and empty >= 40
 
 
-def test_range_pass_leaves_sites_on_one_column_to_the_dense_labelling():
+def test_range_pass_takes_sites_on_one_column_row_by_row():
+    # the first two sites share an abscissa, so their bisector is the grid
+    # line y = 0.5, and each takes the rows on its side
     grid = unit_grid(16)
     sites = np.array([(0.40625, 0.25), (0.40625, 0.75), (0.8, 0.5)])
-    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    assert_range_sums_are_dense(sites, grid)
+    # abscissae that nearly tie still go to the dense labelling
+    sites[1, 0] += 1e-13
+    assert _range_cell_sums(sites, _row_ranges(grid)) is None
     sites[1, 0] += 1e-6
-    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is not None
+    assert _range_cell_sums(sites, _row_ranges(grid)) is not None
+    # so does a bisector through the grid points of row 8, where the two tie
+    sites = np.array([(0.40625, 0.28125), (0.40625, 0.78125), (0.8, 0.5)])
+    costs = sq_dists(sites, grid.centers)
+    assert np.count_nonzero(costs[0] == costs[1]) == 16
+    assert _range_cell_sums(sites, _row_ranges(grid)) is None
+
+
+@pytest.mark.parametrize("m", [16, 17, 144])
+def test_range_pass_matches_dense_on_symmetric_two_by_two_layouts(m):
+    # four sites at the corners of a rectangle: every pair shares an abscissa
+    # or an ordinate, as at the symmetric fixed points of Lloyd on a square
+    ties = 0
+    for lo in (0.0, 0.25, 1.25):
+        grid = build_grid(((lo, 2.0), (lo, 2.0)), m)
+        mid, w = (lo + 2.0) / 2, (2.0 - lo) / 4
+        for dx, dy, off in ((w, w, 0.0), (w, 0.7 * w, 0.1 * w), (0.3 * w, w, -0.2 * w)):
+            sites = np.array([(mid - dx + off, mid - dy), (mid + dx + off, mid - dy),
+                              (mid - dx + off, mid + dy), (mid + dx + off, mid + dy)])
+            least = np.sort(sq_dists(sites, grid.centers), axis=0)
+            if np.min(least[1] - least[0]) <= 1e-9 * ((2.0 - lo) / 2) ** 2:
+                # a grid point on a bisector up to rounding, where the dense
+                # labelling breaks the tie
+                assert _range_cell_sums(sites, _row_ranges(grid)) is None
+                ties += 1
+            else:
+                assert_range_sums_are_dense(sites, grid)
+    # on an odd grid the box's middle row and column hold such points
+    assert (ties > 0) == (m % 2 == 1)
+    for lo in (0.0, 0.25):
+        grid = build_grid(((lo, 2.0), (lo, 2.0)), m)
+        for seed in range(4):
+            assert_same_solve(lloyd_solve(4, grid, seed), dense_lloyd(4, grid, seed),
+                              (m, lo, seed))
 
 
 def test_range_pass_leaves_an_exact_tie_to_the_dense_labelling():
@@ -350,12 +401,12 @@ def test_range_pass_leaves_an_exact_tie_to_the_dense_labelling():
     costs = sq_dists(sites, grid.centers)
     assert np.count_nonzero(costs[0] == costs[1]) == 3
     assert not np.any(costs[2] == costs[:2])
-    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    assert _range_cell_sums(sites, _row_ranges(grid)) is None
     # so is a near tie, where rounding might give the dense labelling the other side
     sites[0] += (1e-13, 0.0)
-    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is None
+    assert _range_cell_sums(sites, _row_ranges(grid)) is None
     sites[0] += (1e-4, 0.0)
-    assert _range_cell_sums(sites, grid, _row_prefix_sums(grid)) is not None
+    assert _range_cell_sums(sites, _row_ranges(grid)) is not None
 
 
 def three_point_prior():

@@ -9,7 +9,6 @@ baselines and export stay per column.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -278,16 +277,15 @@ def load_raw_config(path: str) -> dict:
 def set_config_path(raw: dict, dotted: str, value: Any) -> dict:
     """Return a copy of the raw config with the dotted key set to value.
 
+    Only the mappings on the path are copied; the rest is shared with raw.
     Missing or null sections on the path become mappings; any other value there is an error."""
-    out = copy.deepcopy(raw)
-    node = out
+    out = node = dict(raw)
     parts = dotted.split(".")
     for i, part in enumerate(parts[:-1]):
-        if node.get(part) is None:
-            node[part] = {}
-        elif not isinstance(node[part], dict):
+        child = node.get(part)
+        if child is not None and not isinstance(child, dict):
             raise ConfigError("must be a mapping", ".".join(parts[: i + 1]))
-        node = node[part]
+        node[part] = node = dict(child or {})
     node[parts[-1]] = value
     return out
 
@@ -413,8 +411,18 @@ def _diagram_dict(params: DiagramParams, grid: GridMeasure, assignment: HardAssi
         "weights": [float(g) for g in params.weights],
         "masses": [float(v) for v in stats.masses],
         "barycenters": barys,
-        "label_grid": assignment.labels.reshape(m, m).tolist(),
+        "label_grid": assignment.labels.reshape(m, m),
     }
+
+
+def _label_rows_json(labels: np.ndarray) -> str:
+    """json.dumps(labels.tolist(), separators=(",", ":")) for (M, M) labels,
+    from per-label byte strings: each cell's, NUL-padded, with its separator."""
+    names = [str(label).encode() for label in range(labels.max() + 1)]
+    width = f"S{len(names[-1]) + 3}"
+    cells = np.array([name + b"," for name in names], dtype=width)[labels]
+    cells[:, -1] = np.array([name + b"],[" for name in names], dtype=width)[labels[:, -1]]
+    return "[[" + cells.tobytes().translate(None, b"\0")[:-3].decode() + "]]"
 
 
 def render_svg(diagram: dict) -> str:
@@ -513,9 +521,11 @@ def export_diagram(
     diagram = _diagram_dict(params, grid, assignment)
     json_path = Path(path) / f"{stem}.json"
     svg_path = Path(path) / f"{stem}.svg"
-    _write(json_path, json.dumps(diagram, sort_keys=True, separators=(",", ":")) + "\n")
-    labels = assignment.labels.reshape(grid.resolution, grid.resolution)
-    _write(svg_path, render_svg({**diagram, "label_grid": labels}))
+    # the label grid is written apart: json.dumps takes most of the time on its nested list
+    text = json.dumps({**diagram, "label_grid": None}, sort_keys=True, separators=(",", ":"))
+    rows = '"label_grid":' + _label_rows_json(diagram["label_grid"])
+    _write(json_path, text.replace('"label_grid":null', rows, 1) + "\n")
+    _write(svg_path, render_svg(diagram))
     return [str(json_path), str(svg_path)]
 
 

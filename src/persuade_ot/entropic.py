@@ -18,10 +18,11 @@ prior enters only through nu / Z. Terms that underflow to zero are below
 of its normaliser. Where Z drops below the floor (a small epsilon or a
 site far outside the grid), chi_kernel falls back to the dense log-domain
 softmax, which subtracts the per-point maximum logit before exponentiating
-(DenseChi). soft_partition returns the dense kernel, whose chi is the
-(n, M^2) membership array; soft_cell_stats turns either kernel's moments
-into the soft masses and barycenters. The mass-matching dual solve
-(sinkhorn_dual_solve) reads its soft masses from the same kernel.
+(DenseChi). A stack of R diagrams (Diagrams) has one kernel with a leading
+restart axis, or each row's own (RowKernels) where a row's Z is below the
+floor. soft_partition returns the dense kernel, whose chi is the (n, M^2)
+membership array; soft_cell_stats turns any kernel's moments into the soft
+masses and barycenters, which the dual solve (sinkhorn_dual_solve) matches.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grid import GridMeasure
-from .power_diagram import CellStats, DiagramParams, stacked
+from .power_diagram import CellStats, DiagramParams, Diagrams
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class EntropicConfig:
     def __post_init__(self):
         if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be a positive real, got {self.epsilon!r}")
+
+
+TINY = np.finfo(float).tiny
 
 
 def _softmax_cols(logits: np.ndarray) -> np.ndarray:
@@ -62,7 +66,7 @@ def soft_cell_stats(mom: np.ndarray, sites: np.ndarray) -> CellStats:
     """
     masses = mom[..., 0, :]
     # masses are strictly positive in exact arithmetic; guard float underflow
-    safe = np.maximum(masses, np.finfo(float).tiny)
+    safe = np.maximum(masses, TINY)
     barycenters = sites + mom[..., 1:3, :].swapaxes(-1, -2) / safe[..., None]
     dead = masses <= 0.0
     if dead.any():
@@ -96,7 +100,7 @@ _MOMENT_ROWS = np.array([0, 3, 1, 6, 4, 2])
 #   average(coef) -> per point sum_i chi[i] (coef[0, i] + coef[1, i] u1 + coef[2, i] u2).
 # A per-point array w is in the kernel's own layout: (M, M) indexed [iy, ix]
 # for SeparableChi, (M^2,) for DenseChi; average() returns that layout.
-# The separable kernel of a batch puts a leading restart axis R on every
+# The kernel of a stack of diagrams puts a leading restart axis R on every
 # array, its arguments and its results; each restart's slice is computed
 # with the floating-point operations of that restart's own kernel.
 
@@ -113,13 +117,18 @@ class Workspace:
 
     def __init__(self):
         self.buffers: dict = {}
+        self._views: dict = {}  # (role, shape) -> that view of the role's buffer
 
     def __call__(self, role: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.buffers.get(role)
-        if buf is None or buf.size < size:
-            buf = self.buffers[role] = np.empty(size)
-        return buf[:size].reshape(shape)
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self.buffers.get(role)
+            if buf is None or buf.size < size:
+                buf = self.buffers[role] = np.empty(size)
+                self._views = {key: v for key, v in self._views.items() if key[0] != role}
+            view = self._views[role, shape] = buf[:size].reshape(shape)
+        return view
 
 
 class SeparableChi:
@@ -194,8 +203,19 @@ def dense_chi(params: DiagramParams, grid: GridMeasure, cfg: EntropicConfig) -> 
     return DenseChi(_softmax_cols(logits), ux, uy, grid.masses)
 
 
+class RowKernels(list):
+    """A stack's kernels one diagram at a time (each its own chi_kernel),
+    whose results stack on the leading axis; average gives a list of rows."""
+
+    def moments(self, w: list | None = None) -> np.ndarray:
+        return np.stack([k.moments(None if w is None else w[j]) for j, k in enumerate(self)])
+
+    def average(self, coef: np.ndarray) -> list:
+        return [k.average(c) for k, c in zip(self, coef)]
+
+
 def chi_kernel(
-    params: DiagramParams | list, grid: GridMeasure, cfg: EntropicConfig,
+    params: DiagramParams | Diagrams, grid: GridMeasure, cfg: EntropicConfig,
     work: Workspace | None = None,
 ):
     """Separable kernel on the grid, or the dense one where Z < Z_FLOOR.
@@ -203,15 +223,13 @@ def chi_kernel(
     The separable kernel's arrays live in ``work`` (a fresh Workspace if
     none is given); the kernel is valid until the next one built on it.
 
-    For a batch (a list of R diagrams with one n) the separable kernel has
-    a leading restart axis. The dense path is per diagram: a batch in which
-    some restart's Z falls below the floor gets None, and its caller
-    evaluates each restart alone.
+    For a stack (Diagrams) every array carries the leading restart axis.
+    The dense path is per diagram: a stack in which some row's Z falls
+    below the floor gets RowKernels.
     """
     m = grid.resolution
     work = Workspace() if work is None else work
-    sites = stacked(params, "sites")
-    weights = stacked(params, "weights")
+    sites, weights = params.sites, params.weights
     shape = (*weights.shape, m)  # (..., n, M)
     gx = grid.centers[:m, 0]
     gy = grid.centers[::m, 1]
@@ -237,7 +255,10 @@ def chi_kernel(
     sey = np.multiply(np.exp(shift - shift.max(axis=-1, keepdims=True))[..., None], ey, out=ey)
     z = np.matmul(sey.swapaxes(-1, -2), ex, out=work("z", (*shape[:-2], m, m)))
     if z.min() < Z_FLOOR:
-        return dense_chi(params, grid, cfg) if isinstance(params, DiagramParams) else None
+        if isinstance(params, DiagramParams):
+            return dense_chi(params, grid, cfg)
+        rows = zip(params.sites, params.weights)
+        return RowKernels([chi_kernel(DiagramParams(*row), grid, cfg) for row in rows])
     return SeparableChi(xs, ys, ux, uy, z, grid.masses, work)
 
 
@@ -280,7 +301,7 @@ def sinkhorn_dual_solve(
         residual = float(np.max(np.abs(masses - targets)))
         if residual < tol:
             return g - g[0]
-        g = g + cfg.epsilon * (log_targets - np.log(np.maximum(masses, np.finfo(float).tiny)))
+        g = g + cfg.epsilon * (log_targets - np.log(np.maximum(masses, TINY)))
     raise ConvergenceError(
         f"sinkhorn residual {residual:.3e} after {max_iters} iterations (tol {tol:.1e})",
         residual=residual,

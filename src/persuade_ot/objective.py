@@ -25,28 +25,27 @@ grid the separable factors turn each into an (M, M) @ (M, 3n) matmul, with
 the dense log-domain softmax only where the factors underflow. No n x M^2
 array is built on the separable path.
 
-The evaluation also takes a batch: a list of R diagrams with one n. The
-kernel's arrays, the moments, the separation matrices (R, n, n) and the
-gradients then carry a leading restart axis, one payoff call covers all
-R n barycentres, and every reduction over cells is made per restart with
-the operations of a single diagram, so each restart's report and gradient
-equal its own evaluation bit for bit.
+One evaluation path (_evaluate) serves one diagram and a stack of R
+(power_diagram.Diagrams), whose kernel, moments, separation matrices and
+gradients carry a leading restart axis. One payoff call covers all R n
+barycentres, every reduction over cells is made per restart with the
+operations of a single diagram, so each restart's results equal its own
+evaluation bit for bit, and the stack's reports stay arrays (Reports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropic import (
-    DenseChi, EntropicConfig, SeparableChi, Workspace, chi_kernel, soft_cell_stats,
-)
+from .entropic import EntropicConfig, Workspace, chi_kernel, soft_cell_stats
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
-from .payoffs import PayoffModel, stacked_value_and_grad
+from .payoffs import PayoffModel
 from .power_diagram import (
-    CellStats, DiagramParams, HardAssignment, hard_assign, hard_cell_stats, stacked,
+    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, hard_cell_stats,
 )
 
 
@@ -84,6 +83,22 @@ class ObjectiveReport:
             (float(m), (float(b[0]), float(b[1])), float(v))
             for m, b, v in zip(self.cells.masses, self.cells.barycenters, self.payoffs)
         ]
+
+
+class Reports(NamedTuple):
+    """The fields of ObjectiveReport as arrays, with the leading restart axis
+    of a stack of diagrams (none for one DiagramParams); report(k) is row k's."""
+
+    value: np.ndarray
+    payoff_term: np.ndarray
+    penalty_term: np.ndarray
+    masses: np.ndarray
+    barycenters: np.ndarray
+    payoffs: np.ndarray
+
+    def report(self, k=()) -> ObjectiveReport:
+        cells = CellStats(self.masses[k], self.barycenters[k])
+        return ObjectiveReport(*(float(field[k]) for field in self[:3]), cells, self.payoffs[k])
 
 
 def hard_objective(
@@ -126,45 +141,29 @@ def _penalty_terms(mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray, eta: fl
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b per restart, by the BLAS call of a single diagram's a @ b, for
-    a (..., n) and b (..., n) or (..., n, k)."""
-    if a.ndim == 1:
-        return a @ b
+    """a @ b per restart, by a single diagram's BLAS call: a (..., n), b (..., n) or (..., n, k)."""
     if a.ndim == b.ndim:
         return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
     return np.matmul(a[..., None, :], b)[..., 0, :]
 
 
-def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list,
-              cfg: ObjectiveConfig | list):
-    """The objective's one evaluation: report and (dF/dX, dF/dg) from one kernel.
-
-    For a batch kernel, a list of R diagrams and a list of their R configs
-    it gives R reports and (R, n, 2), (R, n) gradients.
-    """
-    single = isinstance(params, DiagramParams)
-    first = cfg if single else cfg[0]
-    eps, eta = first.entropic.epsilon, first.eta
-    sites = stacked(params, "sites")
+def _evaluate(kernel, params: DiagramParams | Diagrams, cfg: ObjectiveConfig,
+              gradient: bool = True):
+    """The Reports and, unless ``gradient`` is False, (dF/dX, dF/dg) from one
+    kernel; a stack's cfg.payoff takes its points row after row."""
+    eps, eta = cfg.entropic.epsilon, cfg.eta
+    sites = params.sites
     mom = kernel.moments()
     stats = soft_cell_stats(mom, sites)
     m, b = stats.masses, stats.barycenters
-    if single:
-        phis, gphis = cfg.payoff.value_and_grad(b)
-    else:
-        phis, gphis = stacked_value_and_grad([c.payoff for c in cfg], b)
+    phis, gphis = cfg.payoff.value_and_grad(b.reshape(-1, 2))
+    phis, gphis = phis.reshape(m.shape), gphis.reshape(b.shape)
     # the report carries the penalty value even when eta = 0
-    penalty, r, penalty_x = _penalty_terms(mom, sites, stacked(params, "separation_sq"), eta)
+    penalty, r, penalty_x = _penalty_terms(mom, sites, params.separation_sq, eta)
     payoff_term = _dot(m, phis)
-    value = payoff_term - eta * penalty
-    if single:
-        report = ObjectiveReport(float(value), float(payoff_term), float(penalty), stats, phis)
-    else:
-        report = [
-            ObjectiveReport(float(value[k]), float(payoff_term[k]), float(penalty[k]),
-                            CellStats(m[k], b[k]), phis[k])
-            for k in range(len(params))
-        ]
+    reports = Reports(payoff_term - eta * penalty, payoff_term, penalty, m, b, phis)
+    if not gradient:
+        return reports
 
     # Payoff adjoint Psi_ja = c_j + G_j . y_a - eta (|y_a - x_j|^2 + r_j), with
     # G = grad Phi(b) and c = Phi(b) - G . b, reproduces d(m_j Phi(b_j))/dchi_ja
@@ -185,64 +184,35 @@ def _evaluate(kernel: SeparableChi | DenseChi, params: DiagramParams | list,
     # with D_ja = nu_a chi_ja (Psi_ja - Psibar_a): dF/dg_j = sum_a D_ja / eps and
     # dF/dx_j = (2/eps) sum_a D_ja (y_a - x_j), from the zeroth and first moments
     pm = kernel.moments(kernel.average(coef))
-    c0, c1, c2 = coef[..., 0, :], coef[..., 1, :], coef[..., 2, :]
-    m1, m2, m11, m12, m22 = mom[..., 1, :], mom[..., 2, :], mom[..., 3, :], mom[..., 4, :], mom[..., 5, :]
-    row_sum = c0 * m + np.einsum("...kj,...kj->...j", coef[..., 1:, :], mom[..., 1:3, :]) - pm[..., 0, :]
-    core_u = np.stack([
-        c0 * m1 + m11 * c1 + m12 * c2 - pm[..., 1, :],
-        c0 * m2 + m12 * c1 + m22 * c2 - pm[..., 2, :],
-    ], axis=-1)
-    dg = row_sum / eps
-    dx = (2.0 / eps) * core_u - eta * penalty_x
-    return report, dx, dg
+    c0, c1, c2 = coef[..., 0:1, :], coef[..., 1:2, :], coef[..., 2:3, :]
+    row_sum = c0[..., 0, :] * m + np.einsum("...kj,...kj->...j", coef[..., 1:, :], mom[..., 1:3, :])
+    # the u1 and u2 rows: c0 m_k + m_1k c1 + m_2k c2 - pm_k for k = 1, 2
+    core_u = c0 * mom[..., 1:3, :] + mom[..., 3:5, :] * c1 + mom[..., 4:6, :] * c2
+    dg = (row_sum - pm[..., 0, :]) / eps
+    dx = (2.0 / eps) * (core_u - pm[..., 1:3, :]).swapaxes(-1, -2) - eta * penalty_x
+    return reports, dx, dg
 
 
-def soft_objective(
-    params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig,
-    work: Workspace | None = None,
-) -> ObjectiveReport:
-    """Penalized soft objective F - eta*R with its per-cell decomposition.
+def soft_objective(params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfig,
+                   work: Workspace | None = None) -> ObjectiveReport:
+    """Penalized soft objective F - eta*R with its per-cell decomposition:
+    value_and_grad's evaluation up to the report; ``work`` is as there."""
+    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg, False).report()
 
-    It makes value_and_grad's one evaluation, gradient included, and keeps
-    the report; ``work`` is as in value_and_grad.
+
+def value_and_grad(params: DiagramParams | Diagrams | list, grid: GridMeasure,
+                   cfg: ObjectiveConfig, work: Workspace | None = None):
+    """Objective report plus (dF/dX, dF/dg) in one pass, from one kernel.
+
+    ``work`` is an optional Workspace that keeps the kernel's arrays from
+    call to call (see entropic.chi_kernel); the results do not depend on it,
+    and a report holds none of its arrays. A stack (Diagrams) gets its
+    Reports and (R, n, 2), (R, n) gradients, and its restarts may differ in
+    the payoff (cfg.payoff a payoffs.stacked_payoff); a list of diagrams is
+    stacked and gets a list of reports.
     """
-    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)[0]
-
-
-def value_and_grad(
-    params: DiagramParams | list, grid: GridMeasure, cfg: ObjectiveConfig | list,
-    work: Workspace | None = None,
-):
-    """Objective report plus (dF/dX, dF/dg) in one pass.
-
-    Shares the kernel between the value and the gradient; this is the
-    workhorse the optimizer calls every iteration. ``work`` is an optional
-    Workspace that keeps the kernel's arrays from call to call (see
-    entropic.chi_kernel); the results do not depend on it, and a report
-    holds none of its arrays.
-
-    For a batch (a list of R diagrams with one n) it returns R reports and
-    the stacked (R, n, 2) and (R, n) gradients; each restart's entries equal
-    its own call bit for bit. ``cfg`` is then one config for all, or a list
-    of one per diagram that share eta and epsilon and differ in the payoff
-    (payoffs.stacked_value_and_grad).
-    """
-    if isinstance(params, DiagramParams):
-        return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)
-    cfgs = cfg if isinstance(cfg, list) else [cfg] * len(params)
-    if len(cfgs) != len(params) or any(
-        (c.eta, c.entropic) != (cfgs[0].eta, cfgs[0].entropic) for c in cfgs
-    ):
-        raise ValueError("a batch needs one config per diagram, with one eta and epsilon")
-    if len(params) == 1:
-        # the unbatched call makes the same operations: through the batched one a
-        # single restart costs ~40 us more, +8 % at (M, n) = (128, 12) and +4 % at
-        # (256, 12) (2-core VM, OPENBLAS_NUM_THREADS=1)
-        report, dx, dg = value_and_grad(params[0], grid, cfgs[0], work)
-        return [report], dx[None], dg[None]
-    kernel = chi_kernel(params, grid, cfgs[0].entropic, work)
-    if kernel is None:
-        # a restart whose Z fell below the floor takes the dense path: each goes alone
-        reports, dx, dg = zip(*(value_and_grad(p, grid, c, work) for p, c in zip(params, cfgs)))
-        return list(reports), np.stack(dx), np.stack(dg)
-    return _evaluate(kernel, params, cfgs)
+    if isinstance(params, list):
+        reports, dx, dg = value_and_grad(Diagrams.of(params), grid, cfg, work)
+        return [reports.report(k) for k in range(len(params))], dx, dg
+    reports, dx, dg = _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)
+    return (reports.report() if isinstance(params, DiagramParams) else reports), dx, dg

@@ -3,17 +3,17 @@
 Adam on the concatenated vector (sites, weights) with the exact gradient,
 seeded initialization, and finalization pruning of dead cells.
 
-The restarts of a run advance together (optimize_batch): their Adam state
-is one (R, 3n) array with a leading restart axis, and each step makes one
-batched evaluation (objective.value_and_grad on a list of diagrams). The
-restarts may carry objectives that differ in the payoff, such as the
-columns of a market sweep, and the evaluation still makes one payoff pass.
+The restarts of a run advance together (optimize_batch) as one stacked
+state. The Adam iterates and moments are (R, 3n) arrays; a step checks
+every row at once (power_diagram.Diagrams.from_rows) and makes one
+evaluation of the stacked diagrams (objective.value_and_grad), whose one
+payoff pass covers restarts that differ in the payoff, such as the columns
+of a market sweep. A step builds no per-restart object: the loop keeps
+each restart's best row, and reports are built once, at finalisation,
+which also takes the result's hard value from pruning's hard labelling.
 Each restart's floating-point operations are those of its own run, so its
 result equals a one-restart run bit for bit; optimize is the R = 1 call.
 A restart whose sites meet or whose evaluation fails leaves the batch.
-Finalisation reuses what the run computed: at a fixed epsilon the best
-iterate's report from the loop, and pruning's hard labelling, which also
-gives the result's hard value.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .entropic import EntropicConfig, Workspace
 from .errors import NumericFailure, SingularPenaltyError
 from .grid import GridMeasure
 from .objective import (
-    ObjectiveConfig, ObjectiveReport, hard_objective, soft_objective, value_and_grad,
+    ObjectiveConfig, ObjectiveReport, Reports, hard_objective, soft_objective, value_and_grad,
 )
+from .payoffs import stacked_payoff
 from .power_diagram import (
-    CellStats, DiagramParams, HardAssignment, hard_assign, hard_cell_stats, min_separation,
+    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, hard_cell_stats,
+    min_separation,
 )
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
@@ -137,29 +139,6 @@ def prune_cells(
     return DiagramParams(params.sites[keep], params.weights[keep])
 
 
-class _Restart:
-    """One restart's record while its batch runs."""
-
-    def __init__(self, init: DiagramParams, theta: np.ndarray, obj: ObjectiveConfig):
-        self.obj = obj
-        self.last_valid = init
-        self.best_theta = theta
-        self.best_report: ObjectiveReport | None = None
-        self.trajectory: list[tuple[float, float]] = []  # (value, grad_norm) per iteration
-        self.best_value = -np.inf
-        self.best_iteration = 0
-        self.stopped_early: int | None = None
-        self.failure: NumericFailure | None = None
-
-    def fail(self, message: str, it: int) -> None:
-        self.failure = NumericFailure(
-            message,
-            last_params=self.last_valid,
-            last_value=self.best_value if np.isfinite(self.best_value) else None,
-            iteration=it,
-        )
-
-
 def optimize(
     init: DiagramParams,
     grid: GridMeasure,
@@ -179,29 +158,23 @@ def optimize(
     return optimize_batch([init], grid, obj, [opt])[0]
 
 
-def optimize_batch(
-    inits: list[DiagramParams],
-    grid: GridMeasure,
-    obj: ObjectiveConfig | list[ObjectiveConfig],
-    opts: list[OptimizerConfig],
-) -> list[OptResult]:
+def optimize_batch(inits: list[DiagramParams], grid: GridMeasure,
+                   obj: ObjectiveConfig | list[ObjectiveConfig],
+                   opts: list[OptimizerConfig]) -> list[OptResult]:
     """optimize for R restarts at once, one result per init.
 
     The restarts share n and every setting but the seed. ``obj`` is one
     objective for all, or one per restart: those share eta and epsilon and
     may differ in the payoff, as the columns of a market sweep do (see
-    payoffs.stacked_value_and_grad). Each Adam step advances all restarts
-    in one batched evaluation and one update on an (R, 3n) state, and each
-    restart's result equals its own optimize call bit for bit. A restart
-    that stops early or fails leaves the batch and the others go on; when
-    the batch ends, the first failed restart's NumericFailure is raised, as
-    a run of the restarts one by one would.
+    payoffs.stacked_payoff). Each restart's result equals its own optimize
+    call bit for bit. A restart that stops early or fails leaves the batch
+    and the others go on; when the batch ends, the first failed restart's
+    NumericFailure is raised, as a run of the restarts one by one would.
     """
-    opt = opts[0]
-    n = inits[0].n
-    objs = obj if isinstance(obj, list) else [obj] * len(inits)
+    opt, n, r = opts[0], inits[0].n, len(inits)
+    objs = obj if isinstance(obj, list) else [obj] * r
     if (
-        not len(inits) == len(opts) == len(objs)
+        not r == len(opts) == len(objs)
         or any(replace(o, seed=opt.seed) != opt for o in opts)
         or any(replace(o, payoff=objs[0].payoff) != objs[0] for o in objs)
     ):
@@ -212,10 +185,7 @@ def optimize_batch(
     if any(init.n != n for init in inits):
         raise ValueError("the restarts of a batch need one number of sites")
     theta = np.stack([np.concatenate([init.sites.ravel(), init.weights]) for init in inits])
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    lr = opt.learning_rate
-
+    m1 = m2 = np.zeros_like(theta)  # Adam's moments, rebound (never written) each step
     eps_run = objs[0].entropic.epsilon
     anneal = 1.0
     if opt.epsilon_final is not None and opt.max_iters > 1:
@@ -224,109 +194,108 @@ def optimize_batch(
     def unpack(vec: np.ndarray) -> DiagramParams:
         return DiagramParams(vec[: 2 * n].reshape(n, 2), vec[2 * n :])
 
-    runs = [_Restart(init, vec.copy(), o) for init, vec, o in zip(inits, theta, objs)]
-    rows = runs  # the restart behind each row of theta, m1 and m2, in batch order
+    best: list = [None] * r  # per restart: (iteration, row, Reports, theta) of its best step
+    log = np.empty((opt.max_iters, 2, r))  # (value, grad_norm) per iteration and restart
+    stopped: dict[int, int] = {}
+    failures: dict[int, NumericFailure] = {}
+    # per row of theta, m1 and m2: its restart, whether its last step was valid,
+    # its best value and its last valid iterate
+    rows, ok, best_value, last = np.arange(r), np.ones(r, dtype=bool), np.full(r, -np.inf), theta
+    cfg = replace(objs[0], payoff=stacked_payoff([o.payoff for o in objs]))
     work = Workspace()  # the kernel's arrays, reused every step and by _finalise
 
     for it in range(opt.max_iters):
-        batch = []
-        for run, vec in zip(rows, theta):
-            try:
-                batch.append(unpack(vec))
-            except ValueError:
-                # an Adam step made two sites coincide; iteration 0 (the valid
-                # init) already gave a finite best iterate to finalise
-                run.stopped_early = it
-        if len(batch) < len(rows):
-            rows, theta, m1, m2 = _running(rows, theta, m1, m2)
-            if _settled(runs, rows):
+        diagrams, keep = Diagrams.from_rows(theta)
+        if not (keep & ok).all():
+            # an Adam step made two sites coincide (iteration 0, the valid init,
+            # already gave a finite best iterate to finalise), or the row failed
+            stopped.update({k: it for k in rows[~keep].tolist() if k not in failures})
+            keep &= ok
+            diagrams = diagrams.take(keep)
+            rows, theta, m1, m2, best_value, last = (
+                a[keep] for a in (rows, theta, m1, m2, best_value, last))
+            # done when no restart runs whose outcome can change what is returned:
+            # one before the first still running failed, and that failure is raised
+            if not len(rows) or any(k < rows[0] for k in failures):
                 break
-        cfgs = [run.obj for run in rows]
+            cfg = replace(cfg, payoff=stacked_payoff([objs[k].payoff for k in rows]))
+        cfg_t = cfg
         if anneal != 1.0:
-            entropic = EntropicConfig(eps_run * anneal**it)
-            cfgs = [replace(c, entropic=entropic) for c in cfgs]
-        reports, grad = _batch_value_and_grad(batch, rows, grid, cfgs, work, it)
-        finite = np.isfinite(grad).all(axis=1).tolist()
-        gnorms = np.abs(grad).max(axis=1).tolist()
-        for run, params, report, ok, gnorm, vec in zip(rows, batch, reports, finite, gnorms, theta):
-            if report is None:
-                continue
-            if not (ok and math.isfinite(report.value)):
-                run.fail(f"objective became non-finite at iteration {it}", it)
-                continue
-            run.last_valid = params
-            run.trajectory.append((report.value, gnorm))
-            if report.value > run.best_value:
-                run.best_value = report.value
-                run.best_theta = vec.copy()
-                run.best_report = report
-                run.best_iteration = it
-        if any(run.failure is not None for run in rows):
-            rows, theta, m1, m2, grad = _running(rows, theta, m1, m2, grad)
-            if _settled(runs, rows):
-                break
+            cfg_t = replace(cfg, entropic=EntropicConfig(eps_run * anneal**it))
+        reports, grad, raised = _evaluate_rows(diagrams, rows, grid, cfg_t, objs, work)
+        ok = np.isfinite(grad).all(axis=1) & np.isfinite(reports.value)
+        log[it, 0, rows] = reports.value
+        log[it, 1, rows] = np.abs(grad).max(axis=1)
+        better = ok & (reports.value > best_value)
+        for j in np.flatnonzero(better).tolist():
+            best[rows[j]] = (it, j, reports, theta)
+        best_value = np.where(better, reports.value, best_value)
+        for j in np.flatnonzero(~ok).tolist():
+            failures[rows[j]] = NumericFailure(
+                str(raised.get(j, f"objective became non-finite at iteration {it}")),
+                last_params=unpack(last[j]), iteration=it,
+                last_value=float(best_value[j]) if np.isfinite(best_value[j]) else None,
+            )
+            grad[j] = 0.0  # the row leaves the batch at the next step
         # ascent step
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
         m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
         m1_hat = m1 / (1.0 - ADAM_BETA1 ** (it + 1))
         m2_hat = m2 / (1.0 - ADAM_BETA2 ** (it + 1))
-        theta = theta + lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+        last = theta
+        theta = theta + opt.learning_rate * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
     results = []
-    for run, o in zip(runs, opts):
-        if run.failure is not None:
-            raise run.failure
-        final_cfg = run.obj
-        if opt.epsilon_final is not None:
-            final_cfg = replace(run.obj, entropic=EntropicConfig(opt.epsilon_final))
-        results.append(_finalise(run, unpack(run.best_theta), grid, final_cfg, o.seed, work))
+    final_eps = None if opt.epsilon_final is None else EntropicConfig(opt.epsilon_final)
+    for k, (o, run_obj) in enumerate(zip(opts, objs)):
+        if k in failures:
+            raise failures[k]
+        best_it, j, reports, best_theta = best[k]
+        final_cfg = run_obj if final_eps is None else replace(run_obj, entropic=final_eps)
+        params = unpack(best_theta[j])
+        # at a fixed epsilon the loop's report of the best iterate is the report
+        report = (reports.report(j) if final_cfg.entropic == run_obj.entropic
+                  else soft_objective(params, grid, final_cfg, work))
+        results.append(_finalise(
+            params, report, grid, final_cfg, work, seed_used=o.seed,
+            best_iteration=best_it, stopped_early=stopped.get(k),
+            trajectory=list(zip(*log[: stopped.get(k, opt.max_iters), :, k].T.tolist())),
+        ))
     return results
 
 
-def _running(rows: list, *arrays: np.ndarray) -> tuple:
-    """The restarts still running, and their rows of each array."""
-    keep = [j for j, run in enumerate(rows) if run.stopped_early is None and run.failure is None]
-    return [rows[j] for j in keep], *(a[keep] for a in arrays)
-
-
-def _settled(runs: list, rows: list) -> bool:
-    """No restart is left running, or none whose outcome can change what the
-    batch returns: a restart before the first one still running has failed,
-    and that failure (or an earlier one) is what is raised."""
-    return not rows or any(run.failure is not None for run in runs[: runs.index(rows[0])])
-
-
-def _batch_value_and_grad(batch, runs, grid, cfgs, work, it):
-    """Reports and (R, 3n) gradients of a batch. A restart whose evaluation
-    fails gets None and the failure is recorded on its run."""
+def _evaluate_rows(diagrams: Diagrams, rows: np.ndarray, grid: GridMeasure,
+                   cfg: ObjectiveConfig, objs: list, work: Workspace) -> tuple:
+    """Reports and (R, 3n) gradients of a stack of restarts ``rows``, and by
+    row the exception of each row whose evaluation raised; such a row reads NaN."""
     try:
-        reports, dx, dg = value_and_grad(batch, grid, cfgs, work)
-        return reports, np.concatenate([dx.reshape(len(batch), -1), dg], axis=1)
+        reports, dx, dg = value_and_grad(diagrams, grid, cfg, work)
+        return reports, np.concatenate([dx.reshape(len(rows), -1), dg], axis=1), {}
     except (NumericFailure, SingularPenaltyError) as exc:
-        if len(batch) == 1:
-            runs[0].fail(str(exc), it)
-            return [None], np.full((1, 3 * batch[0].n), np.nan)
+        if len(rows) == 1:
+            w = np.full_like(diagrams.weights, np.nan)  # (1, n)
+            nan = Reports(w[:, 0], w[:, 0], w[:, 0], w, np.full_like(diagrams.sites, np.nan), w)
+            return nan, np.full((1, 3 * w.shape[1]), np.nan), {0: exc}
     # one restart's failure must not end the others: evaluate each alone
-    parts = [
-        _batch_value_and_grad([p], [run], grid, [c], work, it)
-        for p, run, c in zip(batch, runs, cfgs)
-    ]
-    return [reports[0] for reports, _ in parts], np.concatenate([grad for _, grad in parts])
+    reports, grads, raised = zip(*(
+        _evaluate_rows(diagrams.take([j]), rows[j : j + 1], grid,
+                       replace(cfg, payoff=objs[k].payoff), objs, work)
+        for j, k in enumerate(rows.tolist())
+    ))
+    return (Reports(*map(np.concatenate, zip(*reports))), np.concatenate(grads),
+            {j: exc[0] for j, exc in enumerate(raised) if exc})
 
 
-def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
-              final_cfg: ObjectiveConfig, seed: int, work: Workspace) -> OptResult:
-    """Prune the best iterate's dead cells and report the result at the final epsilon.
+def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: GridMeasure,
+              final_cfg: ObjectiveConfig, work: Workspace, **fields) -> OptResult:
+    """Prune the best iterate's dead cells and report the result at the final
+    epsilon, given the best iterate's report there.
 
-    At a fixed epsilon the loop's report of the best iterate is that report.
     The pruned diagram's labels are the best iterate's, renumbered past the
     removed cells, when those own no grid point: hard assignment treats each
     cell's cost alike and a tie goes to the lowest index, so removing cells
     that win no point changes no label.
     """
-    report_before = run.best_report
-    if final_cfg.entropic != run.obj.entropic:
-        report_before = soft_objective(best_params, grid, final_cfg, work)
     assignment = hard_assign(best_params, grid)
     pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid, assignment)
     report_after = report_before
@@ -347,7 +316,7 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
                 f"pruning moved the objective by {delta:.3e} > bound {bound:.3e}",
                 last_params=best_params,
                 last_value=report_before.value,
-                iteration=run.best_iteration,
+                iteration=fields["best_iteration"],
             )
         if np.bincount(assignment.labels, minlength=best_params.n)[~kept].any():
             # a removed cell owns grid points (of zero mass): label afresh
@@ -358,10 +327,7 @@ def _finalise(run: _Restart, best_params: DiagramParams, grid: GridMeasure,
     return OptResult(
         params=pruned,
         report=report_after,
-        trajectory=run.trajectory,
-        seed_used=seed,
-        best_iteration=run.best_iteration,
         hard_value=hard_objective(pruned, grid, final_cfg.payoff, assignment),
         assignment=assignment,
-        stopped_early=run.stopped_early,
+        **fields,
     )

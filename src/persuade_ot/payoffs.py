@@ -9,8 +9,8 @@ utilities from the two goods are independent uniforms, and each purchase
 region's probability is an expectation over one of them of the other's
 survival function, a product of survivals plus a difference of its
 piecewise-quadratic integral. Every step is elementwise over the batch,
-so the prices may differ from pair to pair: stacked_value_and_grad prices
-the restarts of several markets in one pass.
+so the prices may differ from pair to pair: Monopolists (stacked_payoff)
+prices the restarts of several markets in one pass.
 The revenue gradient comes from the same closed form by a scaling identity:
 dR/dq_i = (R(q | v_i = 1) - R(q)) / q_i, where fixing good i's valuation at
 one makes its utility a point mass (Monopolist).
@@ -312,22 +312,27 @@ class Monopolist(PayoffModel):
         return _revenue_and_grad(pts, [self.market])
 
 
-def stacked_value_and_grad(models: list, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phi (R, n) and its gradient (R, n, 2) at points (R, n, 2), restart r's
-    points under models[r], in one pass: restarts of one payoff make one
-    call, and monopolists in several markets of one demand model make one
-    closed-form pass with per-pair prices. Each point's values are those of
-    its own model's call."""
-    flat = pts.reshape(-1, 2)
+@dataclass(frozen=True)
+class Monopolists(PayoffModel):
+    """Monopolists of one demand model, one per consecutive equal block of
+    points, in one pass: each point's values are its own market's call's."""
+
+    markets: tuple
+
+    def value_and_grad(self, pts):
+        return _revenue_and_grad(pts, self.markets)
+
+
+def stacked_payoff(models: list) -> PayoffModel:
+    """One payoff for R restarts' points, n consecutive ones each under
+    models[r]: the one payoff of them all, or Monopolists of one demand model."""
     if all(model == models[0] for model in models):
-        phis, gphis = models[0].value_and_grad(flat)
-    elif all(isinstance(model, Monopolist) for model in models) and len(
+        return models[0]
+    if all(isinstance(model, Monopolist) for model in models) and len(
         {model.market.demand for model in models}
     ) == 1:
-        phis, gphis = _revenue_and_grad(flat, [model.market for model in models])
-    else:
-        raise ValueError("a batch's payoffs must be one payoff or monopolists of one demand model")
-    return phis.reshape(pts.shape[:-1]), gphis.reshape(pts.shape)
+        return Monopolists(tuple(model.market for model in models))
+    raise ValueError("a batch's payoffs must be one payoff or monopolists of one demand model")
 
 
 # the public constructors: concave_bowl(), tri_modal(), monopolist_payoff(market)

@@ -31,10 +31,13 @@ from .grid import GridMeasure
 
 
 def _separation_sq(sites: np.ndarray) -> np.ndarray:
-    """(n, n) squared pairwise site distances, inf on the diagonal."""
-    diff = sites[:, None, :] - sites[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    d2.flat[:: len(d2) + 1] = np.inf  # the diagonal
+    """(..., n, n) squared pairwise site distances, inf on the diagonal."""
+    x, y = sites[..., 0, None], sites[..., 1, None]
+    dx, dy = x - x.swapaxes(-1, -2), y - y.swapaxes(-1, -2)
+    d2 = dx * dx
+    d2 += dy * dy
+    n = d2.shape[-1]
+    d2.reshape(-1, n * n)[:, :: n + 1] = np.inf  # the diagonal, in place: d2 is contiguous
     return d2
 
 
@@ -83,12 +86,36 @@ class DiagramParams:
         return self.sites.shape[0]
 
 
-def stacked(params: DiagramParams | list, name: str) -> np.ndarray:
-    """The named array of one diagram, or of a batch (a list of diagrams with
-    one n) stacked along a leading axis."""
-    if isinstance(params, DiagramParams):
-        return getattr(params, name)
-    return np.array([getattr(p, name) for p in params])
+@dataclass(slots=True, eq=False)
+class Diagrams:
+    """R power diagrams with one n, stacked as DiagramParams keeps one:
+    sites (R, n, 2), weights (R, n) and separation_sq (R, n, n)."""
+
+    sites: np.ndarray
+    weights: np.ndarray
+    separation_sq: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> tuple[Diagrams, np.ndarray]:
+        """The stack of flat rows (R, 3n), each a diagram's sites (raveled)
+        then weights, and DiagramParams' checks on every row at once: False
+        where an entry is not finite or two sites coincide. Rejected rows
+        stay in the stack; a non-finite one is measured with its sites at 0."""
+        n = rows.shape[1] // 3
+        sites, weights = rows[:, : 2 * n].reshape(-1, n, 2), rows[:, 2 * n :]
+        finite = np.isfinite(rows).all(axis=1)
+        sep2 = _separation_sq(sites if finite.all() else np.where(finite[:, None, None], sites, 0))
+        return cls(sites, weights, sep2), finite & (sep2.reshape(len(rows), -1).min(axis=1) > 0.0)
+
+    @classmethod
+    def of(cls, diagrams: list) -> Diagrams:
+        return cls(*(np.array([getattr(d, name) for d in diagrams]) for name in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def take(self, rows) -> Diagrams:
+        return Diagrams(self.sites[rows], self.weights[rows], self.separation_sq[rows])
 
 
 @dataclass(frozen=True)

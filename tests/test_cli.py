@@ -12,8 +12,10 @@ from persuade_ot import (
     ConfigError,
     DiagramParams,
     EntropicConfig,
+    HardAssignment,
     NumericFailure,
     ObjectiveConfig,
+    build_grid,
     soft_objective,
 )
 from persuade_ot.cli import (
@@ -241,6 +243,40 @@ def test_set_config_path_deep_and_pure():
     assert "p2" not in raw["payoff"]["market"]
     out2 = set_config_path({}, "grid.resolution", 64)
     assert out2 == {"grid": {"resolution": 64}}
+
+
+def test_sweep_rows_share_the_raw_config_without_changing_it():
+    # set_config_path copies only the mappings on the dotted path: parsing a
+    # sweep leaves the raw config as it was, and each row's config is the one
+    # parsed from a deep copy with the value set
+    import copy
+
+    sweep = {"parameter": "payoff.market.p2", "values": [0.75, 1.0, 1.5]}
+    raw = tiny_market_config("out", sweep=sweep, restarts=2)
+    raw["grid"]["bounds"] = [[0.0, 2.0], [0.0, 2.0]]
+    before = copy.deepcopy(raw)
+    rows = cli._market_rows(raw, parse_config(raw), "table")
+    assert raw == before
+    for (_, value, cfg), want in zip(rows, sweep["values"]):
+        deep = copy.deepcopy(raw)
+        deep["payoff"]["market"]["p2"] = want
+        assert value == want and cfg == parse_config(deep)
+    out = set_config_path(raw, "payoff.market.p2", 2.0)
+    assert out["grid"] is raw["grid"] and out["payoff"] is not raw["payoff"]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 12), (16, 3), (33, 25)])
+def test_label_rows_json_equals_json_dumps(tmp_path, m, n):
+    # labels of one and two digits, an odd M and a 1 x 1 grid
+    labels = np.random.default_rng(m * 100 + n).integers(0, n, size=(m, m))
+    labels[0, 0] = n - 1
+    assert cli._label_rows_json(labels) == json.dumps(labels.tolist(), separators=(",", ":"))
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), m)
+    params = DiagramParams(np.random.default_rng(n).uniform(size=(n, 2)), np.zeros(n))
+    cli.export_diagram(params, grid, tmp_path, assignment=HardAssignment(labels.ravel(), n))
+    text = (tmp_path / "diagram.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert json.loads(text)["label_grid"] == labels.tolist()
 
 
 def test_solve_writes_result_and_diagram(tmp_path, capsys):

@@ -27,8 +27,8 @@ from persuade_ot import (
     tri_modal,
     value_and_grad,
 )
-from persuade_ot.entropic import DenseChi, chi_kernel
-from persuade_ot.power_diagram import min_separation
+from persuade_ot.entropic import DenseChi, RowKernels, chi_kernel
+from persuade_ot.power_diagram import Diagrams, min_separation
 from reference import assert_reports_equal, sequential_optimize
 
 
@@ -167,15 +167,13 @@ def test_optimize_flags_nonfinite_objective(monkeypatch):
     calls = {"k": 0}
 
     def poisoned(batch, g, c, work=None):
-        # the optimizer evaluates its restarts as one batch
+        # the optimizer evaluates its restarts as one stack of diagrams
         calls["k"] += 1
         if calls["k"] > 3:
-            reports = [
-                replace(report, value=float("nan"), payoff_term=float("nan"), penalty_term=0.0)
-                for report in real(batch, g, c, work)[0]
-            ]
-            r, n = len(batch), batch[0].n
-            return reports, np.zeros((r, n, 2)), np.zeros((r, n))
+            reports, dx, dg = real(batch, g, c, work)
+            nan = np.full(len(batch), np.nan)
+            reports = reports._replace(value=nan, payoff_term=nan, penalty_term=np.zeros(len(batch)))
+            return reports, np.zeros_like(dx), np.zeros_like(dg)
         return real(batch, g, c, work)
 
     monkeypatch.setattr(optimizer_mod, "value_and_grad", poisoned)
@@ -416,6 +414,43 @@ def test_batch_restart_that_stops_early_leaves_the_others_running():
     assert len(results[1].trajectory) == 640
 
 
+def test_annealed_batch_with_a_restart_that_stops_early_equals_sequential_runs():
+    # epsilon annealed from 5 to 8 cells on the coarse bowl: the sites of
+    # seeds 2 and 5 meet at iterations 632 and 634, seed 0 runs on
+    grid = unit_grid(8)
+    h = grid.spacing[0]
+    opts = [OptimizerConfig(n_init=12, max_iters=640, seed=s, epsilon_final=8 * h) for s in (2, 0, 5)]
+    results = run_batch([init_sites(12, grid, o.seed) for o in opts], grid, bowl_cfg(eps=5 * h), opts)
+    assert [r.stopped_early for r in results] == [632, None, 634]
+
+
+def test_warm_batched_step_builds_no_per_restart_objects(monkeypatch):
+    # a step of a (128, 12, 4) batch carries one stacked state: between one
+    # evaluation and the next it builds no DiagramParams and no ObjectiveReport
+    from persuade_ot.objective import ObjectiveReport
+
+    built = {"params": 0, "report": 0}
+    for cls, key, name in ((DiagramParams, "params", "__post_init__"),
+                           (ObjectiveReport, "report", "__init__")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, real=real, key=key, **k: (
+            built.__setitem__(key, built[key] + 1), real(self, *a, **k))[1])
+    seen = []
+    real_vg = optimizer_mod.value_and_grad
+    monkeypatch.setattr(optimizer_mod, "value_and_grad",
+                        lambda *args: seen.append(dict(built)) or real_vg(*args))
+    grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 2.0), (0.0, 2.0)), 128))
+    model = BATCH_PAYOFFS["unit"][0]
+    obj = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(5.0 * grid.spacing[0]), payoff=model)
+    opts = [OptimizerConfig(n_init=12, max_iters=4, learning_rate=0.05, seed=s) for s in range(4)]
+    inits = [init_sites(12, grid, o.seed) for o in opts]
+    results = optimize_batch(inits, grid, obj, opts)
+    assert len(seen) == 4 and all(counts == seen[0] for counts in seen)
+    # finalisation builds each restart's diagram and report
+    assert built["params"] >= seen[0]["params"] + 4 and built["report"] >= 4
+    assert all(r.report.value == r.trajectory[r.best_iteration][0] for r in results)
+
+
 def test_batch_restart_on_the_dense_path():
     # a lone site near a corner at a quarter cell leaves Z below the floor
     # far from it, so that restart takes the dense kernel alone
@@ -424,7 +459,7 @@ def test_batch_restart_on_the_dense_path():
     obj = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.25 * h), payoff=tri_modal())
     far = DiagramParams(sites=[(0.1, 0.1), (30.0, -4.0)], weights=[0.0, 0.1])
     inits = [init_sites(2, grid, 0), far, init_sites(2, grid, 2)]
-    assert chi_kernel(inits, grid, obj.entropic) is None
+    assert isinstance(chi_kernel(Diagrams.of(inits), grid, obj.entropic), RowKernels)
     assert isinstance(chi_kernel(far, grid, obj.entropic), DenseChi)
     opts = [OptimizerConfig(n_init=2, max_iters=15, learning_rate=0.05, seed=s) for s in range(3)]
     run_batch(inits, grid, obj, opts)

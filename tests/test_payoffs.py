@@ -19,7 +19,7 @@ from persuade_ot import (
     tri_modal,
 )
 from persuade_ot.payoffs import (
-    REVENUE_BLOCK, TRI_MODES, _revenue, _shares, _terms, stacked_value_and_grad,
+    REVENUE_BLOCK, TRI_MODES, _revenue, _shares, _terms, stacked_payoff,
 )
 from reference import loop_shares
 
@@ -543,19 +543,17 @@ def test_stacked_payoff_equals_each_markets_call(demand):
     models = [monopolist_payoff(m) for m in markets for _ in range(2)]
     pts = np.random.default_rng(53).uniform(0.05, 2.0, size=(len(models), 7, 2))
     pts[0, 0] = TIE_LATTICE[10]
-    phis, gphis = stacked_value_and_grad(models, pts)
-    assert phis.shape == (len(models), 7) and gphis.shape == (len(models), 7, 2)
-    for model, p, phi, gphi in zip(models, pts, phis, gphis):
+    phis, gphis = stacked_payoff(models).value_and_grad(pts.reshape(-1, 2))
+    assert phis.shape == (len(models) * 7,) and gphis.shape == (len(models) * 7, 2)
+    for model, p, phi, gphi in zip(models, pts, phis.reshape(-1, 7), gphis.reshape(-1, 7, 2)):
         value, grad = model.value_and_grad(p)
         assert np.array_equal(bits(phi), bits(value)) and np.array_equal(bits(gphi), bits(grad))
-    # one payoff for all restarts is one call of it
-    phis, gphis = stacked_value_and_grad([tri_modal()] * 3, pts[:3])
-    assert np.array_equal(phis, tri_modal().value(pts[:3].reshape(-1, 2)).reshape(3, 7))
+    # one payoff for all restarts is that payoff
+    assert stacked_payoff([tri_modal()] * 3) == tri_modal()
     other = "additive" if demand == "unit" else "unit"
     with pytest.raises(ValueError, match="one demand model"):
-        stacked_value_and_grad(
-            [models[0], monopolist_payoff(next(m for m in table_markets() if m.demand == other))],
-            pts[:2],
+        stacked_payoff(
+            [models[0], monopolist_payoff(next(m for m in table_markets() if m.demand == other))]
         )
 
 

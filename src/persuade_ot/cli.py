@@ -347,14 +347,14 @@ def build_scenarios(cfgs: list[ExperimentConfig]) -> list:
     return scenarios
 
 
-Solved = tuple[OptResult, float, GridMeasure, ObjectiveConfig, OptimizerConfig]
+Solved = tuple[OptResult, GridMeasure, ObjectiveConfig, OptimizerConfig]
 
 
 def solve_scenario(cfg: ExperimentConfig) -> Solved:
     """Best-of-restarts optimizer run; returns the winner by hard value.
 
-    The one-column case of solve_columns: (winner, its hard value, grid,
-    objective, optimizer settings).
+    The one-column case of solve_columns: (winner, grid, objective,
+    optimizer settings).
     """
     return solve_columns([cfg])[0]
 
@@ -393,7 +393,7 @@ def solve_columns(cfgs: list[ExperimentConfig]) -> list[Solved]:
                 (run for run in runs if run.hard_value >= top - RESTART_TIE_RTOL * abs(top)),
                 key=lambda run: (run.effective_n, run.seed_used),
             )
-            solved.append((best, float(best.hard_value), *scenarios[j]))
+            solved.append((best, *scenarios[j]))
     return solved
 
 
@@ -529,8 +529,8 @@ def export_diagram(
     return [str(json_path), str(svg_path)]
 
 
-def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
-                    obj: ObjectiveConfig, opt: OptimizerConfig) -> dict:
+def _result_summary(result: OptResult, cfg: ExperimentConfig, obj: ObjectiveConfig,
+                    opt: OptimizerConfig) -> dict:
     market = None if cfg.market is None else asdict(cfg.market)
     summary = {
         "payoff": {"kind": cfg.payoff_kind, "market": market},
@@ -546,7 +546,7 @@ def _result_summary(result: OptResult, hard_value: float, cfg: ExperimentConfig,
         "soft_value": result.report.value,
         "payoff_term": result.report.payoff_term,
         "penalty_term": result.report.penalty_term,
-        "hard_value": hard_value,
+        "hard_value": result.hard_value,
         "best_iteration": result.best_iteration,
         "iterations": len(result.trajectory),
     }
@@ -565,13 +565,13 @@ def _write_json(path: Path, obj: Any) -> None:
 
 
 def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
-    result, hard_value, grid, obj, opt = solve_scenario(cfg)
-    summary = _result_summary(result, hard_value, cfg, obj, opt)
+    result, grid, obj, opt = solve_scenario(cfg)
+    summary = _result_summary(result, cfg, obj, opt)
     _write_json(out_dir / "result.json", summary)
     export_diagram(result.params, grid, out_dir, assignment=result.assignment)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
-        f"hard_value={hard_value:.6f} seed={result.seed_used}"
+        f"hard_value={result.hard_value:.6f} seed={result.seed_used}"
     )
     print(f"wrote {out_dir / 'result.json'}")
     return 0
@@ -625,13 +625,13 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     for _, group in groupby(range(len(columns)), key=lambda j: _box(columns[j][2])):
         cols = list(group)  # columns that share a grid
         cells = [solved[j][0].effective_n for j in cols]
-        baselines += _baselines([columns[j][2] for j in cols], solved[cols[0]][2], cells)
-    for (name, value, row_cfg), (result, r_opt, grid, obj, opt), (r_noinfo, r_lloyd, r_fullinfo) \
+        baselines += _baselines([columns[j][2] for j in cols], solved[cols[0]][1], cells)
+    for (name, value, row_cfg), (result, grid, obj, opt), (r_noinfo, r_lloyd, r_fullinfo) \
             in zip(columns, solved, baselines):
         row = BenchmarkRow(
             param_name=name,
             param_value=float(value),
-            r_opt=r_opt,
+            r_opt=result.hard_value,
             r_noinfo=r_noinfo,
             r_lloyd=r_lloyd,
             r_fullinfo=r_fullinfo,
@@ -640,7 +640,7 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
         )
         rows.append(row)
         export_diagram(result.params, grid, out_dir, f"diagram_{row.param}", result.assignment)
-        summary = _result_summary(result, r_opt, row_cfg, obj, opt)
+        summary = _result_summary(result, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
     print(improvement_table(rows))

@@ -7,7 +7,6 @@ quadrature of a density and are normalized to total mass one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -50,16 +49,6 @@ class GridMeasure:
         for moment in moments:
             moment.flags.writeable = False
         object.__setattr__(self, "first_moments", moments)
-
-    @functools.cached_property
-    def digest(self) -> bytes:
-        """SHA-256 of the centres and masses, taken once per grid object: an
-        exact key for results that read nothing else of the grid."""
-        import hashlib  # here, not at module level: loading it costs ~4 ms of start-up
-
-        digest = hashlib.sha256(np.ascontiguousarray(self.centers))
-        digest.update(np.ascontiguousarray(self.masses))
-        return digest.digest()
 
     @property
     def spacing(self) -> tuple[float, float]:

@@ -30,7 +30,11 @@ One evaluation path (_evaluate) serves one diagram and a stack of R
 gradients carry a leading restart axis. One payoff call covers all R n
 barycentres, every reduction over cells is made per restart with the
 operations of a single diagram, so each restart's results equal its own
-evaluation bit for bit, and the stack's reports stay arrays (Reports).
+evaluation bit for bit. Both get one report type, ObjectiveReport, whose
+fields carry the stack's restart axis; ObjectiveReport.row(k) is restart k's.
+The hard value of a diagram (hard_objective) prices its hard cells with
+cells_value, which the optimizer's finalisation applies to the hard cells
+it already has.
 """
 
 from __future__ import annotations
@@ -44,9 +48,7 @@ from .entropic import EntropicConfig, Workspace, chi_kernel, soft_cell_stats
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel
-from .power_diagram import (
-    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, hard_cell_stats,
-)
+from .power_diagram import CellStats, DiagramParams, Diagrams, hard_assign, hard_cell_stats
 
 
 @dataclass(frozen=True)
@@ -62,32 +64,11 @@ class ObjectiveConfig:
             raise ValueError(f"eta must be a nonnegative real, got {self.eta!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectiveReport:
-    """Value decomposition plus the soft cells and their payoffs.
-
-    ``cells`` and ``payoffs`` are the arrays the evaluation computed, not
-    copies; reports compare by identity.
-    """
-
-    value: float
-    payoff_term: float
-    penalty_term: float
-    cells: CellStats
-    payoffs: np.ndarray
-
-    @property
-    def per_cell(self) -> list:
-        """(mass, (b1, b2), payoff) per cell, as Python floats."""
-        return [
-            (float(m), (float(b[0]), float(b[1])), float(v))
-            for m, b, v in zip(self.cells.masses, self.cells.barycenters, self.payoffs)
-        ]
-
-
-class Reports(NamedTuple):
-    """The fields of ObjectiveReport as arrays, with the leading restart axis
-    of a stack of diagrams (none for one DiagramParams); report(k) is row k's."""
+class ObjectiveReport(NamedTuple):
+    """Value decomposition plus the soft cells and their payoffs, with the
+    leading restart axis of a stack of diagrams (none for one DiagramParams,
+    whose scalar fields are np.float64). The fields are the arrays the
+    evaluation computed, not copies."""
 
     value: np.ndarray
     payoff_term: np.ndarray
@@ -96,24 +77,32 @@ class Reports(NamedTuple):
     barycenters: np.ndarray
     payoffs: np.ndarray
 
-    def report(self, k=()) -> ObjectiveReport:
-        cells = CellStats(self.masses[k], self.barycenters[k])
-        return ObjectiveReport(*(float(field[k]) for field in self[:3]), cells, self.payoffs[k])
+    @property
+    def cells(self) -> CellStats:
+        return CellStats(self.masses, self.barycenters)
+
+    @property
+    def per_cell(self) -> list:
+        """(mass, (b1, b2), payoff) per cell of one diagram, as Python floats."""
+        return [
+            (float(m), (float(b[0]), float(b[1])), float(v))
+            for m, b, v in zip(self.masses, self.barycenters, self.payoffs)
+        ]
+
+    def row(self, k: int) -> ObjectiveReport:
+        """Restart k's report, of a stack's."""
+        return ObjectiveReport(*(field[k] for field in self))
 
 
-def hard_objective(
-    params: DiagramParams, grid: GridMeasure, payoff: PayoffModel,
-    assignment: HardAssignment | None = None,
-) -> float:
-    """sum over supported hard cells of m_i * Phi(b_i); empty cells contribute 0.
-
-    ``assignment`` is the diagram's hard_assign labelling, if the caller has it.
-    """
-    if assignment is None:
-        assignment = hard_assign(params, grid)
-    stats = hard_cell_stats(assignment, grid)
+def cells_value(stats: CellStats, payoff: PayoffModel) -> float:
+    """sum over supported cells of m_i * Phi(b_i); empty cells contribute 0."""
     phis = payoff.value(stats.barycenters[stats.support])
     return float(stats.masses[stats.support] @ phis)
+
+
+def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
+    """cells_value of the diagram's hard cells."""
+    return cells_value(hard_cell_stats(hard_assign(params, grid), grid), payoff)
 
 
 def _penalty_terms(mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray, eta: float) -> tuple:
@@ -149,8 +138,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _evaluate(kernel, params: DiagramParams | Diagrams, cfg: ObjectiveConfig,
               gradient: bool = True):
-    """The Reports and, unless ``gradient`` is False, (dF/dX, dF/dg) from one
-    kernel; a stack's cfg.payoff takes its points row after row."""
+    """The ObjectiveReport and, unless ``gradient`` is False, (dF/dX, dF/dg)
+    from one kernel; a stack's cfg.payoff takes its points row after row."""
     eps, eta = cfg.entropic.epsilon, cfg.eta
     sites = params.sites
     mom = kernel.moments()
@@ -160,8 +149,8 @@ def _evaluate(kernel, params: DiagramParams | Diagrams, cfg: ObjectiveConfig,
     phis, gphis = phis.reshape(m.shape), gphis.reshape(b.shape)
     # the report carries the penalty value even when eta = 0
     penalty, r, penalty_x = _penalty_terms(mom, sites, params.separation_sq, eta)
-    payoff_term = _dot(m, phis)
-    reports = Reports(payoff_term - eta * penalty, payoff_term, penalty, m, b, phis)
+    payoff_term = _dot(m, phis)[()]  # for one diagram a scalar, as the other two
+    reports = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, m, b, phis)
     if not gradient:
         return reports
 
@@ -197,22 +186,17 @@ def soft_objective(params: DiagramParams, grid: GridMeasure, cfg: ObjectiveConfi
                    work: Workspace | None = None) -> ObjectiveReport:
     """Penalized soft objective F - eta*R with its per-cell decomposition:
     value_and_grad's evaluation up to the report; ``work`` is as there."""
-    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg, False).report()
+    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg, False)
 
 
-def value_and_grad(params: DiagramParams | Diagrams | list, grid: GridMeasure,
+def value_and_grad(params: DiagramParams | Diagrams, grid: GridMeasure,
                    cfg: ObjectiveConfig, work: Workspace | None = None):
     """Objective report plus (dF/dX, dF/dg) in one pass, from one kernel.
 
     ``work`` is an optional Workspace that keeps the kernel's arrays from
     call to call (see entropic.chi_kernel); the results do not depend on it,
     and a report holds none of its arrays. A stack (Diagrams) gets its
-    Reports and (R, n, 2), (R, n) gradients, and its restarts may differ in
-    the payoff (cfg.payoff a payoffs.stacked_payoff); a list of diagrams is
-    stacked and gets a list of reports.
+    report with a leading restart axis and (R, n, 2), (R, n) gradients, and
+    its restarts may differ in the payoff (cfg.payoff a payoffs.stacked_payoff).
     """
-    if isinstance(params, list):
-        reports, dx, dg = value_and_grad(Diagrams.of(params), grid, cfg, work)
-        return [reports.report(k) for k in range(len(params))], dx, dg
-    reports, dx, dg = _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)
-    return (reports.report() if isinstance(params, DiagramParams) else reports), dx, dg
+    return _evaluate(chi_kernel(params, grid, cfg.entropic, work), params, cfg)

@@ -8,9 +8,11 @@ state. The Adam iterates and moments are (R, 3n) arrays; a step checks
 every row at once (power_diagram.Diagrams.from_rows) and makes one
 evaluation of the stacked diagrams (objective.value_and_grad), whose one
 payoff pass covers restarts that differ in the payoff, such as the columns
-of a market sweep. A step builds no per-restart object: the loop keeps
-each restart's best row, and reports are built once, at finalisation,
-which also takes the result's hard value from pruning's hard labelling.
+of a market sweep. A step builds no per-restart object: its one report is
+the stack's, the loop keeps each restart's best row of it, and a restart's
+own report is that row, taken at finalisation. Finalisation takes the hard
+cells of the best iterate once: pruning reads them, and the result's hard
+value prices them, or the kept rows of them after pruning.
 Each restart's floating-point operations are those of its own run, so its
 result equals a one-restart run bit for bit; optimize is the R = 1 call.
 A restart whose sites meet or whose evaluation fails leaves the batch.
@@ -27,7 +29,7 @@ from .entropic import EntropicConfig, Workspace
 from .errors import NumericFailure, SingularPenaltyError
 from .grid import GridMeasure
 from .objective import (
-    ObjectiveConfig, ObjectiveReport, Reports, hard_objective, soft_objective, value_and_grad,
+    ObjectiveConfig, ObjectiveReport, cells_value, soft_objective, value_and_grad,
 )
 from .payoffs import stacked_payoff
 from .power_diagram import (
@@ -115,22 +117,14 @@ def init_sites(
 
 
 def prune_cells(
-    params: DiagramParams,
-    stats: CellStats,
-    mass_tol: float,
-    grid: GridMeasure,
-    assignment: HardAssignment | None = None,
+    params: DiagramParams, stats: CellStats, hard: CellStats, mass_tol: float
 ) -> DiagramParams:
     """Drop cells that are dead both softly and hardly.
 
-    A cell is removed when its soft mass is below mass_tol AND its hard
-    mass is exactly zero. Never removes every cell; survivors keep their
-    relative order. ``assignment`` is the diagram's hard_assign labelling,
-    if the caller has it.
+    ``stats`` and ``hard`` are the diagram's soft and hard cells. A cell is
+    removed when its soft mass is below mass_tol AND its hard mass is
+    exactly zero. Never removes every cell; survivors keep their relative order.
     """
-    if assignment is None:
-        assignment = hard_assign(params, grid)
-    hard = hard_cell_stats(assignment, grid)
     keep = (stats.masses >= mass_tol) | (hard.masses > 0.0)
     if not np.any(keep):
         keep[int(np.argmax(stats.masses))] = True
@@ -194,7 +188,7 @@ def optimize_batch(inits: list[DiagramParams], grid: GridMeasure,
     def unpack(vec: np.ndarray) -> DiagramParams:
         return DiagramParams(vec[: 2 * n].reshape(n, 2), vec[2 * n :])
 
-    best: list = [None] * r  # per restart: (iteration, row, Reports, theta) of its best step
+    best: list = [None] * r  # per restart: (iteration, row, report, theta) of its best step
     log = np.empty((opt.max_iters, 2, r))  # (value, grad_norm) per iteration and restart
     stopped: dict[int, int] = {}
     failures: dict[int, NumericFailure] = {}
@@ -254,7 +248,7 @@ def optimize_batch(inits: list[DiagramParams], grid: GridMeasure,
         final_cfg = run_obj if final_eps is None else replace(run_obj, entropic=final_eps)
         params = unpack(best_theta[j])
         # at a fixed epsilon the loop's report of the best iterate is the report
-        report = (reports.report(j) if final_cfg.entropic == run_obj.entropic
+        report = (reports.row(j) if final_cfg.entropic == run_obj.entropic
                   else soft_objective(params, grid, final_cfg, work))
         results.append(_finalise(
             params, report, grid, final_cfg, work, seed_used=o.seed,
@@ -266,7 +260,7 @@ def optimize_batch(inits: list[DiagramParams], grid: GridMeasure,
 
 def _evaluate_rows(diagrams: Diagrams, rows: np.ndarray, grid: GridMeasure,
                    cfg: ObjectiveConfig, objs: list, work: Workspace) -> tuple:
-    """Reports and (R, 3n) gradients of a stack of restarts ``rows``, and by
+    """The report and (R, 3n) gradients of a stack of restarts ``rows``, and by
     row the exception of each row whose evaluation raised; such a row reads NaN."""
     try:
         reports, dx, dg = value_and_grad(diagrams, grid, cfg, work)
@@ -274,7 +268,8 @@ def _evaluate_rows(diagrams: Diagrams, rows: np.ndarray, grid: GridMeasure,
     except (NumericFailure, SingularPenaltyError) as exc:
         if len(rows) == 1:
             w = np.full_like(diagrams.weights, np.nan)  # (1, n)
-            nan = Reports(w[:, 0], w[:, 0], w[:, 0], w, np.full_like(diagrams.sites, np.nan), w)
+            b = np.full_like(diagrams.sites, np.nan)
+            nan = ObjectiveReport(w[:, 0], w[:, 0], w[:, 0], w, b, w)
             return nan, np.full((1, 3 * w.shape[1]), np.nan), {0: exc}
     # one restart's failure must not end the others: evaluate each alone
     reports, grads, raised = zip(*(
@@ -282,7 +277,7 @@ def _evaluate_rows(diagrams: Diagrams, rows: np.ndarray, grid: GridMeasure,
                        replace(cfg, payoff=objs[k].payoff), objs, work)
         for j, k in enumerate(rows.tolist())
     ))
-    return (Reports(*map(np.concatenate, zip(*reports))), np.concatenate(grads),
+    return (ObjectiveReport(*map(np.concatenate, zip(*reports))), np.concatenate(grads),
             {j: exc[0] for j, exc in enumerate(raised) if exc})
 
 
@@ -291,13 +286,16 @@ def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: 
     """Prune the best iterate's dead cells and report the result at the final
     epsilon, given the best iterate's report there.
 
-    The pruned diagram's labels are the best iterate's, renumbered past the
-    removed cells, when those own no grid point: hard assignment treats each
-    cell's cost alike and a tie goes to the lowest index, so removing cells
-    that win no point changes no label.
+    The best iterate's hard cells are taken once. The pruned diagram's labels
+    are the best iterate's, renumbered past the removed cells, when those own
+    no grid point: hard assignment treats each cell's cost alike and a tie
+    goes to the lowest index, so removing cells that win no point changes no
+    label. The renumbering keeps each bin's points in their order, so its
+    hard cells are the kept rows, bit for bit, and the hard value prices them.
     """
     assignment = hard_assign(best_params, grid)
-    pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid, assignment)
+    hard = hard_cell_stats(assignment, grid)
+    pruned = prune_cells(best_params, report_before.cells, hard, PRUNE_MASS_TOL)
     report_after = report_before
 
     if pruned.n < best_params.n:
@@ -321,13 +319,15 @@ def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: 
         if np.bincount(assignment.labels, minlength=best_params.n)[~kept].any():
             # a removed cell owns grid points (of zero mass): label afresh
             assignment = hard_assign(pruned, grid)
+            hard = hard_cell_stats(assignment, grid)
         else:
             assignment = HardAssignment((np.cumsum(kept) - 1)[assignment.labels], pruned.n)
+            hard = CellStats(hard.masses[kept], hard.barycenters[kept])
 
     return OptResult(
         params=pruned,
         report=report_after,
-        hard_value=hard_objective(pruned, grid, final_cfg.payoff, assignment),
+        hard_value=cells_value(hard, final_cfg.payoff),
         assignment=assignment,
         **fields,
     )

@@ -107,10 +107,6 @@ class Diagrams:
         sep2 = _separation_sq(sites if finite.all() else np.where(finite[:, None, None], sites, 0))
         return cls(sites, weights, sep2), finite & (sep2.reshape(len(rows), -1).min(axis=1) > 0.0)
 
-    @classmethod
-    def of(cls, diagrams: list) -> Diagrams:
-        return cls(*(np.array([getattr(d, name) for d in diagrams]) for name in cls.__slots__))
-
     def __len__(self) -> int:
         return len(self.sites)
 

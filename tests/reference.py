@@ -13,14 +13,23 @@ def sq_dists(sites: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("ipk,ipk->ip", diff, diff)
 
 
+def stack(diagrams):
+    """The power_diagram.Diagrams of a list of DiagramParams, built as the
+    optimizer builds its stacks, from flat rows."""
+    from persuade_ot.power_diagram import Diagrams
+
+    rows = np.stack([np.concatenate([d.sites.ravel(), d.weights]) for d in diagrams])
+    stacked, valid = Diagrams.from_rows(rows)
+    assert valid.all()
+    return stacked
+
+
 def assert_reports_equal(report, ref):
-    """Exact equality of two ObjectiveReports, field by field."""
-    assert (report.value, report.payoff_term, report.penalty_term) == (
-        ref.value, ref.payoff_term, ref.penalty_term
-    )
-    assert np.array_equal(report.cells.masses, ref.cells.masses)
-    assert np.array_equal(report.cells.barycenters, ref.cells.barycenters)
-    assert np.array_equal(report.payoffs, ref.payoffs)
+    """Exact equality of two ObjectiveReports, of one diagram or of a stack,
+    field by field."""
+    assert report._fields == ref._fields
+    for field, a, b in zip(report._fields, report, ref):
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b), field
 
 
 def _loop_survival(lo, hi, inv, x: float) -> np.ndarray:
@@ -133,7 +142,7 @@ def sequential_optimize(init, grid, obj, opt):
     from persuade_ot.optimizer import (
         ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PRUNE_MASS_TOL, OptResult, prune_cells,
     )
-    from persuade_ot.power_diagram import DiagramParams, hard_assign
+    from persuade_ot.power_diagram import DiagramParams, hard_assign, hard_cell_stats
 
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
@@ -197,7 +206,8 @@ def sequential_optimize(init, grid, obj, opt):
     final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
-    pruned = prune_cells(best_params, report_before.cells, PRUNE_MASS_TOL, grid)
+    hard = hard_cell_stats(hard_assign(best_params, grid), grid)
+    pruned = prune_cells(best_params, report_before.cells, hard, PRUNE_MASS_TOL)
     report_after = report_before
 
     if pruned.n < best_params.n:
@@ -235,8 +245,9 @@ def sequential_optimize(init, grid, obj, opt):
 def column_by_column_table(raw, cfg, out_dir):
     """The `table` command with each sweep column solved on its own, one
     restart at a time (sequential_optimize) and its hard value from
-    ``hard_objective``: the run that the fused columns of ``cli.cmd_table``
-    must reproduce file for file. Same signature as the CLI's commands."""
+    ``hard_objective``, which equals the winner's own: the run that the fused
+    columns of ``cli.cmd_table`` must reproduce file for file. Same signature
+    as the CLI's commands."""
     from dataclasses import replace
 
     from persuade_ot import cli
@@ -246,7 +257,7 @@ def column_by_column_table(raw, cfg, out_dir):
     from persuade_ot.objective import hard_objective
     from persuade_ot.optimizer import init_sites
 
-    rows, summaries, lloyd_solves = [], [], {}
+    rows, summaries = [], []
     for name, value, row_cfg in cli._market_rows(raw, cfg, "table"):
         grid, obj, opt = cli.build_scenario(row_cfg)
         runs = []
@@ -259,15 +270,16 @@ def column_by_column_table(raw, cfg, out_dir):
             (run for run in runs if run[0] >= top - cli.RESTART_TIE_RTOL * abs(top)),
             key=lambda run: (run[1].effective_n, run[1].seed_used),
         )
+        assert hard == best.hard_value
         r_noinfo = no_info_revenue(row_cfg.market, grid)
         r_lloyd = best_lloyd_revenue(best.effective_n, row_cfg.market, grid, row_cfg.optimizer.seed,
-                                     row_cfg.lloyd_tries, lloyd_solves)
+                                     row_cfg.lloyd_tries)
         r_fullinfo = full_info_revenue(row_cfg.market, grid)
         row = BenchmarkRow(name, float(value), hard, r_noinfo, r_lloyd, r_fullinfo,
                            best.effective_n, best.seed_used)
         rows.append(row)
         cli.export_diagram(best.params, grid, out_dir, stem=f"diagram_{row.param}")
-        summary = cli._result_summary(best, hard, row_cfg, obj, opt)
+        summary = cli._result_summary(best, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
     print(improvement_table(rows))

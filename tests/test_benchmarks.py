@@ -1,3 +1,4 @@
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from persuade_ot import (
 )
 from persuade_ot.benchmarks import grid_baselines
 from persuade_ot.cli import (
-    build_scenario, load_raw_config, parse_config, run_experiment, set_config_path,
+    _box, build_scenario, load_raw_config, parse_config, run_experiment, set_config_path,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -133,47 +134,31 @@ def test_grid_baselines_equal_one_scenario_pricing_on_table_markets():
     assert markets == 25
 
 
-def test_lloyd_memo_tells_boxes_apart_and_digests_each_grid_once(monkeypatch):
-    import hashlib
-
-    digests = []
-    real = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or real(data))
-    # two boxes of one resolution, as in table2's q_min sweep, and an equal
-    # copy of the first: the memo keys the grids' contents, digested once per
-    # grid object however many calls it serves
-    grids = [make_grid(24, lo=0.25), make_grid(24, lo=0.5), make_grid(24, lo=0.25)]
-    solves: dict = {}
-    values = [lloyd_revenue(4, UNIT_11, grid, seed=0, solves=solves)
-              for grid in grids for _ in range(3)]
-    assert len(digests) == 3 and len(solves) == 2
-    assert values[0] != values[3] and values[0] == values[6]
-    fresh = [lloyd_revenue(4, UNIT_11, grid, seed=0) for grid in grids for _ in range(3)]
-    assert values == fresh and len(digests) == 3
-
-
 def test_committed_tables_reproduce_their_baselines():
     # the no-information, Lloyd and full-information columns of out/table*/table.csv,
-    # recomputed from configs/ with each column's committed effective_n
+    # recomputed from configs/ with each column's committed effective_n; the
+    # columns on one box are priced in one grid_baselines call
     columns = 0
     for path in sorted(CONFIGS.glob("table*.yaml")):
         raw = load_raw_config(str(path))
         sweep = parse_config(raw)
         committed = (CONFIGS.parent / sweep.output_dir / "table.csv").read_text().splitlines()[1:]
         assert len(committed) == len(sweep.sweep_values)
-        solves: dict = {}
-        for value, line in zip(sweep.sweep_values, committed):
-            cfg = parse_config(set_config_path(raw, sweep.sweep_parameter, value))
-            grid = build_scenario(cfg)[0]
-            _, _, r_noinfo, r_lloyd, r_fullinfo, _, effective_n, _ = line.split(",")
-            lloyd = best_lloyd_revenue(
-                int(effective_n), cfg.market, grid,
-                seed=cfg.optimizer.seed, tries=cfg.lloyd_tries, solves=solves,
-            )
-            assert f"{no_info_revenue(cfg.market, grid):.4f}" == r_noinfo, line
-            assert f"{lloyd:.4f}" == r_lloyd, line
-            assert f"{full_info_revenue(cfg.market, grid):.4f}" == r_fullinfo, line
-            columns += 1
+        cfgs = [parse_config(set_config_path(raw, sweep.sweep_parameter, value))
+                for value in sweep.sweep_values]
+        for _, group in groupby(zip(cfgs, committed), key=lambda pair: _box(pair[0])):
+            group = list(group)
+            grid = build_scenario(group[0][0])[0]
+            cells = [int(line.split(",")[6]) for _, line in group]
+            pooled = grid_baselines([cfg.market for cfg, _ in group], cells, grid,
+                                    seed=group[0][0].optimizer.seed, tries=group[0][0].lloyd_tries)
+            for (cfg, line), (noinfo, lloyd) in zip(group, pooled):
+                _, _, r_noinfo, r_lloyd, r_fullinfo, _, _, _ = line.split(",")
+                assert f"{no_info_revenue(cfg.market, grid):.4f}" == r_noinfo, line
+                assert f"{noinfo:.4f}" == r_noinfo, line
+                assert f"{lloyd:.4f}" == r_lloyd, line
+                assert f"{full_info_revenue(cfg.market, grid):.4f}" == r_fullinfo, line
+                columns += 1
     assert columns == 25
 
 

@@ -586,8 +586,8 @@ def test_restart_ties_go_to_fewest_cells_then_lowest_seed(tmp_path, monkeypatch,
         ]
 
     monkeypatch.setattr(cli, "optimize_batch", fake_optimize_batch)
-    result, hard, *_ = cli.solve_scenario(cfg)
-    assert result.seed_used == winner and hard == hards[winner]
+    result, *_ = cli.solve_scenario(cfg)
+    assert result.seed_used == winner and result.hard_value == hards[winner]
 
 
 def test_coincident_sites_stop_early(tmp_path):

@@ -40,7 +40,7 @@ from persuade_ot.entropic import (
 )
 from persuade_ot.objective import ObjectiveReport, _evaluate
 from persuade_ot.power_diagram import _separation_sq
-from reference import assert_reports_equal, sq_dists
+from reference import assert_reports_equal, sq_dists, stack
 
 BOUNDS = ((0.0, 2.0), (0.0, 2.0))
 RES = 48
@@ -72,20 +72,11 @@ def grid_with(prior):
     return discretize_density(PRIORS[prior], build_grid(BOUNDS, RES))
 
 
-def with_report(evaluation):
-    """_evaluate's (Reports, dX, dg) with the report as an ObjectiveReport."""
-    reports, dx, dg = evaluation
-    return reports.report(), dx, dg
-
-
 def both_paths(params, grid, cfg):
     sep = chi_kernel(params, grid, cfg.entropic)
     assert isinstance(sep, SeparableChi)
     dense = dense_chi(params, grid, cfg.entropic)
-    return (
-        with_report(_evaluate(sep, params, cfg)),
-        with_report(_evaluate(dense, params, cfg)),
-    )
+    return _evaluate(sep, params, cfg), _evaluate(dense, params, cfg)
 
 
 def assert_close(new, ref, tol):
@@ -138,7 +129,7 @@ def test_fallback_where_factors_underflow():
         assert isinstance(chi_kernel(params, grid, cfg.entropic), DenseChi)
         report, dx, dg = value_and_grad(params, grid, cfg)
         dense = dense_chi(params, grid, cfg.entropic)
-        ref, rdx, rdg = with_report(_evaluate(dense, params, cfg))
+        ref, rdx, rdg = _evaluate(dense, params, cfg)
         assert_reports_equal(report, ref)
         assert np.array_equal(dx, rdx) and np.array_equal(dg, rdg)
         assert np.isfinite(report.value) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))
@@ -297,7 +288,8 @@ def reference_value_and_grad(params, grid, cfg):
             rep_x = -4.0 * ((m[:, None] * m[None, :] / sep2**2)[:, :, None] * diff).sum(axis=1)
         dx = dx - eta * (quant_x + rep_x)
     payoff_term = float(m @ phis)
-    report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty, stats, phis)
+    report = ObjectiveReport(payoff_term - eta * penalty, payoff_term, penalty,
+                             stats.masses, stats.barycenters, phis)
     return report, dx, dg
 
 
@@ -327,14 +319,14 @@ def test_warm_batched_step_allocates_no_grid_arrays():
     cfg = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(5.0 * grid.spacing[0]), payoff=payoff)
     batch = [init_sites(12, grid, seed) for seed in range(25)]
     work = Workspace()
-    first = value_and_grad(batch, grid, cfg, work)
+    first = value_and_grad(stack(batch), grid, cfg, work)
     tracemalloc.start()
     try:
-        again = value_and_grad(batch, grid, cfg, work)
+        again = value_and_grad(stack(batch), grid, cfg, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 19
-    for report, ref in zip(again[0], first[0]):
-        assert_reports_equal(report, ref)
+    assert again[0].value.shape == (25,)
+    assert_reports_equal(again[0], first[0])
     assert np.array_equal(again[1], first[1]) and np.array_equal(again[2], first[2])

@@ -17,6 +17,9 @@ from persuade_ot import (
     build_grid,
     concave_bowl,
     discretize_density,
+    hard_assign,
+    hard_cell_stats,
+    hard_objective,
     init_sites,
     monopolist_payoff,
     optimize,
@@ -28,8 +31,8 @@ from persuade_ot import (
     value_and_grad,
 )
 from persuade_ot.entropic import DenseChi, RowKernels, chi_kernel
-from persuade_ot.power_diagram import Diagrams, min_separation
-from reference import assert_reports_equal, sequential_optimize
+from persuade_ot.power_diagram import min_separation
+from reference import assert_reports_equal, sequential_optimize, stack
 
 
 def unit_grid(res):
@@ -38,6 +41,10 @@ def unit_grid(res):
 
 def bowl_cfg(eps=0.1, eta=0.0):
     return ObjectiveConfig(eta=eta, entropic=EntropicConfig(eps), payoff=concave_bowl())
+
+
+def hard_cells(params, grid):
+    return hard_cell_stats(hard_assign(params, grid), grid)
 
 
 def test_init_sites_deterministic():
@@ -81,7 +88,7 @@ def test_prune_identity_when_all_alive():
     grid = unit_grid(32)
     params = DiagramParams(sites=[(0.25, 0.5), (0.75, 0.5)], weights=[0.0, 0.0])
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, 1e-4, grid)
+    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
     assert pruned is params
 
 
@@ -91,7 +98,7 @@ def test_prune_drops_dominated_cell():
         sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0]
     )
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, 1e-4, grid)
+    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
     assert pruned.n == 2
     assert np.array_equal(pruned.sites, params.sites[[0, 2]])
 
@@ -102,7 +109,7 @@ def test_prune_keeps_hard_supported_or_soft_cells():
     params = DiagramParams(sites=[(0.3, 0.5), (0.7, 0.5)], weights=[0.0, -0.5])
     _, stats = soft_partition(params, grid, EntropicConfig(10.0))
     assert stats.masses[1] > 0.1
-    pruned = prune_cells(params, stats, 1e-4, grid)
+    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
     assert pruned.n == 2
 
 
@@ -218,7 +225,7 @@ def test_pruning_check_raises_numeric_failure(monkeypatch):
     def shifted(params, g, c, work=None):
         report = real(params, g, c, work)
         if params.n < init.n:
-            report = replace(report, value=report.value + 1.0)
+            report = report._replace(value=report.value + 1.0)
         return report
 
     opt = OptimizerConfig(n_init=3, max_iters=1, learning_rate=1e-3, seed=0)
@@ -276,27 +283,38 @@ def test_fixed_epsilon_final_report_is_the_loops(monkeypatch, prunes):
     assert_reports_equal(result.report, real(result.params, grid, bowl_cfg(eps=0.05)))
 
 
-@pytest.mark.parametrize("case", ["owns-nothing", "owns-massless-points"])
+@pytest.mark.parametrize("case", ["unpruned", "owns-nothing", "owns-massless-points"])
 def test_pruned_labels_equal_fresh_hard_assignment(monkeypatch, case):
-    # the prior has no mass right of x = 0.75. A pruned cell that owns no
-    # grid point leaves the other labels as they were, renumbered past it;
-    # one that owns points of zero mass (cell 2, right of x = 0.735) has the
-    # pruned diagram labelled afresh. Both give hard_assign's labels.
+    # the prior has no mass right of x = 0.75. Finalisation labels the best
+    # iterate and takes its hard cells once. A pruned cell that owns no grid
+    # point leaves the other labels as they were, renumbered past it, and the
+    # hard cells as their kept rows; one that owns points of zero mass (cell
+    # 2, right of x = 0.735) has the pruned diagram labelled afresh. Each
+    # gives hard_assign's labels and hard_objective's value, bit for bit.
+    import persuade_ot.objective as objective_mod
+
     grid = discretize_density(
         DensitySpec("callable", lambda p: (p[:, 0] < 0.75).astype(float)),
         build_grid(((0.0, 1.0), (0.0, 1.0)), 16),
     )
-    if case == "owns-nothing":
+    if case == "unpruned":
+        init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.5, 0.2)], weights=[0.0, 0.0, 0.0])
+    elif case == "owns-nothing":
         init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.6, 0.3)], weights=[0.0, -50.0, 0.0])
     else:
         init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.97, 0.5)], weights=[0.0, 0.0, 0.0])
-    calls = []
-    real = optimizer_mod.hard_assign
+    calls, stats_calls = [], []
+    real, real_stats = optimizer_mod.hard_assign, optimizer_mod.hard_cell_stats
     monkeypatch.setattr(optimizer_mod, "hard_assign", lambda p, g: calls.append(p.n) or real(p, g))
+    for mod in (optimizer_mod, objective_mod):
+        monkeypatch.setattr(mod, "hard_cell_stats",
+                            lambda a, g: stats_calls.append(a.n_cells) or real_stats(a, g))
     opt = OptimizerConfig(n_init=3, max_iters=1, learning_rate=1e-3, seed=0)
     result = optimize(init, grid, bowl_cfg(eps=1e-3), opt)
-    assert result.effective_n == 2
-    assert calls == ([3] if case == "owns-nothing" else [3, 2])
+    monkeypatch.undo()
+    assert result.effective_n == (3 if case == "unpruned" else 2)
+    assert calls == stats_calls == ([3, 2] if case == "owns-massless-points" else [3])
+    assert result.hard_value == hard_objective(result.params, grid, concave_bowl())
     assert_results_equal(result, sequential_optimize(init, grid, bowl_cfg(eps=1e-3), opt))
 
 
@@ -426,28 +444,34 @@ def test_annealed_batch_with_a_restart_that_stops_early_equals_sequential_runs()
 
 def test_warm_batched_step_builds_no_per_restart_objects(monkeypatch):
     # a step of a (128, 12, 4) batch carries one stacked state: between one
-    # evaluation and the next it builds no DiagramParams and no ObjectiveReport
+    # evaluation and the next it builds no DiagramParams and one report, the
+    # stack's, whose fields carry the restart axis
     from persuade_ot.objective import ObjectiveReport
 
-    built = {"params": 0, "report": 0}
-    for cls, key, name in ((DiagramParams, "params", "__post_init__"),
-                           (ObjectiveReport, "report", "__init__")):
-        real = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda self, *a, real=real, key=key, **k: (
-            built.__setitem__(key, built[key] + 1), real(self, *a, **k))[1])
+    params = []
+    shapes = []  # np.shape(value) of each report built
+    real_init = DiagramParams.__post_init__
+    monkeypatch.setattr(DiagramParams, "__post_init__",
+                        lambda self: params.append(1) or real_init(self))
+    real_new = ObjectiveReport.__new__
+    monkeypatch.setattr(ObjectiveReport, "__new__", staticmethod(
+        lambda cls, value, *a, **k: shapes.append(np.shape(value)) or real_new(cls, value, *a, **k)))
     seen = []
     real_vg = optimizer_mod.value_and_grad
     monkeypatch.setattr(optimizer_mod, "value_and_grad",
-                        lambda *args: seen.append(dict(built)) or real_vg(*args))
+                        lambda *args: seen.append((len(params), len(shapes))) or real_vg(*args))
     grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 2.0), (0.0, 2.0)), 128))
     model = BATCH_PAYOFFS["unit"][0]
     obj = ObjectiveConfig(eta=0.0, entropic=EntropicConfig(5.0 * grid.spacing[0]), payoff=model)
     opts = [OptimizerConfig(n_init=12, max_iters=4, learning_rate=0.05, seed=s) for s in range(4)]
     inits = [init_sites(12, grid, o.seed) for o in opts]
     results = optimize_batch(inits, grid, obj, opts)
-    assert len(seen) == 4 and all(counts == seen[0] for counts in seen)
-    # finalisation builds each restart's diagram and report
-    assert built["params"] >= seen[0]["params"] + 4 and built["report"] >= 4
+    first = seen[0][1]
+    assert seen == [(seen[0][0], first + k) for k in range(4)]
+    assert shapes[first : first + 4] == [(4,)] * 4
+    # finalisation builds each restart's diagram and takes its row of the report
+    assert len(params) >= seen[0][0] + 4
+    assert len(shapes) >= first + 8 and set(shapes[first + 4 :]) == {()}
     assert all(r.report.value == r.trajectory[r.best_iteration][0] for r in results)
 
 
@@ -459,7 +483,7 @@ def test_batch_restart_on_the_dense_path():
     obj = ObjectiveConfig(eta=1e-3, entropic=EntropicConfig(0.25 * h), payoff=tri_modal())
     far = DiagramParams(sites=[(0.1, 0.1), (30.0, -4.0)], weights=[0.0, 0.1])
     inits = [init_sites(2, grid, 0), far, init_sites(2, grid, 2)]
-    assert isinstance(chi_kernel(Diagrams.of(inits), grid, obj.entropic), RowKernels)
+    assert isinstance(chi_kernel(stack(inits), grid, obj.entropic), RowKernels)
     assert isinstance(chi_kernel(far, grid, obj.entropic), DenseChi)
     opts = [OptimizerConfig(n_init=2, max_iters=15, learning_rate=0.05, seed=s) for s in range(3)]
     run_batch(inits, grid, obj, opts)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import math
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "persuade_ot"
@@ -28,3 +29,14 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from persuade_ot import *", namespace)
     assert set(persuade_ot.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Library block, run as written, prints a finite hard value
+    # and the number of cells kept
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    value, cells = capsys.readouterr().out.split()
+    assert math.isfinite(float(value)) and 1 <= int(cells) <= 12

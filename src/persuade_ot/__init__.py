@@ -5,7 +5,6 @@ from .benchmarks import (
     best_lloyd_revenue,
     full_info_revenue,
     improvement_table,
-    lloyd_revenue,
     no_info_revenue,
 )
 from .entropic import (
@@ -89,7 +88,6 @@ __all__ = [
     "hard_objective",
     "improvement_table",
     "init_sites",
-    "lloyd_revenue",
     "lloyd_solve",
     "monopolist_payoff",
     "no_info_revenue",

@@ -48,7 +48,7 @@ def full_info_revenue(market: MarketConfig, grid: GridMeasure) -> float:
 
 
 def grid_baselines(
-    markets: list, cells: list, grid: GridMeasure, seed: int, tries: int = 5
+    markets: list, cells: list, grid: GridMeasure, seed: int, tries: int
 ) -> list[tuple[float, float]]:
     """No-information and best-Lloyd revenue of scenarios on one grid.
 
@@ -76,16 +76,11 @@ def grid_baselines(
 
 
 def best_lloyd_revenue(
-    n: int, market: MarketConfig, grid: GridMeasure, seed: int, tries: int = 5
+    n: int, market: MarketConfig, grid: GridMeasure, seed: int, tries: int
 ) -> float:
     """Best revenue of ``tries`` n-cell Lloyd partitions with consecutive
     seeds: grid_baselines for one scenario."""
     return grid_baselines([market], [n], grid, seed, tries)[0][1]
-
-
-def lloyd_revenue(n: int, market: MarketConfig, grid: GridMeasure, seed: int) -> float:
-    """Revenue of the n-cell centroidal (Lloyd) partition, each cell priced at its barycenter."""
-    return best_lloyd_revenue(n, market, grid, seed, 1)
 
 
 def improvement_table(rows: list[BenchmarkRow]) -> str:

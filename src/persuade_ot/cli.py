@@ -26,7 +26,7 @@ from .grid import Bounds, GridMeasure, build_grid
 from .objective import ObjectiveConfig
 from .optimizer import OptimizerConfig, OptResult, init_sites, optimize_batch
 from .payoffs import ConcaveBowl, MarketConfig, Monopolist, TriModal
-from .power_diagram import DiagramParams, HardAssignment, hard_assign, hard_cell_stats
+from .power_diagram import DiagramParams, HardAssignment, hard_assign
 
 _REQUIRED = object()
 
@@ -304,6 +304,14 @@ def _box(cfg: ExperimentConfig) -> tuple:
     return bounds, cfg.resolution
 
 
+def _grid(cfg: ExperimentConfig) -> GridMeasure:
+    """The scenario's grid (_box); a box build_grid rejects is a ConfigError on "grid"."""
+    try:
+        return build_grid(*_box(cfg))
+    except ValueError as exc:
+        raise ConfigError(str(exc), "grid") from None
+
+
 def build_scenario(
     cfg: ExperimentConfig, grid: Optional[GridMeasure] = None
 ) -> tuple[GridMeasure, ObjectiveConfig, OptimizerConfig]:
@@ -314,11 +322,7 @@ def build_scenario(
     absolute units: with "grid" one unit is the grid spacing. A converted
     value that underflows or overflows is a ConfigError naming its key.
     """
-    if grid is None:
-        try:
-            grid = build_grid(*_box(cfg))
-        except ValueError as exc:
-            raise ConfigError(str(exc), "grid") from None
+    grid = _grid(cfg) if grid is None else grid
     payoff_cls = PAYOFF_KINDS[cfg.payoff_kind]
     payoff = payoff_cls() if cfg.market is None else payoff_cls(cfg.market)
     unit = grid.spacing[0] if cfg.epsilon_units == "grid" else 1.0
@@ -398,18 +402,17 @@ def solve_columns(cfgs: list[ExperimentConfig]) -> list[Solved]:
 
 
 def _diagram_dict(params: DiagramParams, grid: GridMeasure, assignment: HardAssignment) -> dict:
-    stats = hard_cell_stats(assignment, grid)
     m = grid.resolution
     barys = [
         [float(b[0]), float(b[1])] if ok else None
-        for b, ok in zip(stats.barycenters, stats.support)
+        for b, ok in zip(assignment.barycenters, assignment.support)
     ]
     return {
         "bounds": [list(grid.bounds[0]), list(grid.bounds[1])],
         "resolution": m,
         "sites": [[float(x), float(y)] for x, y in params.sites],
         "weights": [float(g) for g in params.weights],
-        "masses": [float(v) for v in stats.masses],
+        "masses": [float(v) for v in assignment.masses],
         "barycenters": barys,
         "label_grid": assignment.labels.reshape(m, m),
     }
@@ -513,8 +516,9 @@ def export_diagram(
 ) -> list[str]:
     """Write diagram.json and diagram.svg for a diagram into a directory.
 
-    ``assignment`` is the diagram's hard_assign labelling, if the caller
-    has it. Returns the paths written.
+    ``assignment`` is the diagram's hard_assign record, if the caller has it
+    (OptResult.assignment): its labels and hard cells are written as they are.
+    Returns the paths written.
     """
     if assignment is None:
         assignment = hard_assign(params, grid)
@@ -659,9 +663,7 @@ def cmd_benchmark(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     for _, group in groupby(rows, key=lambda row: _box(row[2])):
         cfgs = [row_cfg for _, _, row_cfg in group]
         # the group's grid lives for this call only, so one is alive at a time
-        grid = build_scenarios(cfgs)[0][0]
-        values += _baselines(cfgs, grid, [c.lloyd_n for c in cfgs])
-        del grid
+        values += _baselines(cfgs, _grid(cfgs[0]), [c.lloyd_n for c in cfgs])
     for (name, value, _), (r_noinfo, r_lloyd, r_fullinfo) in zip(rows, values):
         label = name if value != value else f"{name}={value:g}"
         lines.append(f"{label},{r_noinfo:.4f},{r_lloyd:.4f},{r_fullinfo:.4f}")
@@ -692,8 +694,7 @@ def cmd_export(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(
             f"{result_path} holds no valid diagram ({type(exc).__name__}: {exc})"
         ) from None
-    grid = build_scenario(cfg)[0]
-    paths = export_diagram(params, grid, out_dir)
+    paths = export_diagram(params, _grid(cfg), out_dir)
     print("wrote " + " ".join(paths))
     return 0
 

@@ -32,9 +32,9 @@ barycentres, every reduction over cells is made per restart with the
 operations of a single diagram, so each restart's results equal its own
 evaluation bit for bit. Both get one report type, ObjectiveReport, whose
 fields carry the stack's restart axis; ObjectiveReport.row(k) is restart k's.
-The hard value of a diagram (hard_objective) prices its hard cells with
-cells_value, which the optimizer's finalisation applies to the hard cells
-it already has.
+The hard value of a diagram (hard_objective) prices the hard cells of its
+hard_assign record with cells_value, which the optimizer's finalisation
+applies to the record it keeps.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .entropic import EntropicConfig, Workspace, chi_kernel, soft_cell_stats
 from .errors import SingularPenaltyError
 from .grid import GridMeasure
 from .payoffs import PayoffModel
-from .power_diagram import CellStats, DiagramParams, Diagrams, hard_assign, hard_cell_stats
+from .power_diagram import CellStats, DiagramParams, Diagrams, hard_assign
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def cells_value(stats: CellStats, payoff: PayoffModel) -> float:
 
 
 def hard_objective(params: DiagramParams, grid: GridMeasure, payoff: PayoffModel) -> float:
-    """cells_value of the diagram's hard cells."""
-    return cells_value(hard_cell_stats(hard_assign(params, grid), grid), payoff)
+    """cells_value of the diagram's hard cells (its hard_assign record)."""
+    return cells_value(hard_assign(params, grid), payoff)
 
 
 def _penalty_terms(mom: np.ndarray, sites: np.ndarray, sep2: np.ndarray, eta: float) -> tuple:

@@ -10,9 +10,11 @@ evaluation of the stacked diagrams (objective.value_and_grad), whose one
 payoff pass covers restarts that differ in the payoff, such as the columns
 of a market sweep. A step builds no per-restart object: its one report is
 the stack's, the loop keeps each restart's best row of it, and a restart's
-own report is that row, taken at finalisation. Finalisation takes the hard
-cells of the best iterate once: pruning reads them, and the result's hard
-value prices them, or the kept rows of them after pruning.
+own report is that row, taken at finalisation. Finalisation keeps one hard
+record per restart (OptResult.assignment), the labels with their hard cells:
+the best iterate's, read by pruning, or after pruning its kept rows with the
+labels renumbered, or a fresh labelling. The result's hard value prices it,
+and export reads it.
 Each restart's floating-point operations are those of its own run, so its
 result equals a one-restart run bit for bit; optimize is the R = 1 call.
 A restart whose sites meet or whose evaluation fails leaves the batch.
@@ -33,8 +35,7 @@ from .objective import (
 )
 from .payoffs import stacked_payoff
 from .power_diagram import (
-    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, hard_cell_stats,
-    min_separation,
+    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, min_separation,
 )
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
@@ -73,7 +74,7 @@ class OptResult:
     seed_used: int
     best_iteration: int
     hard_value: float  # hard_objective of params
-    assignment: HardAssignment  # hard_assign of params
+    assignment: HardAssignment  # hard_assign of params: the labels and the hard cells
     stopped_early: int | None = None  # iteration whose step made two sites coincide
 
     @property
@@ -286,15 +287,15 @@ def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: 
     """Prune the best iterate's dead cells and report the result at the final
     epsilon, given the best iterate's report there.
 
-    The best iterate's hard cells are taken once. The pruned diagram's labels
-    are the best iterate's, renumbered past the removed cells, when those own
-    no grid point: hard assignment treats each cell's cost alike and a tie
-    goes to the lowest index, so removing cells that win no point changes no
-    label. The renumbering keeps each bin's points in their order, so its
-    hard cells are the kept rows, bit for bit, and the hard value prices them.
+    The best iterate is labelled once, with its hard cells. The pruned
+    diagram's labels are the best iterate's, renumbered past the removed
+    cells, when those own no grid point: hard assignment treats each cell's
+    cost alike and a tie goes to the lowest index, so removing cells that win
+    no point changes no label. The renumbering keeps each bin's points in
+    their order, so its hard cells are the kept rows, bit for bit: the one
+    record the result keeps and its hard value prices.
     """
-    assignment = hard_assign(best_params, grid)
-    hard = hard_cell_stats(assignment, grid)
+    hard = hard_assign(best_params, grid)
     pruned = prune_cells(best_params, report_before.cells, hard, PRUNE_MASS_TOL)
     report_after = report_before
 
@@ -316,18 +317,17 @@ def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: 
                 last_value=report_before.value,
                 iteration=fields["best_iteration"],
             )
-        if np.bincount(assignment.labels, minlength=best_params.n)[~kept].any():
+        if np.bincount(hard.labels, minlength=best_params.n)[~kept].any():
             # a removed cell owns grid points (of zero mass): label afresh
-            assignment = hard_assign(pruned, grid)
-            hard = hard_cell_stats(assignment, grid)
+            hard = hard_assign(pruned, grid)
         else:
-            assignment = HardAssignment((np.cumsum(kept) - 1)[assignment.labels], pruned.n)
-            hard = CellStats(hard.masses[kept], hard.barycenters[kept])
+            hard = HardAssignment(masses=hard.masses[kept], barycenters=hard.barycenters[kept],
+                                  labels=(np.cumsum(kept) - 1)[hard.labels])
 
     return OptResult(
         params=pruned,
         report=report_after,
         hard_value=cells_value(hard, final_cfg.payoff),
-        assignment=assignment,
+        assignment=hard,
         **fields,
     )

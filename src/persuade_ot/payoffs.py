@@ -72,18 +72,17 @@ class PurchaseBreakdown:
 # _shares' regions in order, each as the rows that give its (a_lo, a_hi, -,
 # b_lo, b_hi) among (lo1, lo2, hi1, hi2, -hi2, -hi1, -lo2, -lo1), the
 # utilities' supports and their negations (the middle slot is scratch), and
-# the rows that give its bounds (s, t, r) among (0, -d, d, max(-d, 0))
-_REGIONS = {
-    "good1": ((0, 2, 6, 4, 6), (0, 1, 0)),
-    "good2": ((5, 7, 3, 1, 3), (1, 0, 0)),
-    "bundle": ((0, 2, 3, 1, 3), (2, 2, 2)),
-    "none": ((5, 7, 6, 4, 6), (0, 0, 3)),
-}
+# the rows that give its bounds (s, t, r) among (0, -d, d)
+_REGIONS = (
+    ((0, 2, 6, 4, 6), (0, 1, 0)),  # good 1
+    ((5, 7, 3, 1, 3), (1, 0, 0)),  # good 2
+    ((0, 2, 3, 1, 3), (2, 2, 2)),  # the bundle
+)
 
 
-def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndarray:
-    """Purchase probabilities of good 1, good 2, the bundle (additive demand)
-    and, if asked, nothing: (regions, k) for net utilities X = a0 v1 + c0 and
+def _shares(a: np.ndarray, c: np.ndarray, d) -> np.ndarray:
+    """Purchase probabilities of good 1, good 2 and, under additive demand,
+    the bundle: (regions, k) for net utilities X = a0 v1 + c0 and
     Y = a1 v2 + c1, with slopes a (2, k), offsets c that broadcast to it and
     bundle surcharges d (K,) with K = 1 or k, or None under unit demand.
 
@@ -92,22 +91,22 @@ def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndar
     The regions are symmetric in the goods, so each pair is first ordered to
     make Y the wider. With d the bundle surcharge (+inf under unit demand),
     each region is P(A >= s, B >= t, A + B >= r) for A = +-X and B = +-Y:
-    good1 (X, -Y; 0, -d, 0), good2 (-X, Y; -d, 0, 0), bundle (X, Y; d, d, d)
-    and none (-X, -Y; 0, 0, max(-d, 0)), whose last bound is implied when
-    d >= 0. That is E_B[1{B >= t} S_A(max(s, r - B))] with S_A(x) = P(A >= x):
+    good1 (X, -Y; 0, -d, 0), good2 (-X, Y; -d, 0, 0) and bundle (X, Y; d, d, d).
+    That is E_B[1{B >= t} S_A(max(s, r - B))] with S_A(x) = P(A >= x):
     the part B >= r - s is a product of survivals, and the part t <= B <= r - s
     is a difference of J(u), the integral of S_A from u on, divided by B's
-    width. Bounds are inclusive. The regions are stacked on a leading axis,
-    and every step is elementwise, so a pair's value depends neither on its
-    batch nor on the other pairs' markets.
+    width. Ties go to the bundle over a single good and to buying over
+    nothing, so the regions tile the square and buying nothing is the rest.
+    Only a point mass ties with positive probability, and only the narrower
+    X can be one alone, so every bound is inclusive but one: at X = d, on
+    good2's s, its row takes A > s and the bundle wins. The regions are
+    stacked on a leading axis, and every step is elementwise, so a pair's
+    value depends neither on its batch nor on the other pairs' markets.
     """
-    names = ["good1", "good2"] + ["bundle"] * (d is not None) + ["none"] * with_none
-    end_rows, bound_rows = (np.array(rows).T for rows in zip(*(_REGIONS[n] for n in names)))
-    bounds = np.zeros((4, 1 if d is None else len(d)))
+    end_rows, bound_rows = (np.array(rows).T for rows in zip(*_REGIONS[: 2 + (d is not None)]))
+    bounds = np.zeros((3, 1 if d is None else len(d)))
     np.negative(np.inf if d is None else d, out=bounds[1])
     np.negative(bounds[1], out=bounds[2])
-    # max(-d, 0) as Python's max takes it: -0.0 at d = 0
-    np.copyto(bounds[3], bounds[1], where=bounds[1] >= 0.0)
     s, t, r = bounds[bound_rows]  # each (regions, K)
     # one allocation for every (k,) row: it outsizes the call's other
     # temporaries, so the allocator keeps their pages for the next call
@@ -147,6 +146,8 @@ def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndar
     np.maximum(survival, 0.0, out=survival)
     survival *= inv[0]
     np.copyto(survival, 1.0, where=s <= a_lo)
+    # the bundle's tie with good 2: S_A(s) = P(A > s) at a point mass on s
+    np.copyto(survival[1], 0.0, where=(s[1] == a_lo[1]) & (inv[0] == 0.0))
     out *= survival
     np.subtract(r, u, out=u)
     np.maximum(u, a_lo, out=tri)
@@ -161,11 +162,6 @@ def _shares(a: np.ndarray, c: np.ndarray, d, with_none: bool = False) -> np.ndar
     out += u[0]
     out *= inv[1]
     out[:2] = np.where(swap, out[1::-1], out[:2])
-    if with_none:
-        # where both slopes are zero, B is a point mass and every row reads 0:
-        # at q = 0, where c = -p, that is right for the goods and the bundle,
-        # as X = -p1, Y = -p2 and X + Y = d - p3 < d, but nothing is bought
-        out[-1] = np.where(inv[1] > 0.0, out[-1], 1.0)
     return out
 
 
@@ -186,9 +182,8 @@ def purchase_breakdown(q, market: MarketConfig) -> PurchaseBreakdown:
     """Exact purchase probabilities at quality pair q."""
     a = np.asarray(q, dtype=float).reshape(2, 1)
     c, d, _ = _terms([market])
-    shares = _shares(a, c, d, with_none=True)[:, 0].tolist()
-    c3 = shares[2] if market.demand == "additive" else 0.0
-    return PurchaseBreakdown(c0=shares[-1], c1=shares[0], c2=shares[1], c3=c3)
+    c1, c2, c3 = _shares(a, c, d)[:, 0].tolist() + [0.0] * (d is None)
+    return PurchaseBreakdown(c0=1.0 - (c1 + c2 + c3), c1=c1, c2=c2, c3=c3)
 
 
 def revenue(q, market: MarketConfig) -> float | np.ndarray:

@@ -1,7 +1,9 @@
 """Hard Laguerre (power) cells on a grid measure.
 
 Assignment, exact cell masses and barycenters, and Lloyd's centroidal
-iteration.
+iteration. One record, HardAssignment, carries a diagram's labels together
+with its hard cells, from one bincount pass over the labels
+(hard_cell_stats); hard_assign and every dense labelling of Lloyd's make it.
 
 A grid point y belongs to the cell i minimizing the power cost
 |y - x_i|^2 - g_i; ties go to the lowest index. On the tensor grid the
@@ -115,14 +117,6 @@ class Diagrams:
 
 
 @dataclass(frozen=True)
-class HardAssignment:
-    """Per-grid-point cell labels (0-based argmin indices)."""
-
-    labels: np.ndarray
-    n_cells: int
-
-
-@dataclass(frozen=True)
 class CellStats:
     """Masses and barycenters per cell, hard or soft.
 
@@ -137,6 +131,18 @@ class CellStats:
     def support(self) -> np.ndarray:
         """Flags the cells with positive mass."""
         return self.masses > 0.0
+
+
+@dataclass(frozen=True)
+class HardAssignment(CellStats):
+    """A diagram's one hard-cell record: per-grid-point cell labels (0-based
+    argmin indices) with the hard cells' exact masses and barycenters."""
+
+    labels: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.masses)
 
 
 def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> np.ndarray:
@@ -162,31 +168,28 @@ def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> 
 
 
 def hard_assign(params: DiagramParams, grid: GridMeasure) -> HardAssignment:
-    """Label each grid point with its power-cost argmin cell.
+    """Label each grid point with its power-cost argmin cell, with the cells.
 
     Ties break to the lowest cell index, so the assignment is deterministic.
     """
-    labels = _power_labels(params.sites, params.weights, grid)
-    return HardAssignment(labels=labels, n_cells=params.n)
+    return hard_cell_stats(_power_labels(params.sites, params.weights, grid), params.n, grid)
 
 
-def hard_cell_stats(assignment: HardAssignment, grid: GridMeasure) -> CellStats:
-    """Exact masses and barycenters of the hard cells.
+def hard_cell_stats(labels: np.ndarray, n: int, grid: GridMeasure) -> HardAssignment:
+    """The labelling of the grid into n cells with their exact masses and
+    barycenters, from one weighted bincount pass.
 
     Empty cells keep mass 0 and a NaN barycenter; they are flagged rather
     than silently zeroed.
     """
-    n = assignment.n_cells
-    labels = assignment.labels
-    nu = grid.masses
-    masses = np.bincount(labels, weights=nu, minlength=n)
+    masses = np.bincount(labels, weights=grid.masses, minlength=n)
     sx = np.bincount(labels, weights=grid.first_moments[0], minlength=n)
     sy = np.bincount(labels, weights=grid.first_moments[1], minlength=n)
     support = masses > 0.0
     barycenters = np.full((n, 2), np.nan)
     barycenters[support, 0] = sx[support] / masses[support]
     barycenters[support, 1] = sy[support] / masses[support]
-    return CellStats(masses=masses, barycenters=barycenters)
+    return HardAssignment(masses=masses, barycenters=barycenters, labels=labels)
 
 
 class _RowRanges(NamedTuple):
@@ -297,8 +300,9 @@ def _range_cell_sums(sites: np.ndarray, grid: _RowRanges):
 
 def lloyd_solve(
     n: int, grid: GridMeasure, seed: int, max_iters: int = 200
-) -> tuple[DiagramParams, CellStats]:
-    """Centroidal Voronoi diagram by Lloyd's fixed-point iteration.
+) -> tuple[DiagramParams, HardAssignment]:
+    """Centroidal Voronoi diagram by Lloyd's fixed-point iteration, with the
+    hard cells of its last dense labelling.
 
     Sites start at n distinct grid points drawn with probability
     proportional to the grid masses (seeded); weights stay zero. Each round
@@ -325,11 +329,10 @@ def lloyd_solve(
     moves = 0
     # each round reseeds, returns or nets a move: up to 4n labellings per move
     for _ in range(4 * n * (max(max_iters, 0) + 1)):
-        assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
-        stats = hard_cell_stats(assignment, grid)
+        stats = hard_cell_stats(_power_labels(sites, zeros, grid), n, grid)
         if not stats.support.all():
             empty = int(np.flatnonzero(~stats.support)[0])
-            in_cell = np.flatnonzero(assignment.labels == np.argmax(stats.masses))
+            in_cell = np.flatnonzero(stats.labels == np.argmax(stats.masses))
             for alpha in in_cell[np.argsort(-grid.masses[in_cell], kind="stable")]:
                 if not np.any(np.all(sites == grid.centers[alpha], axis=1)):
                     sites[empty] = grid.centers[alpha]

@@ -32,24 +32,27 @@ def assert_reports_equal(report, ref):
         assert np.shape(a) == np.shape(b) and np.array_equal(a, b), field
 
 
-def _loop_survival(lo, hi, inv, x: float) -> np.ndarray:
-    """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo where inv = 0."""
+def _loop_survival(lo, hi, inv, x: float, strict: bool) -> np.ndarray:
+    """P(V >= x) for V uniform on [lo, hi] with inv = 1 / (hi - lo), or V = lo
+    where inv = 0; for that point mass P(V > x) if ``strict``."""
     out = np.maximum(lo, x)
     np.subtract(hi, out, out=out)
     np.maximum(out, 0.0, out=out)
     out *= inv
     np.copyto(out, 1.0, where=x <= lo)
+    if strict:
+        np.copyto(out, 0.0, where=(x == lo) & (inv == 0.0))
     return out
 
 
-def loop_shares(a: np.ndarray, c: np.ndarray, market, with_none: bool = False) -> np.ndarray:
+def loop_shares(a: np.ndarray, c: np.ndarray, market) -> np.ndarray:
     """``payoffs._shares`` for one market as a Python loop over the purchase
     regions, one (k,) row at a time: the arithmetic that the stacked regions
-    must reproduce bit for bit."""
+    must reproduce bit for bit. Each row is (sign of A, sign of B, s, t, r,
+    strict): the bundle wins its tie with good 2 at a point mass of A on s."""
     d = market.delta if market.demand == "additive" else math.inf
-    table = [(1, -1, 0.0, -d, 0.0), (-1, 1, -d, 0.0, 0.0)]
-    table += [(1, 1, d, d, d)] if market.demand == "additive" else []
-    table += [(-1, -1, 0.0, 0.0, max(-d, 0.0))] if with_none else []
+    table = [(1, -1, 0.0, -d, 0.0, False), (-1, 1, -d, 0.0, 0.0, True)]
+    table += [(1, 1, d, d, d, False)] if market.demand == "additive" else []
     work = np.empty((len(table) + 11, a.shape[1]))
     lo, hi, inv, half = work[0:2], work[2:4], work[4:6], work[6]
     out, u, tri = work[7 : 7 + len(table)], work[-4:-2], work[-2:]
@@ -64,7 +67,7 @@ def loop_shares(a: np.ndarray, c: np.ndarray, market, with_none: bool = False) -
     np.subtract(hi, lo, out=inv)
     np.divide(1.0, inv, out=inv, where=inv > 0.0)
     np.multiply(inv[0], 0.5, out=half)
-    for row, (sign_a, sign_b, s, t, r) in zip(out, table):
+    for row, (sign_a, sign_b, s, t, r, strict) in zip(out, table):
         a_lo, a_hi = (lo[0], hi[0]) if sign_a > 0 else (-hi[0], -lo[0])
         b_lo, b_hi = (lo[1], hi[1]) if sign_b > 0 else (-hi[1], -lo[1])
         # B's part [min(max(b_lo, t), b_hi), b_hi] splits at the cut r - s:
@@ -76,7 +79,7 @@ def loop_shares(a: np.ndarray, c: np.ndarray, market, with_none: bool = False) -
         np.minimum(b_hi, r - s, out=u[0])
         np.maximum(u[0], u[1], out=u[0])
         np.subtract(b_hi, u[0], out=row)
-        row *= _loop_survival(a_lo, a_hi, inv[0], s)
+        row *= _loop_survival(a_lo, a_hi, inv[0], s, strict)
         np.subtract(r, u, out=u)
         np.maximum(u, a_lo, out=tri)
         np.minimum(tri, a_hi, out=tri)
@@ -90,31 +93,23 @@ def loop_shares(a: np.ndarray, c: np.ndarray, market, with_none: bool = False) -
         row += u[0]
         row *= inv[1]
     out[:2] = np.where(swap, out[1::-1], out[:2])
-    if with_none:
-        # where both slopes are zero, B is a point mass and every row reads 0:
-        # at q = 0, where c = -p, that is right for the goods and the bundle,
-        # as X = -p1, Y = -p2 and X + Y = d - p3 < d, but nothing is bought
-        out[-1] = np.where(inv[1] > 0.0, out[-1], 1.0)
     return out
 
 
 def dense_lloyd(n, grid, seed, max_iters=200):
     """Lloyd's iteration labelling the whole grid on every pass: the dense
     loop ``power_diagram.lloyd_solve`` must reproduce bit for bit."""
-    from persuade_ot.power_diagram import (
-        DiagramParams, HardAssignment, _power_labels, hard_cell_stats,
-    )
+    from persuade_ot.power_diagram import DiagramParams, _power_labels, hard_cell_stats
 
     rng = np.random.default_rng(seed)
     sites = grid.centers[rng.choice(len(grid.masses), size=n, replace=False, p=grid.masses)]
     zeros = np.zeros(n)
     moves = 0
     for _ in range(4 * n * (max(max_iters, 0) + 1)):  # up to 4n labellings per move
-        assignment = HardAssignment(_power_labels(sites, zeros, grid), n)
-        stats = hard_cell_stats(assignment, grid)
+        stats = hard_cell_stats(_power_labels(sites, zeros, grid), n, grid)
         if not stats.support.all():
             empty = int(np.flatnonzero(~stats.support)[0])
-            in_cell = np.flatnonzero(assignment.labels == np.argmax(stats.masses))
+            in_cell = np.flatnonzero(stats.labels == np.argmax(stats.masses))
             for alpha in in_cell[np.argsort(-grid.masses[in_cell], kind="stable")]:
                 if not np.any(np.all(sites == grid.centers[alpha], axis=1)):
                     sites[empty] = grid.centers[alpha]
@@ -142,7 +137,7 @@ def sequential_optimize(init, grid, obj, opt):
     from persuade_ot.optimizer import (
         ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PRUNE_MASS_TOL, OptResult, prune_cells,
     )
-    from persuade_ot.power_diagram import DiagramParams, hard_assign, hard_cell_stats
+    from persuade_ot.power_diagram import DiagramParams, hard_assign
 
     n = init.n
     theta = np.concatenate([init.sites.ravel(), init.weights])
@@ -206,8 +201,8 @@ def sequential_optimize(init, grid, obj, opt):
     final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
-    hard = hard_cell_stats(hard_assign(best_params, grid), grid)
-    pruned = prune_cells(best_params, report_before.cells, hard, PRUNE_MASS_TOL)
+    pruned = prune_cells(best_params, report_before.cells, hard_assign(best_params, grid),
+                         PRUNE_MASS_TOL)
     report_after = report_before
 
     if pruned.n < best_params.n:

@@ -13,7 +13,6 @@ from persuade_ot import (
     full_info_revenue,
     hard_objective,
     improvement_table,
-    lloyd_revenue,
     lloyd_solve,
     monopolist_payoff,
     no_info_revenue,
@@ -65,7 +64,8 @@ def test_full_info_grid_convergence():
 def test_lloyd_single_cell_equals_no_info():
     grid = make_grid(128, lo=0.25)
     market = MarketConfig(p1=1.0, p2=1.25, q_min=0.25, q_max=2.0)
-    assert abs(lloyd_revenue(1, market, grid, seed=3) - no_info_revenue(market, grid)) < 1e-12
+    one_cell = best_lloyd_revenue(1, market, grid, seed=3, tries=1)
+    assert abs(one_cell - no_info_revenue(market, grid)) < 1e-12
 
 
 def test_lloyd_four_cells_unit_market():
@@ -76,14 +76,14 @@ def test_lloyd_four_cells_unit_market():
 
 def test_lloyd_deterministic_in_seed():
     grid = make_grid(64)
-    a = lloyd_revenue(3, UNIT_11, grid, seed=7)
-    b = lloyd_revenue(3, UNIT_11, grid, seed=7)
+    a = best_lloyd_revenue(3, UNIT_11, grid, seed=7, tries=1)
+    b = best_lloyd_revenue(3, UNIT_11, grid, seed=7, tries=1)
     assert a == b
 
 
 def test_best_lloyd_takes_max():
     grid = make_grid(64)
-    singles = [lloyd_revenue(4, UNIT_11, grid, seed=k) for k in range(5)]
+    singles = [best_lloyd_revenue(4, UNIT_11, grid, seed=k, tries=1) for k in range(5)]
     assert best_lloyd_revenue(4, UNIT_11, grid, seed=0, tries=5) == max(singles)
 
 
@@ -99,7 +99,7 @@ def test_lloyd_revenue_equals_hard_objective_on_table_markets():
             grid, obj, _ = build_scenario(cfg)
             for seed in (0, 1):
                 sites = lloyd_solve(4, grid, seed)[0]
-                assert lloyd_revenue(4, cfg.market, grid, seed) == hard_objective(
+                assert best_lloyd_revenue(4, cfg.market, grid, seed, tries=1) == hard_objective(
                     sites, grid, obj.payoff
                 )
             columns += 1
@@ -127,7 +127,7 @@ def test_grid_baselines_equal_one_scenario_pricing_on_table_markets():
                 stats = lloyd_solve(n, grid, seed)[1]
                 payoffs = monopolist_payoff(cfg.market).value(stats.barycenters)
                 priced = float(stats.masses @ payoffs)
-                assert priced == lloyd_revenue(n, cfg.market, grid, seed)
+                assert priced == best_lloyd_revenue(n, cfg.market, grid, seed, tries=1)
                 tries.append(priced)
             assert r_lloyd == max(tries) == best_lloyd_revenue(n, cfg.market, grid, 1, tries=3)
             markets += 1

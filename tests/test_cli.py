@@ -12,10 +12,10 @@ from persuade_ot import (
     ConfigError,
     DiagramParams,
     EntropicConfig,
-    HardAssignment,
     NumericFailure,
     ObjectiveConfig,
     build_grid,
+    hard_cell_stats,
     soft_objective,
 )
 from persuade_ot.cli import (
@@ -273,7 +273,8 @@ def test_label_rows_json_equals_json_dumps(tmp_path, m, n):
     assert cli._label_rows_json(labels) == json.dumps(labels.tolist(), separators=(",", ":"))
     grid = build_grid(((0.0, 1.0), (0.0, 1.0)), m)
     params = DiagramParams(np.random.default_rng(n).uniform(size=(n, 2)), np.zeros(n))
-    cli.export_diagram(params, grid, tmp_path, assignment=HardAssignment(labels.ravel(), n))
+    record = hard_cell_stats(labels.ravel(), n, grid)
+    cli.export_diagram(params, grid, tmp_path, assignment=record)
     text = (tmp_path / "diagram.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
     assert json.loads(text)["label_grid"] == labels.tolist()
@@ -792,13 +793,10 @@ def test_lloyd_solved_once_per_grid(tmp_path, monkeypatch):
 def test_consecutive_scenarios_on_one_box_share_its_grid(
     tmp_path, monkeypatch, command, parameter, values, boxes
 ):
-    import hashlib
     import weakref
 
     built = []
     real = cli.build_grid
-    digests = []
-    real_sha256 = hashlib.sha256
 
     def tracked(bounds, resolution):
         if command == "benchmark":
@@ -815,10 +813,8 @@ def test_consecutive_scenarios_on_one_box_share_its_grid(
     assert run_experiment(path, command) == 0
     expected = tree_bytes(tmp_path / "out")
     monkeypatch.setattr(cli, "build_grid", tracked)
-    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(1) or real_sha256(data))
     assert run_experiment(path, command) == 0
-    # one Lloyd memo per grid, keyed without digesting the grid
-    assert len(built) == boxes and not digests
+    assert len(built) == boxes
     assert tree_bytes(tmp_path / "out") == expected
 
 
@@ -850,6 +846,92 @@ def test_lloyd_n_above_grid_only_fails_benchmark(tmp_path):
     data = {"payoff": {"kind": "concave-bowl"}, "grid": {"resolution": 1},
             "optimizer": {"n_init": 1, "max_iters": 5}, "output_dir": str(tmp_path / "out")}
     assert run_experiment(write_config(tmp_path, data), "solve") == 0
+
+
+def test_underflowing_epsilon_only_fails_the_commands_that_solve(tmp_path, capsys):
+    # benchmark and export read no epsilon and build only their grid, so an
+    # epsilon that is 0 in absolute units at resolution 16 leaves their files
+    # as they are; solve and table still exit 2 naming the key
+    data = tiny_market_config(tmp_path / "good", {"parameter": "payoff.market.p2",
+                                                  "values": [1.0, 1.5]})
+    data["grid"]["resolution"] = 16
+    good = write_config(tmp_path, data, "good.yaml")
+    data["objective"]["epsilon"] = 1.0e-323
+    data["output_dir"] = str(tmp_path / "tiny")
+    tiny = write_config(tmp_path, data, "tiny.yaml")
+    assert run_experiment(good, "benchmark") == 0
+    assert run_experiment(tiny, "benchmark") == 0
+    assert tree_bytes(tmp_path / "tiny") == tree_bytes(tmp_path / "good")
+    assert run_experiment(good, "solve") == 0
+    expected = tree_bytes(tmp_path / "good")
+    for name in ("diagram.json", "diagram.svg"):
+        (tmp_path / "good" / name).unlink()
+    assert main(["export", "--config", good, "--epsilon", "1e-323"]) == 0
+    assert tree_bytes(tmp_path / "good") == expected
+    capsys.readouterr()
+    for command in ("solve", "table"):
+        assert run_experiment(tiny, command) == 2
+        assert "config error: objective.epsilon:" in capsys.readouterr().err
+
+
+def test_table_takes_each_labellings_hard_cells_once(tmp_path, monkeypatch):
+    # hard_cell_stats runs once per labelling: once per finalised restart,
+    # twice where a pruned cell owned grid points and the diagram is labelled
+    # afresh, once per dense labelling of a Lloyd solve, and never in
+    # export_diagram, which is handed each winner's record
+    import persuade_ot.benchmarks as benchmarks_mod
+    import persuade_ot.optimizer as optimizer_mod
+    import persuade_ot.power_diagram as power_diagram
+
+    spans = []  # [name, args, result] of each finalisation, Lloyd solve and export
+    records, labellings = [], []  # (index of the enclosing span, output) of each call
+    current = [None]
+
+    def within(name, real):
+        def wrapper(*args, **kwargs):
+            outer, current[0] = current[0], len(spans)
+            span = [name, args, None]
+            spans.append(span)
+            try:
+                span[2] = real(*args, **kwargs)
+                return span[2]
+            finally:
+                current[0] = outer
+        return wrapper
+
+    def counted(log, real):
+        def wrapper(*args):
+            log.append((current[0], real(*args)))
+            return log[-1][1]
+        return wrapper
+
+    monkeypatch.setattr(power_diagram, "hard_cell_stats",
+                        counted(records, power_diagram.hard_cell_stats))
+    monkeypatch.setattr(power_diagram, "_power_labels",
+                        counted(labellings, power_diagram._power_labels))
+    monkeypatch.setattr(optimizer_mod, "_finalise", within("finalise", optimizer_mod._finalise))
+    monkeypatch.setattr(benchmarks_mod, "lloyd_solve", within("lloyd", benchmarks_mod.lloyd_solve))
+    monkeypatch.setattr(cli, "export_diagram", within("export", cli.export_diagram))
+    sweep = {"parameter": "payoff.market.p2", "values": [1.0, 1.5]}
+    data = tiny_market_config(tmp_path / "out", sweep=sweep, restarts=2)
+    data["grid"]["resolution"] = 16
+    data["optimizer"].update(n_init=6, max_iters=5)
+    assert run_experiment(write_config(tmp_path, data), "table") == 0
+    monkeypatch.undo()
+    names = [name for name, _, _ in spans]
+    assert names.count("finalise") == 4 and names.count("export") == 2 and "lloyd" in names
+    assert all(k is not None for k, _ in records)
+    for k, (name, args, result) in enumerate(spans):
+        mine = [record for j, record in records if j == k]
+        if name == "finalise":
+            best = args[0]
+            kept = (best.sites[:, None] == result.params.sites[None]).all(axis=2).any(axis=1)
+            relabelled = np.bincount(mine[0].labels, minlength=best.n)[~kept].any()
+            assert len(mine) == 1 + relabelled
+        elif name == "lloyd":
+            assert len(mine) == sum(j == k for j, _ in labellings) > 0
+        else:
+            assert mine == []
 
 
 @pytest.mark.parametrize("values", [[1.0, 1.0000001], [1.25, 1.25], [1, 1.0]])

@@ -360,11 +360,9 @@ def test_soft_mass_convergence_bound():
     # |soft mass - hard mass| is controlled by the L1 partition gap
     rng = np.random.default_rng(22)
     grid = unit_grid(64)
-    from persuade_ot import hard_cell_stats
-
     for _ in range(5):
         params = random_params(rng, 3)
-        hard = hard_cell_stats(hard_assign(params, grid), grid)
+        hard = hard_assign(params, grid)
         for eps in (0.05, 0.01):
             _, soft = soft_partition(params, grid, EntropicConfig(eps))
             gap = l1_gap(params, grid, eps)

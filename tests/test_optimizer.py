@@ -18,7 +18,6 @@ from persuade_ot import (
     concave_bowl,
     discretize_density,
     hard_assign,
-    hard_cell_stats,
     hard_objective,
     init_sites,
     monopolist_payoff,
@@ -41,10 +40,6 @@ def unit_grid(res):
 
 def bowl_cfg(eps=0.1, eta=0.0):
     return ObjectiveConfig(eta=eta, entropic=EntropicConfig(eps), payoff=concave_bowl())
-
-
-def hard_cells(params, grid):
-    return hard_cell_stats(hard_assign(params, grid), grid)
 
 
 def test_init_sites_deterministic():
@@ -88,7 +83,7 @@ def test_prune_identity_when_all_alive():
     grid = unit_grid(32)
     params = DiagramParams(sites=[(0.25, 0.5), (0.75, 0.5)], weights=[0.0, 0.0])
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
+    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
     assert pruned is params
 
 
@@ -98,7 +93,7 @@ def test_prune_drops_dominated_cell():
         sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0]
     )
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
+    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
     assert pruned.n == 2
     assert np.array_equal(pruned.sites, params.sites[[0, 2]])
 
@@ -109,7 +104,7 @@ def test_prune_keeps_hard_supported_or_soft_cells():
     params = DiagramParams(sites=[(0.3, 0.5), (0.7, 0.5)], weights=[0.0, -0.5])
     _, stats = soft_partition(params, grid, EntropicConfig(10.0))
     assert stats.masses[1] > 0.1
-    pruned = prune_cells(params, stats, hard_cells(params, grid), 1e-4)
+    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
     assert pruned.n == 2
 
 
@@ -286,12 +281,12 @@ def test_fixed_epsilon_final_report_is_the_loops(monkeypatch, prunes):
 @pytest.mark.parametrize("case", ["unpruned", "owns-nothing", "owns-massless-points"])
 def test_pruned_labels_equal_fresh_hard_assignment(monkeypatch, case):
     # the prior has no mass right of x = 0.75. Finalisation labels the best
-    # iterate and takes its hard cells once. A pruned cell that owns no grid
+    # iterate with its hard cells once. A pruned cell that owns no grid
     # point leaves the other labels as they were, renumbered past it, and the
     # hard cells as their kept rows; one that owns points of zero mass (cell
     # 2, right of x = 0.735) has the pruned diagram labelled afresh. Each
-    # gives hard_assign's labels and hard_objective's value, bit for bit.
-    import persuade_ot.objective as objective_mod
+    # keeps hard_assign's record, bit for bit, and hard_objective's value.
+    import persuade_ot.power_diagram as power_diagram
 
     grid = discretize_density(
         DensitySpec("callable", lambda p: (p[:, 0] < 0.75).astype(float)),
@@ -304,18 +299,26 @@ def test_pruned_labels_equal_fresh_hard_assignment(monkeypatch, case):
     else:
         init = DiagramParams(sites=[(0.25, 0.5), (0.5, 0.5), (0.97, 0.5)], weights=[0.0, 0.0, 0.0])
     calls, stats_calls = [], []
-    real, real_stats = optimizer_mod.hard_assign, optimizer_mod.hard_cell_stats
+    real, real_stats = optimizer_mod.hard_assign, power_diagram.hard_cell_stats
     monkeypatch.setattr(optimizer_mod, "hard_assign", lambda p, g: calls.append(p.n) or real(p, g))
-    for mod in (optimizer_mod, objective_mod):
-        monkeypatch.setattr(mod, "hard_cell_stats",
-                            lambda a, g: stats_calls.append(a.n_cells) or real_stats(a, g))
+    monkeypatch.setattr(power_diagram, "hard_cell_stats",
+                        lambda labels, n, g: stats_calls.append(n) or real_stats(labels, n, g))
     opt = OptimizerConfig(n_init=3, max_iters=1, learning_rate=1e-3, seed=0)
     result = optimize(init, grid, bowl_cfg(eps=1e-3), opt)
     monkeypatch.undo()
     assert result.effective_n == (3 if case == "unpruned" else 2)
     assert calls == stats_calls == ([3, 2] if case == "owns-massless-points" else [3])
+    assert_records_equal(result.assignment, hard_assign(result.params, grid))
     assert result.hard_value == hard_objective(result.params, grid, concave_bowl())
     assert_results_equal(result, sequential_optimize(init, grid, bowl_cfg(eps=1e-3), opt))
+
+
+def assert_records_equal(record, ref):
+    """The labels, masses and barycenters of two hard records, bit for bit."""
+    for a, b in ((record.labels, ref.labels), (record.masses, ref.masses),
+                 (record.barycenters, ref.barycenters)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert record.n_cells == ref.n_cells
 
 
 BATCH_PAYOFFS = {
@@ -342,8 +345,7 @@ def assert_results_equal(result, ref):
     assert np.array_equal(result.params.weights, ref.params.weights)
     assert_reports_equal(result.report, ref.report)
     assert result.hard_value == ref.hard_value
-    assert np.array_equal(result.assignment.labels, ref.assignment.labels)
-    assert result.assignment.n_cells == ref.assignment.n_cells
+    assert_records_equal(result.assignment, ref.assignment)
 
 
 def run_batch(inits, grid, obj, opts):

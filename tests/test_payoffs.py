@@ -10,6 +10,7 @@ from persuade_ot import (
     MarketConfig,
     NumericFailure,
     ObjectiveConfig,
+    PurchaseBreakdown,
     concave_bowl,
     monopolist_payoff,
     phi_eval,
@@ -31,17 +32,20 @@ Vertex = tuple[float, float]
 UNIT_SQUARE: list[Vertex] = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
-def clip_halfplane(polygon: list[Vertex], normal: Vertex, offset: float) -> list[Vertex]:
-    """Clip a convex CCW polygon against the half-plane normal . v <= offset.
+def clip_halfplane(polygon: list[Vertex], normal: Vertex, offset: float,
+                   strict: bool = False) -> list[Vertex]:
+    """Clip a convex CCW polygon against the half-plane normal . v <= offset,
+    or normal . v < offset if ``strict``.
 
-    Returns the (possibly empty) clipped polygon, CCW. A zero normal is a
-    degenerate constraint: it keeps everything when offset >= 0 and nothing
-    otherwise.
+    Returns the (possibly empty) clipped polygon, CCW; a strict half-plane
+    clips as its closure, which has the same area. A zero normal is a
+    degenerate constraint: it keeps everything when offset >= 0 (offset > 0
+    if strict) and nothing otherwise.
     """
     ax, ay = float(normal[0]), float(normal[1])
     b = float(offset)
     if ax == 0.0 and ay == 0.0:
-        return list(polygon) if b >= 0.0 else []
+        return list(polygon) if b > 0.0 or (b == 0.0 and not strict) else []
     out: list[Vertex] = []
     k = len(polygon)
     for idx in range(k):
@@ -74,7 +78,9 @@ def polygon_area(polygon: list[Vertex]) -> float:
 
 
 def region_constraints(q1: float, q2: float, market: MarketConfig):
-    """Half-plane systems (normal, offset) defining each purchase region."""
+    """Half-plane systems (normal, offset[, strict]) defining each purchase
+    region. Ties go to the bundle, then to a good, then to buying nothing:
+    a good's bound against the bundle is strict, and every other is not."""
     p1, p2 = market.p1, market.p2
     if market.demand == "unit":
         return {
@@ -87,8 +93,8 @@ def region_constraints(q1: float, q2: float, market: MarketConfig):
     d = market.delta
     return {
         "none": [((q1, 0.0), p1), ((0.0, q2), p2), ((q1, q2), p3)],
-        "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1), ((0.0, q2), p2 + d)],
-        "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2), ((q1, 0.0), p1 + d)],
+        "good1": [((-q1, 0.0), -p1), ((-q1, q2), p2 - p1), ((0.0, q2), p2 + d, True)],
+        "good2": [((0.0, -q2), -p2), ((q1, -q2), p1 - p2), ((q1, 0.0), p1 + d, True)],
         "bundle": [((-q1, -q2), -p3), ((0.0, -q2), -(p2 + d)), ((-q1, 0.0), -(p1 + d))],
     }
 
@@ -97,8 +103,8 @@ def reference_polygons(q, market: MarketConfig) -> dict[str, list[Vertex]]:
     polys = {}
     for name, constraints in region_constraints(float(q[0]), float(q[1]), market).items():
         poly = [] if constraints is None else UNIT_SQUARE
-        for normal, offset in constraints or []:
-            poly = clip_halfplane(poly, normal, offset)
+        for constraint in constraints or []:
+            poly = clip_halfplane(poly, *constraint)
             if not poly:
                 break
         polys[name] = poly
@@ -195,10 +201,59 @@ def test_probabilities_partition():
             delta = rng.uniform(-min(p1, p2) * 0.9, 1.0) if demand == "additive" else 0.0
             mkt = MarketConfig(p1=p1, p2=p2, q_min=0.0, q_max=2.0, delta=delta, demand=demand)
             q = rng.uniform(0.01, 2.0, size=2)
-            b = purchase_breakdown(q, mkt)
-            for c in (b.c0, b.c1, b.c2, b.c3):
-                assert -1e-12 <= c <= 1.0 + 1e-12
-            assert abs(b.c0 + b.c1 + b.c2 + b.c3 - 1.0) < 1e-12
+            check_partition(purchase_breakdown(q, mkt))
+    # exact ties: a utility that is a point mass on a region's bound
+    for mkt in table_markets():
+        for q in np.vstack([TIE_LATTICE, -TIE_LATTICE]):
+            check_partition(purchase_breakdown(q, mkt))
+
+
+def check_partition(b):
+    for c in (b.c0, b.c1, b.c2, b.c3):
+        assert -1e-12 <= c <= 1.0 + 1e-12
+    assert abs(b.c0 + b.c1 + b.c2 + b.c3 - 1.0) < 1e-12
+
+
+def test_point_mass_on_the_bundle_bound_buys_the_bundle():
+    # at q1 = 0 good 1's utility is the point mass -p1 = delta: the buyer is
+    # indifferent between the bundle and good 2 alone, and the bundle wins
+    mkt = MarketConfig(p1=1.0, p2=1.0, q_min=0.0, q_max=2.0, delta=-1.0, demand="additive")
+    assert revenue((0.0, 2.0), mkt) == 0.5
+    assert purchase_breakdown((0.0, 2.0), mkt) == PurchaseBreakdown(0.5, 0.0, 0.0, 0.5)
+    assert abs(revenue((1e-9, 2.0), mkt) - 0.5) < 1e-8
+    # the edge v1 = 1 at q1 = 0.5 puts good 1's utility on delta: dR/dq1
+    # is the one-sided derivative from above, 1/3, and not the 1.0 that a
+    # double count of good 2 and the bundle gave
+    mkt = replace(mkt, delta=-0.5)
+    grad = phi_grad(monopolist_payoff(mkt), (0.5, 1.5))
+    assert abs(grad[0] - 1.0 / 3.0) < 1e-12
+    assert abs(grad[0] - phi_grad(monopolist_payoff(mkt), (0.5 + 1e-9, 1.5))[0]) < 1e-6
+
+
+def test_tie_lattice_shares_equal_a_valuation_count():
+    # brute force on a midpoint grid of valuations (N per axis): the bundle
+    # where it is as good as each good alone and as nothing, else a good that
+    # is as good as the other and as nothing (half to each on a tie between
+    # them), else nothing. Utility ties are compared exactly, as differences
+    # of the two options' terms. A region's boundary passes within half a
+    # cell of its midpoints, so the count is off by about 0.5 / N
+    n = 400
+    v = (np.arange(n) + 0.5) / n
+    for market in table_markets():
+        for q in TIE_LATTICE:
+            x, y = q[0] * v - market.p1, q[1] * v - market.p2
+            gap = np.subtract.outer(x, y)
+            bundle = np.zeros(gap.shape, dtype=bool)
+            if market.demand == "additive":
+                bundle = np.add.outer(x, y) >= market.delta
+                bundle &= (x >= market.delta)[:, None] & (y >= market.delta)
+            one = ~bundle & (x >= 0.0)[:, None] & (gap >= 0.0)
+            two = ~bundle & (y >= 0.0) & (gap <= 0.0)
+            tied = np.count_nonzero(one & two) / 2
+            counts = np.array([np.count_nonzero(one) - tied, np.count_nonzero(two) - tied,
+                               np.count_nonzero(bundle)]) / n**2
+            b = purchase_breakdown(q, market)
+            assert np.max(np.abs(counts - (b.c1, b.c2, b.c3))) <= 1.0 / n, (market, q)
 
 
 def test_unit_demand_monotonicity():
@@ -455,7 +510,8 @@ def test_revenue_gradient_matches_richardson_reference():
 def test_edge_revenue_matches_scalar_reference():
     # R + q_a dR/dq_a is the revenue along the edge v_a = 1: the reference
     # polygons' price-weighted lengths there. Their vertices on that edge have
-    # v_a == 1.0 exactly: they are the square's corners or crossings along it
+    # v_a == 1.0 exactly: they are the square's corners or crossings along it.
+    # A region with a strict bound on the edge's line has nothing on the edge
     rng = np.random.default_rng(55)
     for market in table_markets():
         q = np.vstack([rng.uniform(-2.1, 2.1, size=(40, 2)), TIE_LATTICE, -TIE_LATTICE])
@@ -463,9 +519,13 @@ def test_edge_revenue_matches_scalar_reference():
         vals, grads = monopolist_payoff(market).value_and_grad(q)
         for p, got in zip(q, vals[:, None] + q * grads):
             polys = reference_polygons(p, market)
+            bounds = region_constraints(float(p[0]), float(p[1]), market)
             for edge in range(2):
                 want = 0.0
                 for name, price in (("good1", market.p1), ("good2", market.p2), ("bundle", market.p3)):
+                    if any(strict and normal[1 - edge] == 0.0 and normal[edge] == offset
+                           for normal, offset, *strict in bounds[name] or []):
+                        continue
                     on = [v[1 - edge] for v in polys[name] if v[edge] == 1.0]
                     want += price * (max(on) - min(on) if on else 0.0)
                 assert abs(got[edge] - want) <= 1e-12
@@ -512,9 +572,8 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("with_none", [False, True], ids=["goods", "with-none"])
 @pytest.mark.parametrize("demand", ["unit", "additive"])
-def test_stacked_shares_equal_region_loop(demand, with_none):
+def test_stacked_shares_equal_region_loop(demand):
     # the regions on one leading axis against one (k,) row per region: the
     # table markets at the tie lattice, its negation and random pairs, then
     # random markets priced one pair at a time in one call
@@ -525,14 +584,14 @@ def test_stacked_shares_equal_region_loop(demand, with_none):
         q = np.vstack([TIE_LATTICE, -TIE_LATTICE, rng.uniform(-2.1, 2.1, size=(50, 2)),
                        [[0.0, 1.3], [1.3, 0.0], [0.0, 0.0], [1e-3, 2e-3]]]).T
         c, d, _ = _terms([market])
-        want = loop_shares(q, -np.array([[market.p1], [market.p2]]), market, with_none)
-        assert np.array_equal(bits(_shares(q, c, d, with_none)), bits(want))
+        want = loop_shares(q, -np.array([[market.p1], [market.p2]]), market)
+        assert np.array_equal(bits(_shares(q, c, d)), bits(want))
     q = np.vstack([TIE_LATTICE[: len(markets)], rng.uniform(-2.1, 2.1, size=(len(markets), 2))])
     q = q[rng.permutation(len(q))[: len(markets)]].T
     c, d, _ = _terms(markets, 1)
-    want = [loop_shares(q[:, j : j + 1], -np.array([[m.p1], [m.p2]]), m, with_none)[:, 0]
+    want = [loop_shares(q[:, j : j + 1], -np.array([[m.p1], [m.p2]]), m)[:, 0]
             for j, m in enumerate(markets)]
-    assert np.array_equal(bits(_shares(q, c, d, with_none)), bits(np.transpose(want)))
+    assert np.array_equal(bits(_shares(q, c, d)), bits(np.transpose(want)))
 
 
 @pytest.mark.parametrize("demand", ["unit", "additive"])

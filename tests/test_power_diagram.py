@@ -8,7 +8,6 @@ from persuade_ot import (
     build_grid,
     discretize_density,
     hard_assign,
-    hard_cell_stats,
     lloyd_solve,
 )
 from persuade_ot import power_diagram
@@ -42,7 +41,7 @@ def test_single_site_labels():
 def test_symmetric_split():
     grid = unit_grid(64)
     params = DiagramParams(sites=[(0.25, 0.5), (0.75, 0.5)], weights=[0.0, 0.0])
-    stats = hard_cell_stats(hard_assign(params, grid), grid)
+    stats = hard_assign(params, grid)
     assert np.allclose(stats.masses, (0.5, 0.5), atol=1e-12)
     assert np.allclose(stats.barycenters[0], (0.25, 0.5), atol=grid.spacing[0])
     assert np.allclose(stats.barycenters[1], (0.75, 0.5), atol=grid.spacing[0])
@@ -52,7 +51,7 @@ def test_weighted_bisector():
     # |y-x1|^2 - 0.25 = |y-x2|^2 puts the boundary at v1 = 0.75
     grid = unit_grid(256)
     params = DiagramParams(sites=[(0.25, 0.5), (0.75, 0.5)], weights=[0.25, 0.0])
-    stats = hard_cell_stats(hard_assign(params, grid), grid)
+    stats = hard_assign(params, grid)
     assert abs(stats.masses[0] - 0.75) <= grid.spacing[0]
     assert abs(stats.masses[1] - 0.25) <= grid.spacing[0]
 
@@ -65,7 +64,7 @@ def test_duplicate_sites_rejected():
 def test_single_cell_stats():
     grid = unit_grid(32)
     params = DiagramParams(sites=[(0.1, 0.9)], weights=[0.0])
-    stats = hard_cell_stats(hard_assign(params, grid), grid)
+    stats = hard_assign(params, grid)
     assert np.allclose(stats.masses, (1.0,))
     assert np.allclose(stats.barycenters[0], (0.5, 0.5), atol=1e-12)
 
@@ -76,7 +75,7 @@ def test_dominated_cell_flagged_empty():
         sites=[(0.25, 0.5), (0.75, 0.5), (40.0, 40.0)],
         weights=[0.0, 0.0, -1000.0],
     )
-    stats = hard_cell_stats(hard_assign(params, grid), grid)
+    stats = hard_assign(params, grid)
     assert not stats.support[2]
     assert np.isnan(stats.barycenters[2]).all()
     assert abs(stats.masses[:2].sum() - 1.0) < 1e-12
@@ -153,7 +152,7 @@ def test_partition_mass_conservation():
     for _ in range(20):
         n = rng.integers(1, 7)
         params = DiagramParams(sites=rng.uniform(0, 1, size=(n, 2)), weights=rng.normal(size=n))
-        stats = hard_cell_stats(hard_assign(params, grid), grid)
+        stats = hard_assign(params, grid)
         assert abs(stats.masses.sum() - 1.0) < 1e-12
 
 
@@ -194,7 +193,7 @@ def test_lloyd_block_fixed_point():
     # one Lloyd move sends each site to the barycenter of its Voronoi cell
     grid = unit_grid(64)
     blocks = np.array([(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)])
-    moved = hard_cell_stats(hard_assign(DiagramParams(blocks, np.zeros(4)), grid), grid).barycenters
+    moved = hard_assign(DiagramParams(blocks, np.zeros(4)), grid).barycenters
     assert np.max(np.linalg.norm(moved - blocks, axis=1)) < 1e-12
 
 
@@ -217,8 +216,8 @@ def test_lloyd_reseeds_an_empty_cell(monkeypatch):
     supports = []
     real = power_diagram.hard_cell_stats
 
-    def spy(assignment, grid):
-        stats = real(assignment, grid)
+    def spy(labels, n, grid):
+        stats = real(labels, n, grid)
         supports.append(bool(stats.support.all()))
         return stats
 
@@ -309,7 +308,7 @@ def test_lloyd_leaves_most_passes_to_the_ranges(monkeypatch):
 
 
 def assert_range_sums_are_dense(sites, grid):
-    stats = hard_cell_stats(hard_assign(DiagramParams(sites, np.zeros(len(sites))), grid), grid)
+    stats = hard_assign(DiagramParams(sites, np.zeros(len(sites))), grid)
     ranged = _range_cell_sums(sites, _row_ranges(grid))
     assert ranged is not None
     sums = ranged[0]
@@ -337,7 +336,7 @@ def test_range_sums_match_dense_cell_stats():
             sites = rng.uniform((a1, a2), (b1, b2), size=(n, 2))
         else:
             sites = rng.uniform((a1 - w, a2 - h), (b1 + w, b2 + h), size=(n, 2))
-        stats = hard_cell_stats(hard_assign(DiagramParams(sites, np.zeros(n)), grid), grid)
+        stats = hard_assign(DiagramParams(sites, np.zeros(n)), grid)
         if not stats.support.all():
             assert _range_cell_sums(sites, _row_ranges(grid)) is None, trial
             empty += 1

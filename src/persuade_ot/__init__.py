@@ -31,6 +31,7 @@ from .optimizer import (
     OptimizerConfig,
     OptResult,
     init_sites,
+    kept_cells,
     optimize,
     optimize_batch,
     prune_cells,
@@ -88,6 +89,7 @@ __all__ = [
     "hard_objective",
     "improvement_table",
     "init_sites",
+    "kept_cells",
     "lloyd_solve",
     "monopolist_payoff",
     "no_info_revenue",

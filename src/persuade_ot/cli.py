@@ -319,8 +319,9 @@ def build_scenario(
 
     ``grid`` is a grid built for the same box (_box), to reuse. Converts
     objective.epsilon and optimizer.epsilon_final from epsilon_units to
-    absolute units: with "grid" one unit is the grid spacing. A converted
-    value that underflows or overflows is a ConfigError naming its key.
+    absolute units: with "grid" one unit is the first axis's grid spacing,
+    grid.spacing[0] = (b1 - a1) / M, even on a box that is not square. A
+    converted value that underflows or overflows is a ConfigError naming its key.
     """
     grid = _grid(cfg) if grid is None else grid
     payoff_cls = PAYOFF_KINDS[cfg.payoff_kind]
@@ -511,17 +512,15 @@ def render_svg(diagram: dict) -> str:
 
 
 def export_diagram(
-    params: DiagramParams, grid: GridMeasure, path, stem: str = "diagram",
-    assignment: Optional[HardAssignment] = None,
+    params: DiagramParams, grid: GridMeasure, assignment: HardAssignment, path,
+    stem: str = "diagram",
 ) -> list[str]:
     """Write diagram.json and diagram.svg for a diagram into a directory.
 
-    ``assignment`` is the diagram's hard_assign record, if the caller has it
-    (OptResult.assignment): its labels and hard cells are written as they are.
+    ``assignment`` is the diagram's hard_assign record (OptResult.assignment
+    for a solved one): its labels and hard cells are written as they are.
     Returns the paths written.
     """
-    if assignment is None:
-        assignment = hard_assign(params, grid)
     diagram = _diagram_dict(params, grid, assignment)
     json_path = Path(path) / f"{stem}.json"
     svg_path = Path(path) / f"{stem}.svg"
@@ -572,7 +571,7 @@ def cmd_solve(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
     result, grid, obj, opt = solve_scenario(cfg)
     summary = _result_summary(result, cfg, obj, opt)
     _write_json(out_dir / "result.json", summary)
-    export_diagram(result.params, grid, out_dir, assignment=result.assignment)
+    export_diagram(result.params, grid, result.assignment, out_dir)
     print(
         f"solve: effective_n={result.effective_n} soft_value={result.report.value:.6f} "
         f"hard_value={result.hard_value:.6f} seed={result.seed_used}"
@@ -643,7 +642,7 @@ def cmd_table(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
             seed=result.seed_used,
         )
         rows.append(row)
-        export_diagram(result.params, grid, out_dir, f"diagram_{row.param}", result.assignment)
+        export_diagram(result.params, grid, result.assignment, out_dir, f"diagram_{row.param}")
         summary = _result_summary(result, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)
@@ -694,7 +693,8 @@ def cmd_export(raw: dict, cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(
             f"{result_path} holds no valid diagram ({type(exc).__name__}: {exc})"
         ) from None
-    paths = export_diagram(params, _grid(cfg), out_dir)
+    grid = _grid(cfg)
+    paths = export_diagram(params, grid, hard_assign(params, grid), out_dir)
     print("wrote " + " ".join(paths))
     return 0
 

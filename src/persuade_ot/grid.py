@@ -63,10 +63,6 @@ class GridMeasure:
         return hx * hy
 
     @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    @property
     def barycenter(self) -> np.ndarray:
         """Mean of the measure: sum_alpha nu_alpha * y_alpha."""
         return self.masses @ self.centers

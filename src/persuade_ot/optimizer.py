@@ -10,11 +10,11 @@ evaluation of the stacked diagrams (objective.value_and_grad), whose one
 payoff pass covers restarts that differ in the payoff, such as the columns
 of a market sweep. A step builds no per-restart object: its one report is
 the stack's, the loop keeps each restart's best row of it, and a restart's
-own report is that row, taken at finalisation. Finalisation keeps one hard
+own report is that row, taken at finalisation. Finalisation states which
+cells survive pruning once, as one keep mask (kept_cells), and keeps one hard
 record per restart (OptResult.assignment), the labels with their hard cells:
-the best iterate's, read by pruning, or after pruning its kept rows with the
-labels renumbered, or a fresh labelling. The result's hard value prices it,
-and export reads it.
+the best iterate's, or its rows under the mask with the labels renumbered, or
+a fresh labelling. The result's hard value prices it, and export reads it.
 Each restart's floating-point operations are those of its own run, so its
 result equals a one-restart run bit for bit; optimize is the R = 1 call.
 A restart whose sites meet or whose evaluation fails leaves the batch.
@@ -35,7 +35,7 @@ from .objective import (
 )
 from .payoffs import stacked_payoff
 from .power_diagram import (
-    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign, min_separation,
+    CellStats, DiagramParams, Diagrams, HardAssignment, hard_assign,
 )
 
 # Adam moment decay rates and denominator guard (Kingma & Ba, ICLR 2015)
@@ -86,9 +86,10 @@ class OptResult:
 def init_sites(
     n: int, grid: GridMeasure, seed: int, strategy: str = "uniform-random"
 ) -> DiagramParams:
-    """n distinct sites inside bounds with zero weights, deterministic per seed.
+    """n sites inside bounds with zero weights, deterministic per seed.
 
-    "uniform-random" samples the rectangle uniformly; "jittered-grid" lays a
+    "uniform-random" samples the rectangle uniformly, which repeats no point
+    in practice (DiagramParams checks it); "jittered-grid" lays a
     near-square lattice over the rectangle and jitters each site by at most a
     quarter cell, which keeps pairwise separations at half a lattice cell.
     """
@@ -97,10 +98,7 @@ def init_sites(
     rng = np.random.default_rng(seed)
     (a1, b1), (a2, b2) = grid.bounds
     if strategy == "uniform-random":
-        for _ in range(100):
-            sites = rng.uniform((a1, a2), (b1, b2), size=(n, 2))
-            if min_separation(sites) > 0.0:
-                break
+        sites = rng.uniform((a1, a2), (b1, b2), size=(n, 2))
     elif strategy == "jittered-grid":
         cols = math.ceil(math.sqrt(n))
         rows = math.ceil(n / cols)
@@ -117,21 +115,23 @@ def init_sites(
     return DiagramParams(sites, np.zeros(n))
 
 
-def prune_cells(
-    params: DiagramParams, stats: CellStats, hard: CellStats, mass_tol: float
-) -> DiagramParams:
-    """Drop cells that are dead both softly and hardly.
+def kept_cells(soft: CellStats, hard: CellStats) -> np.ndarray:
+    """The cells of a diagram that survive pruning, from its soft and hard cells.
 
-    ``stats`` and ``hard`` are the diagram's soft and hard cells. A cell is
-    removed when its soft mass is below mass_tol AND its hard mass is
-    exactly zero. Never removes every cell; survivors keep their relative order.
+    A cell is dead, and removed, when its soft mass is below PRUNE_MASS_TOL
+    AND its hard mass is exactly zero. The mask never drops every cell: with
+    all dead, the cell of largest soft mass stays.
     """
-    keep = (stats.masses >= mass_tol) | (hard.masses > 0.0)
-    if not np.any(keep):
-        keep[int(np.argmax(stats.masses))] = True
-    if np.all(keep):
-        return params
-    return DiagramParams(params.sites[keep], params.weights[keep])
+    keep = (soft.masses >= PRUNE_MASS_TOL) | (hard.masses > 0.0)
+    if not keep.any():
+        keep[int(np.argmax(soft.masses))] = True
+    return keep
+
+
+def prune_cells(params: DiagramParams, keep: np.ndarray) -> DiagramParams:
+    """The diagram of the cells under ``keep`` (kept_cells), in their order;
+    ``params`` itself when every cell is kept."""
+    return params if keep.all() else DiagramParams(params.sites[keep], params.weights[keep])
 
 
 def optimize(
@@ -287,21 +287,21 @@ def _finalise(best_params: DiagramParams, report_before: ObjectiveReport, grid: 
     """Prune the best iterate's dead cells and report the result at the final
     epsilon, given the best iterate's report there.
 
-    The best iterate is labelled once, with its hard cells. The pruned
-    diagram's labels are the best iterate's, renumbered past the removed
-    cells, when those own no grid point: hard assignment treats each cell's
-    cost alike and a tie goes to the lowest index, so removing cells that win
-    no point changes no label. The renumbering keeps each bin's points in
-    their order, so its hard cells are the kept rows, bit for bit: the one
-    record the result keeps and its hard value prices.
+    The best iterate is labelled once, with its hard cells, and one keep mask
+    (kept_cells) says which cells survive; everything after reads it. The
+    pruned diagram's labels are the best iterate's, renumbered past the
+    removed cells, when those own no grid point: hard assignment treats each
+    cell's cost alike and a tie goes to the lowest index, so removing cells
+    that win no point changes no label. The renumbering keeps each bin's
+    points in their order, so its hard cells are the kept rows, bit for bit:
+    the one record the result keeps and its hard value prices.
     """
     hard = hard_assign(best_params, grid)
-    pruned = prune_cells(best_params, report_before.cells, hard, PRUNE_MASS_TOL)
+    kept = kept_cells(report_before.cells, hard)
+    pruned = prune_cells(best_params, kept)
     report_after = report_before
 
-    if pruned.n < best_params.n:
-        # sites are pairwise distinct: a cell is kept iff its site is among the pruned sites
-        kept = (best_params.sites[:, None, :] == pruned.sites[None, :, :]).all(axis=2).any(axis=1)
+    if not kept.all():
         report_after = soft_objective(pruned, grid, final_cfg, work)
         masses = report_before.cells.masses
         removed = float(masses.sum() - masses[kept].sum())

@@ -43,19 +43,16 @@ def _separation_sq(sites: np.ndarray) -> np.ndarray:
     return d2
 
 
-def min_separation(sites: np.ndarray) -> float:
-    """Smallest pairwise distance between sites (inf for a single site)."""
-    return float(np.sqrt(_separation_sq(sites).min()))
-
-
 @dataclass(frozen=True)
 class DiagramParams:
     """Sites and weights of a power diagram.
 
     Weights only matter up to a common additive shift. Sites must be
-    pairwise distinct or the diagram is ill-defined. ``separation_sq`` is
-    the read-only (n, n) matrix of squared site distances with an inf
-    diagonal, built once here for the distinctness check and the penalty.
+    pairwise distinct or the diagram is ill-defined; construction raises
+    otherwise, the program's one distinctness check (Diagrams.from_rows
+    makes it for a stack). ``separation_sq`` is the read-only (n, n) matrix
+    of squared site distances with an inf diagonal, built once here for the
+    distinctness check and the penalty.
     """
 
     sites: np.ndarray
@@ -139,10 +136,6 @@ class HardAssignment(CellStats):
     argmin indices) with the hard cells' exact masses and barycenters."""
 
     labels: np.ndarray
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.masses)
 
 
 def _power_labels(sites: np.ndarray, weights: np.ndarray, grid: GridMeasure) -> np.ndarray:

@@ -135,7 +135,7 @@ def sequential_optimize(init, grid, obj, opt):
     from persuade_ot.entropic import Workspace
     from persuade_ot.objective import hard_objective, soft_objective, value_and_grad
     from persuade_ot.optimizer import (
-        ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PRUNE_MASS_TOL, OptResult, prune_cells,
+        ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptResult, kept_cells, prune_cells,
     )
     from persuade_ot.power_diagram import DiagramParams, hard_assign
 
@@ -201,13 +201,11 @@ def sequential_optimize(init, grid, obj, opt):
     final_cfg = obj if opt.epsilon_final is None else at_epsilon(opt.epsilon_final)
     best_params = unpack(best_theta)
     report_before = soft_objective(best_params, grid, final_cfg)
-    pruned = prune_cells(best_params, report_before.cells, hard_assign(best_params, grid),
-                         PRUNE_MASS_TOL)
+    kept = kept_cells(report_before.cells, hard_assign(best_params, grid))
+    pruned = prune_cells(best_params, kept)
     report_after = report_before
 
-    if pruned.n < best_params.n:
-        # sites are pairwise distinct: a cell is kept iff its site is among the pruned sites
-        kept = (best_params.sites[:, None, :] == pruned.sites[None, :, :]).all(axis=2).any(axis=1)
+    if not kept.all():
         report_after = soft_objective(pruned, grid, final_cfg)
         masses = report_before.cells.masses
         removed = float(masses.sum() - masses[kept].sum())
@@ -251,6 +249,7 @@ def column_by_column_table(raw, cfg, out_dir):
     )
     from persuade_ot.objective import hard_objective
     from persuade_ot.optimizer import init_sites
+    from persuade_ot.power_diagram import hard_assign
 
     rows, summaries = [], []
     for name, value, row_cfg in cli._market_rows(raw, cfg, "table"):
@@ -273,7 +272,8 @@ def column_by_column_table(raw, cfg, out_dir):
         row = BenchmarkRow(name, float(value), hard, r_noinfo, r_lloyd, r_fullinfo,
                            best.effective_n, best.seed_used)
         rows.append(row)
-        cli.export_diagram(best.params, grid, out_dir, stem=f"diagram_{row.param}")
+        cli.export_diagram(best.params, grid, hard_assign(best.params, grid), out_dir,
+                           f"diagram_{row.param}")
         summary = cli._result_summary(best, row_cfg, obj, opt)
         summary["param"] = row.param
         summaries.append(summary)

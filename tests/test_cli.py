@@ -274,7 +274,7 @@ def test_label_rows_json_equals_json_dumps(tmp_path, m, n):
     grid = build_grid(((0.0, 1.0), (0.0, 1.0)), m)
     params = DiagramParams(np.random.default_rng(n).uniform(size=(n, 2)), np.zeros(n))
     record = hard_cell_stats(labels.ravel(), n, grid)
-    cli.export_diagram(params, grid, tmp_path, assignment=record)
+    cli.export_diagram(params, grid, record, tmp_path)
     text = (tmp_path / "diagram.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
     assert json.loads(text)["label_grid"] == labels.tolist()
@@ -884,7 +884,8 @@ def test_table_takes_each_labellings_hard_cells_once(tmp_path, monkeypatch):
     import persuade_ot.power_diagram as power_diagram
 
     spans = []  # [name, args, result] of each finalisation, Lloyd solve and export
-    records, labellings = [], []  # (index of the enclosing span, output) of each call
+    # (index of the enclosing span, output) of each call
+    records, labellings, masks = [], [], []
     current = [None]
 
     def within(name, real):
@@ -909,6 +910,7 @@ def test_table_takes_each_labellings_hard_cells_once(tmp_path, monkeypatch):
                         counted(records, power_diagram.hard_cell_stats))
     monkeypatch.setattr(power_diagram, "_power_labels",
                         counted(labellings, power_diagram._power_labels))
+    monkeypatch.setattr(optimizer_mod, "kept_cells", counted(masks, optimizer_mod.kept_cells))
     monkeypatch.setattr(optimizer_mod, "_finalise", within("finalise", optimizer_mod._finalise))
     monkeypatch.setattr(benchmarks_mod, "lloyd_solve", within("lloyd", benchmarks_mod.lloyd_solve))
     monkeypatch.setattr(cli, "export_diagram", within("export", cli.export_diagram))
@@ -924,14 +926,47 @@ def test_table_takes_each_labellings_hard_cells_once(tmp_path, monkeypatch):
     for k, (name, args, result) in enumerate(spans):
         mine = [record for j, record in records if j == k]
         if name == "finalise":
-            best = args[0]
-            kept = (best.sites[:, None] == result.params.sites[None]).all(axis=2).any(axis=1)
-            relabelled = np.bincount(mine[0].labels, minlength=best.n)[~kept].any()
+            (kept,) = [mask for j, mask in masks if j == k]
+            relabelled = np.bincount(mine[0].labels, minlength=args[0].n)[~kept].any()
             assert len(mine) == 1 + relabelled
         elif name == "lloyd":
             assert len(mine) == sum(j == k for j, _ in labellings) > 0
         else:
             assert mine == []
+
+
+def test_table_prunes_each_finalised_restarts_best_iterate_once(tmp_path, monkeypatch):
+    # perfbench's span observer counts optimizer.cells_pruned as the first
+    # argument's n less the return's n of each optimizer.prune_cells call:
+    # finalisation makes one call per restart, on the best iterate, and the
+    # return is the result's diagram
+    import persuade_ot.optimizer as optimizer_mod
+
+    finalised, pruned = [], []  # [best iterate, result]; (finalisation, args, return)
+    real_finalise, real_prune = optimizer_mod._finalise, optimizer_mod.prune_cells
+
+    def finalise(*args, **kwargs):
+        finalised.append([args[0], None])
+        finalised[-1][1] = real_finalise(*args, **kwargs)
+        return finalised[-1][1]
+
+    def prune(*args):
+        pruned.append((len(finalised) - 1, args, real_prune(*args)))
+        return pruned[-1][2]
+
+    monkeypatch.setattr(optimizer_mod, "_finalise", finalise)
+    monkeypatch.setattr(optimizer_mod, "prune_cells", prune)
+    sweep = {"parameter": "payoff.market.p2", "values": [1.0, 1.5]}
+    data = tiny_market_config(tmp_path / "out", sweep=sweep, restarts=2)
+    data["grid"]["resolution"] = 16
+    data["objective"]["epsilon"] = 1.0
+    data["optimizer"]["n_init"] = 12
+    assert run_experiment(write_config(tmp_path, data), "table") == 0
+    monkeypatch.undo()
+    assert len(finalised) == 4 and [k for k, _, _ in pruned] == [0, 1, 2, 3]
+    for (best, result), (_, args, out) in zip(finalised, pruned):
+        assert args[0] is best and out is result.params
+    assert any(out.n < args[0].n for _, args, out in pruned)
 
 
 @pytest.mark.parametrize("values", [[1.0, 1.0000001], [1.25, 1.25], [1, 1.0]])

@@ -46,7 +46,7 @@ def test_degenerate_bounds_rejected():
 def test_uniform_discretization_equal_masses():
     grid = discretize_density(DensitySpec("uniform"), build_grid(((0.0, 1.0), (0.0, 1.0)), 2))
     assert np.allclose(grid.masses, 0.25)
-    assert abs(grid.total_mass - 1.0) < 1e-12
+    assert abs(grid.masses.sum() - 1.0) < 1e-12
 
 
 def test_linear_density_midpoint_rule():
@@ -59,7 +59,7 @@ def test_linear_density_midpoint_rule():
 def test_table_domain_uniform():
     grid = discretize_density(DensitySpec("uniform"), build_grid(((0.25, 2.0), (0.25, 2.0)), 64))
     assert np.allclose(grid.masses, grid.masses[0])
-    assert abs(grid.total_mass - 1.0) < 1e-12
+    assert abs(grid.masses.sum() - 1.0) < 1e-12
 
 
 def test_zero_density_raises():
@@ -75,7 +75,7 @@ def test_normalization_random_densities():
         c = rng.uniform(0.2, 0.8, size=2)
         spec = DensitySpec("callable", density=lambda pts, c=c: 1.0 + ((pts - c) ** 2).sum(axis=1))
         grid = discretize_density(spec, base)
-        assert abs(grid.total_mass - 1.0) < 1e-12
+        assert abs(grid.masses.sum() - 1.0) < 1e-12
 
 
 def test_uniform_barycenter_every_resolution():

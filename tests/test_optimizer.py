@@ -20,6 +20,7 @@ from persuade_ot import (
     hard_assign,
     hard_objective,
     init_sites,
+    kept_cells,
     monopolist_payoff,
     optimize,
     optimize_batch,
@@ -30,7 +31,6 @@ from persuade_ot import (
     value_and_grad,
 )
 from persuade_ot.entropic import DenseChi, RowKernels, chi_kernel
-from persuade_ot.power_diagram import min_separation
 from reference import assert_reports_equal, sequential_optimize, stack
 
 
@@ -60,7 +60,7 @@ def test_init_sites_in_bounds_distinct_zero_weights():
         assert params.n == 40
         assert np.all(params.sites[:, 0] >= 0.0) and np.all(params.sites[:, 0] <= 2.0)
         assert np.all(params.sites[:, 1] >= -1.0) and np.all(params.sites[:, 1] <= 1.0)
-        assert min_separation(params.sites) > 0.0
+        assert params.separation_sq.min() > 0.0
         assert np.all(params.weights == 0.0)
 
 
@@ -68,7 +68,7 @@ def test_init_jittered_grid_separation():
     grid = unit_grid(16)
     # 12 sites on a 4x3 lattice; quarter-cell jitter keeps half a cell apart
     params = init_sites(12, grid, seed=0, strategy="jittered-grid")
-    assert min_separation(params.sites) >= 0.5 * 0.25 - 1e-12
+    assert np.sqrt(params.separation_sq.min()) >= 0.5 * 0.25 - 1e-12
 
 
 def test_init_rejects_bad_input():
@@ -83,8 +83,8 @@ def test_prune_identity_when_all_alive():
     grid = unit_grid(32)
     params = DiagramParams(sites=[(0.25, 0.5), (0.75, 0.5)], weights=[0.0, 0.0])
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
-    assert pruned is params
+    keep = kept_cells(stats, hard_assign(params, grid))
+    assert keep.all() and prune_cells(params, keep) is params
 
 
 def test_prune_drops_dominated_cell():
@@ -93,7 +93,9 @@ def test_prune_drops_dominated_cell():
         sites=[(0.25, 0.5), (0.5, 0.5), (0.75, 0.5)], weights=[0.0, -50.0, 0.0]
     )
     _, stats = soft_partition(params, grid, EntropicConfig(0.05))
-    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
+    keep = kept_cells(stats, hard_assign(params, grid))
+    assert keep.tolist() == [True, False, True]
+    pruned = prune_cells(params, keep)
     assert pruned.n == 2
     assert np.array_equal(pruned.sites, params.sites[[0, 2]])
 
@@ -104,8 +106,8 @@ def test_prune_keeps_hard_supported_or_soft_cells():
     params = DiagramParams(sites=[(0.3, 0.5), (0.7, 0.5)], weights=[0.0, -0.5])
     _, stats = soft_partition(params, grid, EntropicConfig(10.0))
     assert stats.masses[1] > 0.1
-    pruned = prune_cells(params, stats, hard_assign(params, grid), 1e-4)
-    assert pruned.n == 2
+    keep = kept_cells(stats, hard_assign(params, grid))
+    assert keep.all() and prune_cells(params, keep).n == 2
 
 
 def test_flat_payoff_keeps_sites_still():
@@ -318,7 +320,6 @@ def assert_records_equal(record, ref):
     for a, b in ((record.labels, ref.labels), (record.masses, ref.masses),
                  (record.barycenters, ref.barycenters)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert record.n_cells == ref.n_cells
 
 
 BATCH_PAYOFFS = {

@@ -201,17 +201,23 @@ def test_probabilities_partition():
             delta = rng.uniform(-min(p1, p2) * 0.9, 1.0) if demand == "additive" else 0.0
             mkt = MarketConfig(p1=p1, p2=p2, q_min=0.0, q_max=2.0, delta=delta, demand=demand)
             q = rng.uniform(0.01, 2.0, size=2)
-            check_partition(purchase_breakdown(q, mkt))
+            check_partition(q, mkt)
     # exact ties: a utility that is a point mass on a region's bound
     for mkt in table_markets():
         for q in np.vstack([TIE_LATTICE, -TIE_LATTICE]):
-            check_partition(purchase_breakdown(q, mkt))
+            check_partition(q, mkt)
 
 
-def check_partition(b):
+def check_partition(q, market):
+    # c0 is read as 1 - (c1 + c2 + c3), so the sum alone cannot see a region
+    # counted twice: each share must be its region's area as well
+    b = purchase_breakdown(q, market)
     for c in (b.c0, b.c1, b.c2, b.c3):
         assert -1e-12 <= c <= 1.0 + 1e-12
     assert abs(b.c0 + b.c1 + b.c2 + b.c3 - 1.0) < 1e-12
+    polys = reference_polygons(q, market)
+    areas = [polygon_area(polys[name]) for name in ("none", "good1", "good2", "bundle")]
+    assert np.max(np.abs(np.subtract((b.c0, b.c1, b.c2, b.c3), areas))) < 1e-12
 
 
 def test_point_mass_on_the_bundle_bound_buys_the_bundle():
